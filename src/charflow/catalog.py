@@ -186,9 +186,10 @@ def make_u0(spec):
     raise ValueError(f"unknown u0 kind {kind!r}")
 
 
-def make_f(spec):
+def make_f(spec, T_hat=1.0):
     """Source profile: zero; constant {value}; ramp-in-x plus linear-in-t
-    {base, x_coeff, t_coeff, lo, hi}."""
+    {base, x_coeff, t_coeff, lo, hi}.  Declared bounds hold for
+    t in [0, T_hat]."""
     kind = spec["kind"]
     if kind == "zero":
         return None
@@ -203,7 +204,7 @@ def make_f(spec):
         hi = float(spec.get("hi", 1.0))
         return DataProfile(
             lambda t, x: base + xc * _clamp01((x[:, 0] - lo) / (hi - lo)) + tc * t,
-            abs(base) + abs(xc) + abs(tc),  # sup over t <= 1
+            abs(base) + abs(xc) + abs(tc) * max(1.0, T_hat),  # sup over t <= T_hat
             abs(xc / (hi - lo)),
             abs(tc),
         )

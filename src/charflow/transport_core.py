@@ -378,27 +378,97 @@ def _field_on_grid(field, xs, Z, y):
 # slab networks
 
 
-class AffineSlabNet:
-    """One-slab characteristic network for an affine field.
+class SlabNet:
+    """One-slab characteristic network: ``mu`` fixed-point sweeps and a gate.
 
-    Structure: quadrature gates in t, interpolant networks of the
-    slab-averaged components in space, and the exact trilinear gate
-    x + sum_i rho_i(t) sum_j y_j omega_j N_{j,i}(z_i); self-composed
-    ``mu`` times with the quadrature-node values carried between sweeps.
+    Structure: quadrature gates in t, spatial networks of the slab
+    field, and the exact multilinear gate
+    x + sum_i rho_i(t) * V_i, where the sweep state V (n, q, m) holds
+    the field values at the quadrature states after the last sweep.
+    V depends on the seeds ``w`` and the parameters ``y`` only, so one
+    sweep state answers any number of query times.  Subclasses build
+    the spatial networks and supply ``_sweep_values(Z, y)``, the field
+    values at quadrature states Z of shape (n, q, m), and
+    ``interpolant_size()``.
     """
 
-    def __init__(self, conv, interval, sched, eval_box):
+    def __init__(self, conv, interval, sched):
         self.conv = conv
         self.interval = interval
         self.q = sched.q
         self.mu = sched.mu
         self.delta = sched.delta
         self.tau = sched.tau
-        self.eval_box = np.asarray(eval_box, dtype=float)
         lo, hi = interval
         self.cell = (hi - lo) / self.q
         self.midpoints = lo + (np.arange(self.q) + 0.5) * self.cell
         self._shared = conv.time_independent()
+
+    def _forward(self, w, y):
+        """Run mu sweeps; returns the final gated field values (n, q, m)."""
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        Z = np.repeat(w[:, None, :], self.q, axis=1)
+        V = None
+        for sweep in range(self.mu):
+            V = self._sweep_values(Z, y)
+            if sweep < self.mu - 1:
+                Z = w[:, None, :] + self.cell * (np.cumsum(V, axis=1) - 0.5 * V)
+        return V
+
+    def at_times(self, t, w, y, V=None):
+        if V is None:
+            V = self._forward(w, y)
+        rho = rho_values(self.interval, self.q, t)
+        return np.atleast_2d(np.asarray(w, dtype=float)) + np.einsum(
+            "nq,nqm->nm", rho, V
+        )
+
+    def junction(self, w, y, V=None):
+        if V is None:
+            V = self._forward(w, y)
+        return np.atleast_2d(np.asarray(w, dtype=float)) + self.cell * V.sum(axis=1)
+
+    def eval_with_junction(self, t, w, y, mask):
+        """Gate the masked query times against one sweep state.
+
+        ``w`` (n, m) are the seeds of the rows pushed through the slab;
+        ``t`` and the boolean ``mask`` have shape (n,) or (r, n), one
+        row per set of query times.  Returns the values at ``t[mask]``
+        in that (row-major) order and the junction values of all n rows.
+        Each time set is gated on its own, so no gate array is larger
+        than a single-time evaluation's.
+        """
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        n = w.shape[0]
+        V = self._forward(w, y)
+        times = np.asarray(t, dtype=float).reshape(-1, n)
+        mask = np.asarray(mask, dtype=bool).reshape(times.shape)
+        vals = [
+            self.at_times(t_r[m_r], w[m_r], None, V=V[m_r])
+            for t_r, m_r in zip(times, mask)
+        ]
+        return np.concatenate(vals), self.junction(w, y, V)
+
+    def size(self):
+        # mu sweeps of (q*d_y interpolants + one multilinear gate),
+        # plus the t-quadrature gate network of the final sweep
+        return self.mu * (self.interpolant_size() + 1) + _rho_gate_size(
+            self.interval, self.q
+        )
+
+
+class AffineSlabNet(SlabNet):
+    """One-slab network for an affine field.
+
+    The spatial networks are interpolants of the slab-averaged
+    components, coupled by the exact trilinear gate
+    x + sum_i rho_i(t) sum_j y_j omega_j N_{j,i}(z_i).
+    """
+
+    def __init__(self, conv, interval, sched, eval_box):
+        super().__init__(conv, interval, sched)
+        self.eval_box = np.asarray(eval_box, dtype=float)
         self._nets = self._build_interpolants()
 
     def _build_interpolants(self):
@@ -455,46 +525,8 @@ class AffineSlabNet:
                     out[:, i, :, j] = np.stack(cols, axis=1)
         return out
 
-    def _forward(self, w, y):
-        """Run mu sweeps; returns the final gated field values (n, q, m)."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        wy = self.conv.omega * y  # (n, d_y)
-        Z = np.repeat(w[:, None, :], self.q, axis=1)
-        V = None
-        for sweep in range(self.mu):
-            comp_vals = self._component_values(Z)
-            V = np.einsum("nqmj,nj->nqm", comp_vals, wy)
-            if sweep < self.mu - 1:
-                Z = w[:, None, :] + self.cell * (np.cumsum(V, axis=1) - 0.5 * V)
-        return V
-
-    def at_times(self, t, w, y, V=None):
-        if V is None:
-            V = self._forward(w, y)
-        rho = rho_values(self.interval, self.q, t)
-        return np.atleast_2d(np.asarray(w, dtype=float)) + np.einsum(
-            "nq,nqm->nm", rho, V
-        )
-
-    def junction(self, w, y, V=None):
-        if V is None:
-            V = self._forward(w, y)
-        return np.atleast_2d(np.asarray(w, dtype=float)) + self.cell * V.sum(axis=1)
-
-    def eval_with_junction(self, t, w, y, mask=None):
-        """(values at t for masked samples, junction values for all)."""
-        V = self._forward(w, y)
-        junction = self.junction(w, y, V)
-        if mask is None or not np.any(mask):
-            return None, junction
-        vals = self.at_times(
-            np.asarray(t)[mask],
-            np.atleast_2d(w)[mask],
-            np.atleast_2d(y)[mask],
-            V=V[mask],
-        )
-        return vals, junction
+    def _sweep_values(self, Z, y):
+        return np.einsum("nqmj,nj->nqm", self._component_values(Z), self.conv.omega * y)
 
     def naive_eval(self, t, w, y):
         """Per-sample reference implementation of the same arithmetic."""
@@ -540,13 +572,6 @@ class AffineSlabNet:
                 total += block * (self.q if self._shared else 1)
         return total
 
-    def size(self):
-        # mu sweeps of (q*d_y interpolants + one multilinear gate),
-        # plus the t-quadrature gate network of the final sweep
-        return self.mu * (self.interpolant_size() + 1) + _rho_gate_size(
-            self.interval, self.q
-        )
-
     def depth(self):
         per_sweep = max(net.depth() for j in self._nets for per_i in j for net in per_i) + 1
         return self.mu * per_sweep + 2
@@ -562,20 +587,11 @@ class AffineSlabNet:
         return quad + impl
 
 
-class GeneralSlabNet:
+class GeneralSlabNet(SlabNet):
     """One-slab network for a general field via implanted representations."""
 
     def __init__(self, conv, interval, sched, eval_box):
-        self.conv = conv
-        self.interval = interval
-        self.q = sched.q
-        self.mu = sched.mu
-        self.delta = sched.delta
-        self.tau = sched.tau
-        lo, hi = interval
-        self.cell = (hi - lo) / self.q
-        self.midpoints = lo + (np.arange(self.q) + 0.5) * self.cell
-        self._shared = conv.time_independent()
+        super().__init__(conv, interval, sched)
         self._nets = []
         subs = [interval] if self._shared else [
             (m - 0.5 * self.cell, m + 0.5 * self.cell) for m in self.midpoints
@@ -587,39 +603,20 @@ class GeneralSlabNet:
             implanted, _ = implant(rep, [per_comp] * depth)
             self._nets.append(implanted)
 
-    def _forward(self, w, y):
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        n = w.shape[0]
-        Z = np.repeat(w[:, None, :], self.q, axis=1)
-        V = None
-        for sweep in range(self.mu):
-            V = np.empty((n, self.q, self.conv.m))
-            if self._shared:
-                flat = np.hstack(
-                    [Z.reshape(n * self.q, self.conv.m), np.repeat(y, self.q, axis=0)]
-                )
-                V[:] = self._nets[0].eval(flat).reshape(n, self.q, self.conv.m)
-            else:
-                for i in range(self.q):
-                    V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :], y]))
-            if sweep < self.mu - 1:
-                Z = w[:, None, :] + self.cell * (np.cumsum(V, axis=1) - 0.5 * V)
+    def _sweep_values(self, Z, y):
+        n, q, m = Z.shape
+        if self._shared:
+            flat = np.hstack([Z.reshape(n * q, m), np.repeat(y, q, axis=0)])
+            return self._nets[0].eval(flat).reshape(n, q, m)
+        V = np.empty((n, q, m))
+        for i in range(q):
+            V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :], y]))
         return V
-
-    at_times = AffineSlabNet.at_times
-    junction = AffineSlabNet.junction
-    eval_with_junction = AffineSlabNet.eval_with_junction
 
     def interpolant_size(self):
         if self._shared:
             return self.q * self._nets[0].size()
         return sum(net.size() for net in self._nets)
-
-    def size(self):
-        return self.mu * (self.interpolant_size() + 1) + _rho_gate_size(
-            self.interval, self.q
-        )
 
     def depth(self):
         return self.mu * 4 + 2
@@ -684,21 +681,36 @@ class CharNetwork:
         return self.sched.eps
 
     def eval(self, t, x, y):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        w = np.atleast_2d(np.asarray(x, dtype=float)).copy()
+        """Network values at query times ``t`` for samples (x, y).
+
+        ``t`` has shape (n,), giving (n, m), or (r, n) for r sets of
+        query times of the same n samples, giving (r, n, m).  The
+        junction chain runs once per (x, y) batch: slab k sweeps only
+        the rows whose latest query time lies in slab k or later, and
+        gates every time set it owns while its sweep state is live.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        sl = self.grid.slab_length
-        k_idx = np.minimum(np.floor(t / sl).astype(int), self.grid.K - 1)
-        k_idx = np.maximum(k_idx, 0)
-        out = np.empty_like(w)
-        k_last = int(k_idx.max())
-        for k in range(k_last + 1):
-            mask = k_idx == k
-            vals, junction = self.slabs[k].eval_with_junction(t, w, y, mask)
-            if vals is not None:
-                out[mask] = vals
-            w = junction
-        return out
+        n = x.shape[0]
+        t = np.asarray(t, dtype=float)
+        times = t if t.ndim > 1 else np.broadcast_to(t, (1, n))
+        k_idx = np.clip(
+            np.floor(times / self.grid.slab_length).astype(int), 0, self.grid.K - 1
+        )
+        k_last = k_idx.max(axis=0)
+        out = np.empty(times.shape + (x.shape[1],))
+        rows = np.arange(n)
+        w = x
+        for k in range(int(k_last.max()) + 1):
+            live = k_last[rows] >= k
+            rows, w = rows[live], w[live]
+            mask = k_idx[:, rows] == k
+            vals, w = self.slabs[k].eval_with_junction(
+                times[:, rows], w, y[rows], mask
+            )
+            r_idx, c_idx = np.nonzero(mask)
+            out[r_idx, rows[c_idx]] = vals
+        return out if t.ndim > 1 else out[0]
 
     def __call__(self, t, x, y):
         return self.eval(t, x, y)
@@ -838,13 +850,18 @@ def lipschitz_certificate(net, n_samples=4000, seed=0, c3=None):
     n = n_samples
     t, x, y = problem.sample_inputs(n, seed)
 
-    # (x, y) direction
+    # perturbations; drawing dx before t2 keeps each seed's samples
     dx = rng.uniform(-1, 1, size=(n, problem.m + problem.d_y))
     scale = 1e-4
     dx *= scale / np.maximum(np.abs(dx).max(axis=1, keepdims=True), 1e-300)
     x2 = np.clip(x + dx[:, : problem.m], problem.domain[:, 0], problem.domain[:, 1])
     y2 = np.clip(y + dx[:, problem.m :], -1.0, 1.0)
-    num = np.abs(net.eval(t, x2, y2) - net.eval(t, x, y)).max(axis=1)
+    t2 = np.clip(t + rng.uniform(-scale, scale, size=n), 0.0, problem.T_hat)
+    # two junction chains: (x, y) at {t, t2} and (x2, y2) at t
+    z, z_t2 = net.eval(np.stack([t, t2]), x, y)
+
+    # (x, y) direction
+    num = np.abs(net.eval(t, x2, y2) - z).max(axis=1)
     den = np.maximum(
         np.abs(x2 - x).max(axis=1), np.abs(y2 - y).max(axis=1)
     )
@@ -852,8 +869,7 @@ def lipschitz_certificate(net, n_samples=4000, seed=0, c3=None):
     lip_xy = float((num[ok] / den[ok]).max()) if np.any(ok) else 0.0
 
     # t direction
-    t2 = np.clip(t + rng.uniform(-scale, scale, size=n), 0.0, problem.T_hat)
-    num = np.abs(net.eval(t2, x, y) - net.eval(t, x, y)).max(axis=1)
+    num = np.abs(z_t2 - z).max(axis=1)
     den = np.abs(t2 - t)
     ok = den > 0
     lip_t = float((num[ok] / den[ok]).max()) if np.any(ok) else 0.0
@@ -913,9 +929,11 @@ class SolutionNetwork:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         n = x.shape[0]
-        foot = self.back_net.eval(t, x, y)
+        # one backward chain for the query times and every source node
+        sigma = np.maximum(t[None, :] - self.xi[:, None], 0.0)
+        feet = self.back_net.eval(np.vstack([t[None, :], sigma]), x, y)
         u0_part = (
-            self.u0_net.eval(foot)[:, 0] if self.u0_net is not None else np.zeros(n)
+            self.u0_net.eval(feet[0])[:, 0] if self.u0_net is not None else np.zeros(n)
         )
         if not self.f_nets:
             return u0_part, np.zeros(n)
@@ -925,9 +943,7 @@ class SolutionNetwork:
             active = rho[:, i] > 0
             if not np.any(active):
                 continue
-            sigma = np.maximum(t[active] - self.xi[i], 0.0)
-            feet_i = self.back_net.eval(sigma, x[active], y[active])
-            f_part[active] += rho[active, i] * f_net.eval(feet_i)[:, 0]
+            f_part[active] += rho[active, i] * f_net.eval(feet[1 + i, active])[:, 0]
         return u0_part, f_part
 
     def eval(self, t, x, y):
@@ -940,11 +956,12 @@ class SolutionNetwork:
     def size(self):
         # data net + backward net, plus one backward-net copy per source
         # node, plus the source quadrature gate and trilinear coupling
-        total = self.back_net.size()
+        back_size = self.back_net.size()
+        total = back_size
         if self.u0_net is not None:
             total += self.u0_net.size()
         for f_net in self.f_nets:
-            total += f_net.size() + self.back_net.size()
+            total += f_net.size() + back_size
         if self.f_nets:
             total += _rho_gate_size((0.0, self.problem.T_hat), self.q_src) + 1
         return total
@@ -1052,11 +1069,10 @@ def problem_from_dict(doc):
     if fspec.get("type", "affine") != "affine":
         raise ValueError("problem files support affine fields")
     conv = AffineConvection(m, d_y, omega, comps)
+    T_hat = float(doc.get("T_hat", 1.0))
     u0 = catalog.make_u0(doc["u0"]) if "u0" in doc and doc["u0"] else None
-    f = catalog.make_f(doc["f"]) if "f" in doc and doc["f"] else None
-    return TransportProblem(
-        conv, float(doc.get("T_hat", 1.0)), doc.get("domain", [[0.0, 1.0]] * m), u0, f
-    )
+    f = catalog.make_f(doc["f"], T_hat) if "f" in doc and doc["f"] else None
+    return TransportProblem(conv, T_hat, doc.get("domain", [[0.0, 1.0]] * m), u0, f)
 
 
 def load_problem(path):

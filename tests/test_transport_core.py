@@ -21,6 +21,73 @@ def cosine_problem(d_y=4, freq=0.2, T_hat=1.0, u0_spec=None, f_spec=None):
     return tc.TransportProblem(conv, T_hat, [[0.0, 1.0]], u0=u0, f=f)
 
 
+def cosine_problem_m2():
+    comps = [
+        catalog.make_component(
+            {"kind": "cosine", "amp": 1.0, "freq": 0.2, "phase": 0.7 * j}, m=2
+        )
+        for j in range(2)
+    ]
+    conv = tc.AffineConvection(2, 2, [0.5, 0.5], comps)
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]])
+
+
+def assert_time_sets_match_single_calls(net, rng, n=12):
+    """(r, n) query times give the rows of r single-time evaluations."""
+    prob, grid = net.problem, net.grid
+    x = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
+    y = rng.uniform(-1, 1, (n, prob.d_y))
+    junctions = grid.junctions()
+    times = np.stack(
+        [
+            rng.uniform(0.0, prob.T_hat, n),
+            np.resize(junctions, n),  # exactly on junctions, 0 and T_hat included
+            rng.uniform(*grid.slab(0), n),
+            rng.uniform(*grid.slab(grid.K - 1), n),
+        ]
+    )
+    got = net.eval(times, x, y)
+    assert got.shape == (len(times), n, prob.m)
+    for r, t in enumerate(times):
+        np.testing.assert_array_equal(got[r], net.eval(t, x, y))
+
+
+def per_node_eval_parts(net, t, x, y):
+    """Reference: one backward chain for t and one per active source node."""
+    foot = net.back_net.eval(t, x, y)
+    u0_part = net.u0_net.eval(foot)[:, 0]
+    rho = tc.rho_values((0.0, net.problem.T_hat), net.q_src, t)
+    f_part = np.zeros(len(t))
+    for i, f_net in enumerate(net.f_nets):
+        active = rho[:, i] > 0
+        if not np.any(active):
+            continue
+        sigma = np.maximum(t[active] - net.xi[i], 0.0)
+        feet_i = net.back_net.eval(sigma, x[active], y[active])
+        f_part[active] += rho[active, i] * f_net.eval(feet_i)[:, 0]
+    return u0_part, f_part
+
+
+def four_chain_lipschitz(net, n_samples, seed):
+    """Reference (lip_xy, lip_t): one chain per evaluation, as sampled by
+    lipschitz_certificate."""
+    problem = net.problem
+    rng = np.random.default_rng(seed)
+    t, x, y = problem.sample_inputs(n_samples, seed)
+    dx = rng.uniform(-1, 1, size=(n_samples, problem.m + problem.d_y))
+    dx *= 1e-4 / np.maximum(np.abs(dx).max(axis=1, keepdims=True), 1e-300)
+    x2 = np.clip(x + dx[:, : problem.m], problem.domain[:, 0], problem.domain[:, 1])
+    y2 = np.clip(y + dx[:, problem.m :], -1.0, 1.0)
+    num = np.abs(net.eval(t, x2, y2) - net.eval(t, x, y)).max(axis=1)
+    den = np.maximum(np.abs(x2 - x).max(axis=1), np.abs(y2 - y).max(axis=1))
+    lip_xy = float((num[den > 0] / den[den > 0]).max())
+    t2 = np.clip(t + rng.uniform(-1e-4, 1e-4, size=n_samples), 0.0, problem.T_hat)
+    num = np.abs(net.eval(t2, x, y) - net.eval(t, x, y)).max(axis=1)
+    den = np.abs(t2 - t)
+    lip_t = float((num[den > 0] / den[den > 0]).max())
+    return lip_xy, lip_t
+
+
 def zero_field_problem():
     comps = [catalog.make_component({"kind": "constant", "value": 0.0})]
     conv = tc.AffineConvection(1, 1, [1.0], comps, validate=False)
@@ -271,6 +338,22 @@ class TestCharNetwork:
         assert cert["lip_t"] <= conv.A + conv.omega1 * net.sched.delta + 1e-9
         assert cert["pass_t"] and cert["pass_xy"]
 
+    @pytest.mark.parametrize(
+        "make_problem, eps",
+        [(lambda: cosine_problem(d_y=2), 0.1), (cosine_problem_m2, 0.4)],
+        ids=["affine_m1", "affine_m2"],
+    )
+    def test_time_sets_match_single_calls(self, rng, make_problem, eps):
+        net = tc.build_char_net(make_problem(), eps)
+        assert net.grid.K >= 2
+        assert_time_sets_match_single_calls(net, rng)
+
+    def test_certificate_matches_four_chain_reference(self):
+        prob = cosine_problem(d_y=2, freq=1.0)
+        net = tc.build_char_net(prob, 0.1)
+        cert = tc.lipschitz_certificate(net, n_samples=300, seed=7)
+        assert (cert["lip_xy"], cert["lip_t"]) == four_chain_lipschitz(net, 300, 7)
+
     def test_zero_field_certificate(self, rng):
         prob = zero_field_problem()
         net = tc.build_char_net(prob, 0.1)
@@ -328,6 +411,10 @@ class TestGeneralConvection:
         assert np.abs(net.eval(t, x, y) - ref).max() <= 0.2
         cert = tc.lipschitz_certificate(net, n_samples=500, seed=1)
         assert cert["pessimistic"]
+
+    def test_time_sets_match_single_calls(self, rng):
+        prob = tc.TransportProblem(self.make_general(), 1.0, [[0.0, 1.0]])
+        assert_time_sets_match_single_calls(tc.build_char_net(prob, 0.2), rng)
 
     def test_normalization_rejected(self):
         with pytest.raises(ValueError):
@@ -397,6 +484,20 @@ class TestSolutionNetwork:
         np.testing.assert_allclose(plus.eval(t, x, y), u0p + fp, atol=1e-14)
         np.testing.assert_allclose(minus.eval(t, x, y), u0p - fp, atol=1e-14)
 
+    def test_shared_chain_matches_per_node_reference(self):
+        prob = cosine_problem(
+            d_y=2,
+            u0_spec={"kind": "hat", "center": 0.5, "width": 1.0},
+            f_spec={"kind": "ramp-t", "base": 0.5, "x_coeff": 0.25, "t_coeff": 0.25},
+        )
+        net = tc.build_solution_net(prob, 0.2)
+        assert net.q_src > 1 and net.back_net.grid.K > 1
+        t, x, y = prob.sample_inputs(40, seed=14)
+        got = net.eval_parts(t, x, y)
+        ref = per_node_eval_parts(net, t, x, y)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+
     def test_report_carries_budget(self):
         comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
         conv = tc.AffineConvection(1, 1, [1.0], comps)
@@ -431,3 +532,19 @@ class TestProblemFiles:
         path.write_text(json.dumps(doc))
         prob = tc.load_problem(str(path))
         assert prob.d_y == 2 and prob.convection.A == 1.0
+
+    @pytest.mark.parametrize("T_hat", [1.0, 2.0])
+    def test_ramp_t_sup_holds_on_horizon(self, T_hat):
+        doc = {
+            "field": {"d_y": 1, "components": [{"kind": "constant", "value": 1.0}]},
+            "f": {"kind": "ramp-t", "base": 0.5, "x_coeff": 0.25, "t_coeff": 0.25},
+            "T_hat": T_hat,
+        }
+        prob = tc.problem_from_dict(doc)
+        rng = np.random.default_rng(0)
+        t = np.concatenate([rng.uniform(0.0, T_hat, 2000), [T_hat]])
+        box = prob.eval_box
+        x = rng.uniform(box[:, 0], box[:, 1], (len(t), 1))
+        assert np.abs(prob.f_values(t, x)).max() <= prob.f.sup
+        if T_hat == 1.0:
+            assert prob.f.sup == 1.0  # unchanged where the old bound held
