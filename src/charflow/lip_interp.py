@@ -478,15 +478,11 @@ class InterpolantNet:
             per = _template_body_size(self.template, self.s)
         total = n_active * per
         # subtract fused hat-layer biases that happen to be exactly zero
+        i = np.arange(self.grid.q + 1)
         for j in range(self.s):
             counts = mask.sum(axis=tuple(d for d in range(self.s) if d != j))
-            for i in range(self.grid.q + 1):
-                if counts[i] == 0:
-                    continue
-                z = sum(
-                    1 for k in (1, 0, -1) if self._hat_layer_bias(j, i, k) == 0.0
-                )
-                total -= z * int(counts[i])
+            zeros = sum(self._hat_layer_bias(j, i, k) == 0.0 for k in (1, 0, -1))
+            total -= int(zeros @ counts)
         return total
 
     def depth(self):

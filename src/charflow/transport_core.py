@@ -311,26 +311,28 @@ def schedule(
     mu = mu_iterations(eta)
     tau = tau_from_eta(eta)
     sl = grid.slab_length
-    if isinstance(conv, AffineConvection):
-        q = max(1, int(math.ceil(2.0 * conv.A * sl / tau)))
-        delta = tau / (2.0 * sl * conv.omega1) if conv.omega1 > 0 else math.inf
-        n_budget = None
-        lam = conv.Lam
-    else:
-        q = max(1, int(math.ceil(2.0 * conv.A * sl / (tau / 2.0))))
-        n_budget = int(math.ceil(gamma_inverse(conv.gf, 2.0 * sl * conv.a_norm / (tau / 2.0))))
-        delta = tau / (2.0 * conv.a_norm)
-        lam = conv.L
-    width = float(np.max(problem.eval_box[:, 1] - problem.eval_box[:, 0]))
-    knots = 1 if (lam == 0 or not np.isfinite(delta)) else math.ceil(
-        2.0 * lam * width / delta
-    )
+    q, delta, n_budget, lam = _slab_class(conv).design(conv, sl, tau)
+    knots = _grid_cells(lam, problem.eval_box, delta)
     cost = q * problem.d_y * knots * mu * grid.K
     if q > q_ceiling or knots > knot_ceiling:
         raise ResourceCeiling(
             f"schedule for eps={eps} needs q={q}, grid knots={knots}", cost
         )
     return Schedule(eps, eps_int, grid.K, sl, eta, mu, tau, q, delta, n_budget)
+
+
+def _grid_cells(lip, box, tol):
+    """Interpolation-grid cells per axis for sup error ``tol`` on ``box``.
+
+    ceil(2 * lip * width / tol) with the box's widest side, the spacing
+    at which :func:`lip_interp.lip_stable_net` certifies ``tol``; one
+    cell when the function is constant (``lip == 0``) or ``tol`` is
+    infinite.
+    """
+    if lip == 0 or not np.isfinite(tol):
+        return 1
+    width = float(np.max(box[:, 1] - box[:, 0]))
+    return int(math.ceil(2.0 * lip * width / tol))
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +400,15 @@ class SlabNet:
         self.q = sched.q
         self.mu = sched.mu
         self.delta = sched.delta
-        self.tau = sched.tau
         lo, hi = interval
         self.cell = (hi - lo) / self.q
         self.midpoints = lo + (np.arange(self.q) + 0.5) * self.cell
         self._shared = conv.time_independent()
+        # the spatial networks represent the field on the whole slab if it
+        # is time-independent, else on each quadrature cell
+        self.subintervals = [interval] if self._shared else [
+            (c - 0.5 * self.cell, c + 0.5 * self.cell) for c in self.midpoints
+        ]
 
     def _forward(self, w, y):
         """Run mu sweeps; returns the final gated field values (n, q, m)."""
@@ -471,23 +477,25 @@ class AffineSlabNet(SlabNet):
         self.eval_box = np.asarray(eval_box, dtype=float)
         self._nets = self._build_interpolants()
 
+    @staticmethod
+    def design(conv, sl, tau):
+        """(q, delta, N, grid Lipschitz bound) for one-step error tau.
+
+        Inverts :meth:`one_step_error_bound`: the quadrature term
+        A |I| / q and the implant term |omega|_1 |I| delta get tau/2 each.
+        """
+        q = max(1, int(math.ceil(2.0 * conv.A * sl / tau)))
+        delta = tau / (2.0 * sl * conv.omega1) if conv.omega1 > 0 else math.inf
+        return q, delta, None, conv.Lam
+
     def _build_interpolants(self):
         conv = self.conv
-        nets = []
-        width = float(np.max(self.eval_box[:, 1] - self.eval_box[:, 0]))
-        lip_unit = conv.Lam * width
-        if np.isfinite(self.delta) and lip_unit > 0:
-            q_grid = int(math.ceil(2.0 * lip_unit / self.delta))
-        else:
-            q_grid = 1
+        q_grid = _grid_cells(conv.Lam, self.eval_box, self.delta)
         grid = lip_interp.GridSpec(conv.m, q_grid, box=self.eval_box)
-        intervals = [self.interval] if self._shared else [
-            (self.midpoints[i] - 0.5 * self.cell, self.midpoints[i] + 0.5 * self.cell)
-            for i in range(self.q)
-        ]
-        for j, comp in enumerate(conv.components):
+        nets = []
+        for comp in conv.components:
             per_j = []
-            for sub in intervals:
+            for sub in self.subintervals:
                 avg = comp.slab_average(sub)
                 comp_nets = []
                 for c in range(conv.m):
@@ -497,14 +505,13 @@ class AffineSlabNet(SlabNet):
                         lip_bound=comp.lip_x,
                         sup_bound=comp.sup,
                     )
-                    delta_eff = min(self.delta, 0.5) if np.isfinite(self.delta) else 0.5
-                    net, _ = lip_interp.lip_stable_net(sf, delta_eff)
+                    net, _ = lip_interp.lip_stable_net(sf, min(self.delta, 0.5))
                     comp_nets.append(net)
                 per_j.append(comp_nets)
             nets.append(per_j)
         return nets
 
-    def _component_values(self, Z, i_idx=None):
+    def _component_values(self, Z):
         """Interpolant values of all components at quadrature states.
 
         Z has shape (n, q, m); returns (n, q, m, d_y) with entry
@@ -528,49 +535,10 @@ class AffineSlabNet(SlabNet):
     def _sweep_values(self, Z, y):
         return np.einsum("nqmj,nj->nqm", self._component_values(Z), self.conv.omega * y)
 
-    def naive_eval(self, t, w, y):
-        """Per-sample reference implementation of the same arithmetic."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        out = np.empty_like(w)
-        for r in range(w.shape[0]):
-            Z = [w[r].copy() for _ in range(self.q)]
-            for sweep in range(self.mu):
-                vals = []
-                for i in range(self.q):
-                    acc = np.zeros(self.conv.m)
-                    for j in range(self.conv.d_y):
-                        nets = self._nets[j][0 if self._shared else i]
-                        acc += (
-                            self.conv.omega[j]
-                            * y[r, j]
-                            * np.array(
-                                [nets[c].eval(Z[i])[0] for c in range(self.conv.m)]
-                            ).reshape(self.conv.m)
-                        )
-                    vals.append(acc)
-                if sweep < self.mu - 1:
-                    newZ = []
-                    for i in range(self.q):
-                        s = sum(
-                            (rho_values(self.interval, self.q, self.midpoints[i])[k])
-                            * vals[k]
-                            for k in range(self.q)
-                        )
-                        newZ.append(w[r] + s)
-                    Z = newZ
-            rho = rho_values(self.interval, self.q, t[r])
-            out[r] = w[r] + sum(rho[k] * vals[k] for k in range(self.q))
-        return out
-
     def interpolant_size(self):
-        total = 0
-        for j in range(self.conv.d_y):
-            for per_i in self._nets[j]:
-                block = sum(net.size() for net in per_i)
-                total += block * (self.q if self._shared else 1)
-        return total
+        # a shared set of interpolants stands for q identical copies
+        nets = (net for per_j in self._nets for per_i in per_j for net in per_i)
+        return (self.q if self._shared else 1) * sum(net.size() for net in nets)
 
     def depth(self):
         per_sweep = max(net.depth() for j in self._nets for per_i in j for net in per_i) + 1
@@ -593,15 +561,25 @@ class GeneralSlabNet(SlabNet):
     def __init__(self, conv, interval, sched, eval_box):
         super().__init__(conv, interval, sched)
         self._nets = []
-        subs = [interval] if self._shared else [
-            (m - 0.5 * self.cell, m + 0.5 * self.cell) for m in self.midpoints
-        ]
-        for sub in subs:
+        for sub in self.subintervals:
             rep = conv.rep_builder(sub, sched.N)
             depth = len(rep.factors)
             per_comp = self.delta / max(1, depth)
             implanted, _ = implant(rep, [per_comp] * depth)
             self._nets.append(implanted)
+
+    @staticmethod
+    def design(conv, sl, tau):
+        """(q, delta, N, grid Lipschitz bound) for one-step error tau.
+
+        Inverts :meth:`one_step_error_bound`: the quadrature term
+        2 A |I| / q and the implant term a_norm delta get tau/2 each;
+        N is the representation budget with gamma(N) >= 2 |I| a_norm / (tau/2).
+        """
+        q = max(1, int(math.ceil(2.0 * conv.A * sl / (tau / 2.0))))
+        n_budget = int(math.ceil(gamma_inverse(conv.gf, 2.0 * sl * conv.a_norm / (tau / 2.0))))
+        delta = tau / (2.0 * conv.a_norm)
+        return q, delta, n_budget, conv.L
 
     def _sweep_values(self, Z, y):
         n, q, m = Z.shape
@@ -614,9 +592,7 @@ class GeneralSlabNet(SlabNet):
         return V
 
     def interpolant_size(self):
-        if self._shared:
-            return self.q * self._nets[0].size()
-        return sum(net.size() for net in self._nets)
+        return (self.q if self._shared else 1) * sum(net.size() for net in self._nets)
 
     def depth(self):
         return self.mu * 4 + 2
@@ -642,16 +618,14 @@ def build_slab_net(problem, interval, tau, mu=1):
     """
     conv = problem.convection
     sl = interval[1] - interval[0]
-    if isinstance(conv, AffineConvection):
-        q = max(1, int(math.ceil(2.0 * conv.A * sl / tau)))
-        delta = tau / (2.0 * sl * conv.omega1) if conv.omega1 > 0 else math.inf
-        sched = Schedule(tau, tau, 1, sl, tau, mu, tau, q, delta)
-        return AffineSlabNet(conv, interval, sched, problem.eval_box)
-    q = max(1, int(math.ceil(2.0 * conv.A * sl / (tau / 2.0))))
-    n_budget = int(math.ceil(gamma_inverse(conv.gf, 2.0 * sl * conv.a_norm / (tau / 2.0))))
-    delta = tau / (2.0 * conv.a_norm)
+    slab_cls = _slab_class(conv)
+    q, delta, n_budget, _ = slab_cls.design(conv, sl, tau)
     sched = Schedule(tau, tau, 1, sl, tau, mu, tau, q, delta, n_budget)
-    return GeneralSlabNet(conv, interval, sched, problem.eval_box)
+    return slab_cls(conv, interval, sched, problem.eval_box)
+
+
+def _slab_class(conv):
+    return AffineSlabNet if isinstance(conv, AffineConvection) else GeneralSlabNet
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +649,6 @@ class CharNetwork:
         self.slabs = slabs
         self.direction = direction
         self.report = {}
-
-    @property
-    def certified_error(self):
-        return self.sched.eps
 
     def eval(self, t, x, y):
         """Network values at query times ``t`` for samples (x, y).
@@ -737,8 +707,7 @@ class CharNetwork:
         For backward builds the stored problem already carries the
         time-reversed, negated field.
         """
-        conv = self.problem.convection
-        return lambda t, x, y: conv.eval(t, x, y)
+        return self.problem.field_evaluator()
 
 
 def build_char_net(problem, eps, direction="forward", q_ceiling=200_000):
@@ -760,7 +729,7 @@ def build_char_net(problem, eps, direction="forward", q_ceiling=200_000):
         )
     grid = macro_grid(problem.T_hat, max(1.0, conv.norm))
     sched = schedule(eps, grid, problem, q_ceiling=q_ceiling)
-    slab_cls = AffineSlabNet if isinstance(conv, AffineConvection) else GeneralSlabNet
+    slab_cls = _slab_class(conv)
     slabs = [
         slab_cls(conv, grid.slab(k), sched, problem.eval_box)
         for k in range(grid.K)
@@ -791,13 +760,12 @@ def predicted_complexity(problem, eps, kind, const=1.0, alpha=None):
     """
     conv = problem.convection
     m, d_y, T = problem.m, problem.d_y, problem.T_hat
+    ratio = math.exp(conv.norm * T) / eps
     if kind == "char":
         if isinstance(conv, AffineConvection):
-            ratio = math.exp(conv.L * T) / eps
             return const * d_y * m**2 * conv.A * T * ratio ** (m + 1) * math.log2(
                 ratio
             ) ** 2
-        ratio = math.exp(conv.a_norm * T) / eps
         gf = conv.gf
         s = m  # dimension-sparsity of the builder reps
         base = conv.A * T * 2**s * conv.a_norm ** (2 * s)
@@ -819,9 +787,7 @@ def predicted_complexity(problem, eps, kind, const=1.0, alpha=None):
     if kind == "solution":
         if alpha is None:
             alpha = float(m + 1)
-        beta = max(1.0, (m + 1) / alpha)
-        L = conv.L if isinstance(conv, AffineConvection) else conv.a_norm
-        ratio = math.exp(L * T) / eps
+        beta = solution_beta(m, alpha)
         return const * d_y * ratio ** (m + 1 + beta) * math.log2(ratio) ** 2
     raise ValueError("kind must be 'char' or 'solution'")
 
@@ -977,9 +943,7 @@ class SolutionNetwork:
 
 def _datum_net(problem, datum, tol, is_source=False, at_time=None):
     """Interpolant network of a datum on the evaluation box."""
-    width = float(np.max(problem.eval_box[:, 1] - problem.eval_box[:, 0]))
-    lip_unit = datum.lip_x * width
-    q_grid = int(math.ceil(2.0 * lip_unit / tol)) if lip_unit > 0 else 1
+    q_grid = _grid_cells(datum.lip_x, problem.eval_box, tol)
     grid = lip_interp.GridSpec(problem.m, q_grid, box=problem.eval_box)
     if is_source:
         fn = lambda pts: datum.f(np.full(pts.shape[0], at_time), pts)

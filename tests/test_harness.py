@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from charflow import harness
+from charflow import transport_core as tc
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 SMOKE_PROBLEM = {
@@ -34,6 +38,15 @@ def smoke_config(**over):
     )
     base.update(over)
     return harness.ExperimentConfig(**base)
+
+
+def config_file(tmp_path, **over):
+    """Write a one-rung smoke config for the CLI; returns its path."""
+    doc = dict(problem=SMOKE_PROBLEM, eps_ladder=[0.2], n_samples=200, seed=5, kind="char")
+    doc.update(over)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestFitRate:
@@ -140,6 +153,15 @@ class TestConfig:
         assert smoke_config(seed=8).canonical_hash() != c1.canonical_hash()
 
 
+class TestShippedConfigs:
+    def test_every_config_loads(self):
+        assert CONFIGS
+        for path in CONFIGS:
+            cfg = harness.ExperimentConfig.from_file(path)
+            problem = tc.problem_from_dict(cfg.problem)
+            assert problem.d_y == cfg.problem["field"]["d_y"], path.name
+
+
 class TestPropertySuites:
     def test_quadrature(self):
         out = harness.check_quadrature_properties(seed=1)
@@ -158,26 +180,23 @@ class TestCli:
         assert harness.main(["properties", "--seed", "2"]) == 0
 
     def test_convergence_command(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                dict(problem=SMOKE_PROBLEM, eps_ladder=[0.2], n_samples=300, seed=5, kind="char")
-            )
-        )
-        rc = harness.main(
-            ["convergence", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-        )
+        cfg_path = config_file(tmp_path, n_samples=300)
+        rc = harness.main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "convergence.csv").exists()
 
+    def test_dy_scaling_command(self, tmp_path, capsys):
+        cfg_path = config_file(tmp_path, d_y_list=[1, 2])
+        rc = harness.main(["dy-scaling", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["d_y=1", "d_y=2", "size ratios per step"]
+        assert all(" PASS " in line for line in lines[:2])
+        rows = (tmp_path / "out" / "dy_scaling.csv").read_text().splitlines()
+        assert len(rows) == 3  # header plus one row per d_y
+
     def test_lipschitz_command(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                dict(problem=SMOKE_PROBLEM, eps_ladder=[0.2], n_samples=200, seed=5, kind="char")
-            )
-        )
-        assert harness.main(["lipschitz", "--config", str(cfg_path)]) == 0
+        assert harness.main(["lipschitz", "--config", config_file(tmp_path)]) == 0
 
     def test_calibrate_command(self, tmp_path):
         assert harness.main(["calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0

@@ -88,6 +88,41 @@ def four_chain_lipschitz(net, n_samples, seed):
     return lip_xy, lip_t
 
 
+def naive_slab_eval(slab, t, w, y):
+    """Per-sample reference for an affine slab's arithmetic."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    conv, q = slab.conv, slab.q
+    out = np.empty_like(w)
+    for r in range(w.shape[0]):
+        Z = [w[r].copy() for _ in range(q)]
+        for sweep in range(slab.mu):
+            vals = []
+            for i in range(q):
+                acc = np.zeros(conv.m)
+                for j in range(conv.d_y):
+                    nets = slab._nets[j][0 if slab._shared else i]
+                    acc += (
+                        conv.omega[j]
+                        * y[r, j]
+                        * np.array([nets[c].eval(Z[i])[0] for c in range(conv.m)])
+                    )
+                vals.append(acc)
+            if sweep < slab.mu - 1:
+                Z = [
+                    w[r]
+                    + sum(
+                        tc.rho_values(slab.interval, q, slab.midpoints[i])[k] * vals[k]
+                        for k in range(q)
+                    )
+                    for i in range(q)
+                ]
+        rho = tc.rho_values(slab.interval, q, t[r])
+        out[r] = w[r] + sum(rho[k] * vals[k] for k in range(q))
+    return out
+
+
 def zero_field_problem():
     comps = [catalog.make_component({"kind": "constant", "value": 0.0})]
     conv = tc.AffineConvection(1, 1, [1.0], comps, validate=False)
@@ -227,8 +262,31 @@ class TestSlabNet:
         w = rng.uniform(0, 1, (4, 1))
         y = rng.uniform(-1, 1, (4, 2))
         np.testing.assert_allclose(
-            slab.at_times(t, w, y), slab.naive_eval(t, w, y), atol=1e-12
+            slab.at_times(t, w, y), naive_slab_eval(slab, t, w, y), atol=1e-12
         )
+
+    @pytest.mark.parametrize("general", [False, True], ids=["affine", "general"])
+    def test_single_slab_matches_char_net_slabs(self, general):
+        # build_slab_net at the schedule's (tau, mu) derives the same q,
+        # delta and representation budget N as build_char_net's slabs
+        budgets = []
+        if general:
+            conv, eps = TestGeneralConvection.make_general(), 0.2
+            builder = conv.rep_builder
+            conv.rep_builder = lambda sub, N: budgets.append(N) or builder(sub, N)
+        else:
+            conv, eps = cosine_problem(d_y=2).convection, 0.1
+        prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
+        net = tc.build_char_net(prob, eps)
+        sched = net.sched
+        slab = tc.build_slab_net(prob, net.grid.slab(0), tau=sched.tau, mu=sched.mu)
+        assert type(slab) is type(net.slabs[0])
+        for built in net.slabs:
+            assert (slab.q, slab.delta, slab.mu) == (built.q, built.delta, built.mu)
+        # time-independent field: one representation per slab of the net,
+        # then one for the single slab, all with the schedule's N
+        assert (sched.N is not None) == general
+        assert budgets == [sched.N] * (net.grid.K + 1 if general else 0)
 
     def test_contraction_of_sweeps(self, rng):
         # two sweeps from distinct quadrature-state seeds contract by >= 2
