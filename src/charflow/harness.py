@@ -36,7 +36,6 @@ class ExperimentConfig:
     seed: int = 12345
     kind: str = "char"
     direction: str = "forward"
-    out_dir: str = "out"
     d_y_list: list = field(default_factory=lambda: [2, 4, 8])
     component_family: dict = None
 
@@ -90,18 +89,24 @@ class CertReport:
 # building and certification
 
 
-def _build_and_certify(problem, eps, cfg):
-    """One ladder rung: build, measure against the matching oracle, certify.
+def _build(problem, eps, cfg):
+    """The net of one rung and the characteristic net its certificate checks.
 
-    The Lipschitz certificate runs on the characteristic net itself, or
-    on a solution net's backward characteristic net.
+    That is the characteristic net itself, or a solution net's backward
+    characteristic net.
     """
+    if cfg.kind == "char":
+        net = tc.build_char_net(problem, eps, direction=cfg.direction)
+        return net, net
+    net = tc.build_solution_net(problem, eps)
+    return net, net.back_net
+
+
+def _build_and_certify(problem, eps, cfg):
+    """One ladder rung: build, measure against the matching oracle, certify."""
     t0 = time.time()
     try:
-        if cfg.kind == "char":
-            net = tc.build_char_net(problem, eps, direction=cfg.direction)
-        else:
-            net = tc.build_solution_net(problem, eps)
+        net, char_net = _build(problem, eps, cfg)
     except tc.ResourceCeiling as exc:
         return CertReport(
             eps, math.nan, 0, 0, exc.predicted_cost, 0.0, 0.0, "SKIP", cfg.seed
@@ -113,10 +118,8 @@ def _build_and_certify(problem, eps, cfg):
         ref, _ = oracle.rk4_char(
             net.oracle_field(), np.zeros(len(t)), t, x, y, ocfg
         )
-        char_net = net
     else:
         ref = oracle.solution_oracle(problem, t, x, y, ocfg)
-        char_net = net.back_net
     err = float(np.max(np.abs(approx - ref)))
     cert = tc.lipschitz_certificate(char_net, n_samples=2000, seed=cfg.seed)
     status = "PASS" if (err <= eps and cert["pass_xy"] and cert["pass_t"]) else "FAIL"
@@ -437,7 +440,8 @@ def main(argv=None):
     for name in config_commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default="out")
+        if name != "lipschitz":  # the certificate writes no file
+            p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--kind", choices=["char", "solution"], default=None)
         p.add_argument(
@@ -497,8 +501,8 @@ def main(argv=None):
     else:
         problem = tc.problem_from_dict(cfg.problem)
         for eps in cfg.eps_ladder:
-            net = tc.build_char_net(problem, eps, direction=cfg.direction)
-            cert = tc.lipschitz_certificate(net, seed=cfg.seed)
+            _, char_net = _build(problem, eps, cfg)
+            cert = tc.lipschitz_certificate(char_net, seed=cfg.seed)
             statuses.append("PASS" if (cert["pass_xy"] and cert["pass_t"]) else "FAIL")
             print(
                 f"eps={eps}: {statuses[-1]} lip_xy={cert['lip_xy']:.4g} "

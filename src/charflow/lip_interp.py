@@ -388,6 +388,7 @@ class InterpolantNet:
     output layers (see :meth:`materialize`, cross-checked in tests),
     but stores one shared hat template plus the coefficient array so
     that evaluation touches only the <= 2^s hats active at each point.
+    ``table`` is the coefficient array as :meth:`weighted_sum` reads it.
     ``size()`` and ``depth()`` report the exact monolithic counts.
     """
 
@@ -400,11 +401,10 @@ class InterpolantNet:
         self.delta_inner = delta_inner
         if grid.s == 1:
             self.template = None
-            # ghost zero-nodes reproduce the boundary hat ramps under np.interp
-            h = grid.h
-            self._knots = np.concatenate(([-h], np.arange(grid.q + 1) * h, [1 + h]))
-            self._knot_vals = np.concatenate(([0.0], self.coeffs, [0.0]))
+            # ghost zero-nodes at -h and 1+h carry the boundary hat ramps
+            self.table = np.concatenate(([0.0], self.coeffs, [0.0]))
         else:
+            self.table = self.coeffs
             if delta_inner is None:
                 raise ValueError("s >= 2 interpolants need delta_inner")
             # template in local hat coordinates u = x_unit/h - i
@@ -433,28 +433,56 @@ class InterpolantNet:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xu = self.grid.to_unit(np.atleast_2d(x))
-        if self.s == 1:
-            out = np.interp(xu[:, 0], self._knots, self._knot_vals)
-        else:
-            out = self._eval_multi(xu)
-        out = out[:, None]
+        out = self.weighted_sum(xu, self.table[None])[:, None]
         return out[0] if single else out
 
-    def _eval_multi(self, xu):
-        q, h = self.grid.q, self.grid.h
-        n = xu.shape[0]
-        cell = np.floor(xu / h).astype(int)
-        out = np.zeros(n)
-        for corner in np.ndindex(*(2,) * self.s):
+    def weighted_sum(self, xu, tables, lead=None):
+        """Hat sums sum_node tables[lead, node] * hat_node(xu).
+
+        ``xu`` (n, s) are points in unit-cube coordinates of this net's
+        grid.  ``tables`` has shape (L,) + ``table.shape`` + trailing
+        axes: L coefficient tables laid out like :attr:`table`, whose
+        entries may be blocks of values, one per interpolant sharing
+        this grid and hat template.  Point r reads table ``lead[r]``
+        (table 0 if ``lead`` is None).  Returns (n,) + trailing axes.
+
+        Only the hats active at a point are evaluated: the two cell ends
+        when s == 1, with exact hat weights; otherwise the 2^s cell
+        corners, one template evaluation per corner for all points and
+        all trailing entries at once.
+        """
+        q, s = self.grid.q, self.s
+        trailing = tables.shape[s + 1 :]
+        flat = tables.reshape((-1,) + trailing)
+        u = xu / self.grid.h
+        if s == 1:
+            # clipping to the ghost knots gives literal zeros beyond [-h, 1+h]
+            u = np.clip(u[:, 0], -1.0, q + 1.0)
+            cell = np.minimum(np.floor(u), q)
+            left = cell.astype(int) + 1
+            if lead is not None:
+                left += lead * (q + 3)
+            rows = flat.reshape(flat.shape[0], -1)
+            base = np.take(rows, left, axis=0)
+            out = np.take(rows, left + 1, axis=0)
+            out -= base
+            out *= (u - cell)[:, None]
+            out += base
+            return out.reshape((-1,) + trailing)
+        cell = np.floor(u).astype(int)
+        out = np.zeros((xu.shape[0],) + trailing)
+        for corner in np.ndindex(*(2,) * s):
             node = cell + np.asarray(corner)
             valid = np.all((node >= 0) & (node <= q), axis=1)
-            u = xu / h - node
-            active = valid & np.all(np.abs(u) < 1.0, axis=1)
+            local = u - node
+            active = valid & np.all(np.abs(local) < 1.0, axis=1)
             if not np.any(active):
                 continue
-            coeff = self.coeffs[tuple(node[active].T)]
-            vals = self.template.eval(u[active])[:, 0]
-            out[active] += coeff * vals
+            index = tuple(node[active].T)
+            which = 0 if lead is None else lead[active]
+            coeff = flat[np.ravel_multi_index((which,) + index, tables.shape[: s + 1])]
+            vals = self.template.eval(local[active])[:, 0]
+            out[active] += coeff * vals.reshape((-1,) + (1,) * len(trailing))
         return out
 
     # -- exact structural accounting -------------------------------------

@@ -55,9 +55,10 @@ class AffineLayer:
         return int(np.count_nonzero(self.weights) + np.count_nonzero(self.biases))
 
     def apply(self, x):
-        z = x @ self.weights.T + self.biases
+        z = x @ self.weights.T
+        z += self.biases
         if self.activation == RELU:
-            return np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
         return z
 
 

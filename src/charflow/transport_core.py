@@ -10,8 +10,10 @@ characteristic network with data networks and a source quadrature.
 
 Built networks are composite evaluators in the generous sense: exact
 multilinear gates (counted 1 each in the dependency-count complexity)
-coupling ReLU subnetworks.  Evaluation is arithmetically identical to
-the literal layered assembly, which tests cross-check against a naive
+coupling ReLU subnetworks.  Evaluation computes the same function as
+the literal layered assembly: the interpolants of a slab share one grid
+and are summed in one fused sweep, which agrees with per-interpolant
+evaluation up to float rounding; tests cross-check it against a naive
 per-sample reference.
 """
 
@@ -380,6 +382,14 @@ def _field_on_grid(field, xs, Z, y):
 # slab networks
 
 
+# Row blocks keep the largest per-sweep temporary, rows * q * width
+# floats, at half of glibc's default 128 KB mmap and trim thresholds.
+# A sweep holds several temporaries of that size at once; past the
+# thresholds freed blocks go back to the kernel, and the page faults of
+# touching them again cost more than the sweep arithmetic.
+BLOCK_BYTES = 64 * 1024
+
+
 class SlabNet:
     """One-slab characteristic network: ``mu`` fixed-point sweeps and a gate.
 
@@ -390,7 +400,8 @@ class SlabNet:
     V depends on the seeds ``w`` and the parameters ``y`` only, so one
     sweep state answers any number of query times.  Subclasses build
     the spatial networks and supply ``_sweep_values(Z, y)``, the field
-    values at quadrature states Z of shape (n, q, m), and
+    values at quadrature states Z of shape (n, q, m), ``point_width``,
+    the widest per-state temporary of a sweep in floats, and
     ``interpolant_size()``.
     """
 
@@ -410,10 +421,13 @@ class SlabNet:
             (c - 0.5 * self.cell, c + 0.5 * self.cell) for c in self.midpoints
         ]
 
+    @classmethod
+    def chain(cls, conv, grid, sched, eval_box):
+        """The K slabs of a characteristic network on the macro grid."""
+        return [cls(conv, grid.slab(k), sched, eval_box) for k in range(grid.K)]
+
     def _forward(self, w, y):
         """Run mu sweeps; returns the final gated field values (n, q, m)."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
         Z = np.repeat(w[:, None, :], self.q, axis=1)
         V = None
         for sweep in range(self.mu):
@@ -422,18 +436,16 @@ class SlabNet:
                 Z = w[:, None, :] + self.cell * (np.cumsum(V, axis=1) - 0.5 * V)
         return V
 
-    def at_times(self, t, w, y, V=None):
-        if V is None:
-            V = self._forward(w, y)
-        rho = rho_values(self.interval, self.q, t)
-        return np.atleast_2d(np.asarray(w, dtype=float)) + np.einsum(
-            "nq,nqm->nm", rho, V
-        )
+    def at_times(self, t, w, y):
+        """Slab values at query times ``t`` (n,) from seeds ``w`` (n, m)."""
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        return self.eval_with_junction(t, w, y, np.ones(w.shape[0], dtype=bool))[0]
 
-    def junction(self, w, y, V=None):
-        if V is None:
-            V = self._forward(w, y)
-        return np.atleast_2d(np.asarray(w, dtype=float)) + self.cell * V.sum(axis=1)
+    def junction(self, w, y):
+        """Seeds of the next slab: the slab's values at its right end."""
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        n = w.shape[0]
+        return self.eval_with_junction(np.zeros(n), w, y, np.zeros(n, dtype=bool))[1]
 
     def eval_with_junction(self, t, w, y, mask):
         """Gate the masked query times against one sweep state.
@@ -442,19 +454,30 @@ class SlabNet:
         ``t`` and the boolean ``mask`` have shape (n,) or (r, n), one
         row per set of query times.  Returns the values at ``t[mask]``
         in that (row-major) order and the junction values of all n rows.
-        Each time set is gated on its own, so no gate array is larger
-        than a single-time evaluation's.
+        Sweeps, gates and the junction run in blocks of rows sized by
+        ``BLOCK_BYTES``, so memory does not grow with n; a row's values
+        do not depend on which other rows share its block.
         """
         w = np.atleast_2d(np.asarray(w, dtype=float))
+        y = np.atleast_2d(np.asarray(y, dtype=float))
         n = w.shape[0]
-        V = self._forward(w, y)
         times = np.asarray(t, dtype=float).reshape(-1, n)
         mask = np.asarray(mask, dtype=bool).reshape(times.shape)
-        vals = [
-            self.at_times(t_r[m_r], w[m_r], None, V=V[m_r])
-            for t_r, m_r in zip(times, mask)
-        ]
-        return np.concatenate(vals), self.junction(w, y, V)
+        gated = np.empty(times.shape + (w.shape[1],))
+        w_next = np.empty_like(w)
+        step = max(1, int(BLOCK_BYTES // (8 * self.q * self.point_width)))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            wb = w[rows]
+            V = self._forward(wb, y[rows])
+            # the block's gated entries, all time sets together, step at a time
+            r_idx, c_idx = np.nonzero(mask[:, rows])
+            for g in range(0, len(r_idx), step):
+                r, c = r_idx[g : g + step], c_idx[g : g + step]
+                rho = rho_values(self.interval, self.q, times[r, lo + c])
+                gated[r, lo + c] = wb[c] + np.einsum("nq,nqm->nm", rho, V[c])
+            w_next[rows] = wb + self.cell * V.sum(axis=1)
+        return gated[mask], w_next
 
     def size(self):
         # mu sweeps of (q*d_y interpolants + one multilinear gate),
@@ -464,18 +487,121 @@ class SlabNet:
         )
 
 
+class SlabInterpolants:
+    """Interpolant networks of one affine slab, stacked for a fused sweep.
+
+    ``nets[j][i][c]`` interpolates output c of component j averaged over
+    subinterval i.  All share one grid on the evaluation box, so one
+    sweep maps the quadrature states to the unit cube once and visits
+    the active hats once for every interpolant.  Components whose hat
+    templates agree (equal ``delta_inner``, always so for s = 1) form a
+    group; its coefficient tables are stacked to shape
+    (subintervals,) + table shape + (m, group size), or to
+    (group size,) + table shape + (m,) for a group that is contracted
+    with the row weights before the lookup.
+    """
+
+    def __init__(self, conv, subintervals, eval_box, delta, q):
+        self.grid = lip_interp.GridSpec(
+            conv.m, _grid_cells(conv.Lam, eval_box, delta), box=eval_box
+        )
+        self.nets = []
+        for comp in conv.components:
+            per_j = []
+            for sub in subintervals:
+                avg = comp.slab_average(sub)
+                comp_nets = []
+                for c in range(conv.m):
+                    sf = lip_interp.SampledFunction.from_function(
+                        lambda pts, cc=c, a=avg: a(pts)[:, cc],
+                        self.grid,
+                        lip_bound=comp.lip_x,
+                        sup_bound=comp.sup,
+                    )
+                    net, _ = lip_interp.lip_stable_net(sf, min(delta, 0.5))
+                    comp_nets.append(net)
+                per_j.append(comp_nets)
+            self.nets.append(per_j)
+        by_template = {}
+        for j, per_j in enumerate(self.nets):
+            by_template.setdefault(per_j[0][0].delta_inner, []).append(j)
+        m, s = conv.m, self.grid.s
+        self.groups = []
+        self.point_width = float(m)
+        for js in by_template.values():
+            net = self.nets[js[0]][0][0]
+            tables = np.array(
+                [
+                    [[self.nets[j][i][c].table for j in js] for c in range(m)]
+                    for i in range(len(subintervals))
+                ]
+            )
+            tables = np.ascontiguousarray(np.moveaxis(tables, (1, 2), (-2, -1)))
+            # A shared table is contracted with the row weights before the
+            # lookup when a row's combined table is smaller than the
+            # coefficients its q states would gather at the 2^s corners.
+            per_table = tables[0].size // len(js)
+            first = len(subintervals) == 1 and per_table < 2**s * q * m
+            if first:
+                tables = np.ascontiguousarray(np.moveaxis(tables[0], -1, 0))
+            self.groups.append((net, tables, js, first))
+            widths = [per_table / q if first else m * len(js)]
+            if net.template is not None:
+                widths += [layer.out_dim for layer in net.template.layers]
+            self.point_width = max(self.point_width, *widths)
+        every = [net for per_j in self.nets for per_i in per_j for net in per_i]
+        self.size = sum(net.size() for net in every)
+        self.depth = max(net.depth() for net in every)
+
+    def sweep(self, Z, weights):
+        """sum_j weights[:, j] * N_{j,i}(Z[:, i]) for states Z (n, q, m)."""
+        n, q, m = Z.shape
+        xu = self.grid.to_unit(Z.reshape(n * q, m))
+        V = None
+        for net, tables, js, first in self.groups:
+            w = weights[:, js]
+            if first:
+                per_row = np.einsum("rk,k...->r...", w, tables)
+                lead = np.repeat(np.arange(n), q)
+                vals = net.weighted_sum(xu, per_row, lead)
+            else:
+                lead = None if len(tables) == 1 else np.tile(np.arange(q), n)
+                vals = net.weighted_sum(xu, tables, lead).reshape(n, q, m, len(js))
+                vals = np.einsum("nqmk,nk->nqm", vals, w)
+            vals = vals.reshape(n, q, m)
+            V = vals if V is None else V + vals
+        return V
+
+
 class AffineSlabNet(SlabNet):
     """One-slab network for an affine field.
 
     The spatial networks are interpolants of the slab-averaged
     components, coupled by the exact trilinear gate
     x + sum_i rho_i(t) sum_j y_j omega_j N_{j,i}(z_i).
+    ``interpolants`` reuses the :class:`SlabInterpolants` of another
+    slab of the same time-independent field.
     """
 
-    def __init__(self, conv, interval, sched, eval_box):
+    def __init__(self, conv, interval, sched, eval_box, interpolants=None):
         super().__init__(conv, interval, sched)
         self.eval_box = np.asarray(eval_box, dtype=float)
-        self._nets = self._build_interpolants()
+        if interpolants is None:
+            interpolants = SlabInterpolants(
+                conv, self.subintervals, self.eval_box, self.delta, self.q
+            )
+        self.interpolants = interpolants
+        self.point_width = interpolants.point_width
+
+    @classmethod
+    def chain(cls, conv, grid, sched, eval_box):
+        # a time-independent component is its own slab average, so all
+        # slabs get the same interpolants: build them once
+        first = cls(conv, grid.slab(0), sched, eval_box)
+        shared = first.interpolants if first._shared else None
+        return [first] + [
+            cls(conv, grid.slab(k), sched, eval_box, shared) for k in range(1, grid.K)
+        ]
 
     @staticmethod
     def design(conv, sl, tau):
@@ -488,61 +614,15 @@ class AffineSlabNet(SlabNet):
         delta = tau / (2.0 * sl * conv.omega1) if conv.omega1 > 0 else math.inf
         return q, delta, None, conv.Lam
 
-    def _build_interpolants(self):
-        conv = self.conv
-        q_grid = _grid_cells(conv.Lam, self.eval_box, self.delta)
-        grid = lip_interp.GridSpec(conv.m, q_grid, box=self.eval_box)
-        nets = []
-        for comp in conv.components:
-            per_j = []
-            for sub in self.subintervals:
-                avg = comp.slab_average(sub)
-                comp_nets = []
-                for c in range(conv.m):
-                    sf = lip_interp.SampledFunction.from_function(
-                        lambda pts, cc=c, a=avg: a(pts)[:, cc],
-                        grid,
-                        lip_bound=comp.lip_x,
-                        sup_bound=comp.sup,
-                    )
-                    net, _ = lip_interp.lip_stable_net(sf, min(self.delta, 0.5))
-                    comp_nets.append(net)
-                per_j.append(comp_nets)
-            nets.append(per_j)
-        return nets
-
-    def _component_values(self, Z):
-        """Interpolant values of all components at quadrature states.
-
-        Z has shape (n, q, m); returns (n, q, m, d_y) with entry
-        [., i, ., j] = N_{j,i}(Z[., i, .]).
-        """
-        n, q, m = Z.shape
-        flat = Z.reshape(n * q, m)
-        out = np.empty((n, q, m, self.conv.d_y))
-        for j in range(self.conv.d_y):
-            if self._shared:
-                cols = [self._nets[j][0][c].eval(flat)[:, 0] for c in range(m)]
-                out[:, :, :, j] = np.stack(cols, axis=1).reshape(n, q, m)
-            else:
-                for i in range(q):
-                    cols = [
-                        self._nets[j][i][c].eval(Z[:, i, :])[:, 0] for c in range(m)
-                    ]
-                    out[:, i, :, j] = np.stack(cols, axis=1)
-        return out
-
     def _sweep_values(self, Z, y):
-        return np.einsum("nqmj,nj->nqm", self._component_values(Z), self.conv.omega * y)
+        return self.interpolants.sweep(Z, self.conv.omega * y)
 
     def interpolant_size(self):
         # a shared set of interpolants stands for q identical copies
-        nets = (net for per_j in self._nets for per_i in per_j for net in per_i)
-        return (self.q if self._shared else 1) * sum(net.size() for net in nets)
+        return (self.q if self._shared else 1) * self.interpolants.size
 
     def depth(self):
-        per_sweep = max(net.depth() for j in self._nets for per_i in j for net in per_i) + 1
-        return self.mu * per_sweep + 2
+        return self.mu * (self.interpolants.depth + 1) + 2
 
     def one_step_error_bound(self):
         """Certified |Phi - net| bound for one application (tau by design)."""
@@ -560,6 +640,8 @@ class GeneralSlabNet(SlabNet):
 
     def __init__(self, conv, interval, sched, eval_box):
         super().__init__(conv, interval, sched)
+        # each quadrature state enters the implanted net as a row (z, y)
+        self.point_width = conv.m + conv.d_y
         self._nets = []
         for sub in self.subintervals:
             rep = conv.rep_builder(sub, sched.N)
@@ -729,11 +811,7 @@ def build_char_net(problem, eps, direction="forward", q_ceiling=200_000):
         )
     grid = macro_grid(problem.T_hat, max(1.0, conv.norm))
     sched = schedule(eps, grid, problem, q_ceiling=q_ceiling)
-    slab_cls = _slab_class(conv)
-    slabs = [
-        slab_cls(conv, grid.slab(k), sched, problem.eval_box)
-        for k in range(grid.K)
-    ]
+    slabs = _slab_class(conv).chain(conv, grid, sched, problem.eval_box)
     net = CharNetwork(problem, grid, sched, slabs, direction)
     net.report = {
         "eps": eps,

@@ -198,6 +198,21 @@ class TestCli:
     def test_lipschitz_command(self, tmp_path):
         assert harness.main(["lipschitz", "--config", config_file(tmp_path)]) == 0
 
+    def test_lipschitz_command_certifies_solution_back_net(self, tmp_path, monkeypatch):
+        certified = []
+        certify = tc.lipschitz_certificate
+
+        def record(net, **kwargs):
+            certified.append(net)
+            return certify(net, **kwargs)
+
+        monkeypatch.setattr(tc, "lipschitz_certificate", record)
+        cfg_path = config_file(tmp_path)
+        assert harness.main(["lipschitz", "--config", cfg_path, "--kind", "solution"]) == 0
+        assert [net.direction for net in certified] == ["backward"]
+        with pytest.raises(SystemExit):
+            harness.main(["lipschitz", "--config", cfg_path, "--out", str(tmp_path)])
+
     def test_calibrate_command(self, tmp_path):
         assert harness.main(["calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0
         doc = json.loads((tmp_path / "calibration.json").read_text())

@@ -32,6 +32,32 @@ def cosine_problem_m2():
     return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]])
 
 
+def time_dependent_problem():
+    """Affine field whose components move in t: every slab is per-cell."""
+    comps = [
+        catalog.FieldComponent(
+            lambda t, x, ph=ph: np.cos(x + ph + np.asarray(t)[:, None]),
+            m=1, sup=1.0, lip_x=1.0, lip_t=1.0, time_independent=False,
+        )
+        for ph in (0.0, 0.7)
+    ]
+    conv = tc.AffineConvection(1, 2, [0.5, 0.5], comps)
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
+
+
+def constant_problem_m2():
+    """m = 2 constant components: one grid cell, so the sweep contracts
+    the coefficient tables before the lookup."""
+    comps = [
+        catalog.FieldComponent(
+            lambda t, x, v=v: np.tile(v, (x.shape[0], 1)), m=2, sup=1.0, lip_x=0.0
+        )
+        for v in ([1.0, -0.5], [0.25, 1.0])
+    ]
+    conv = tc.AffineConvection(2, 2, [0.5, 0.5], comps)
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]])
+
+
 def assert_time_sets_match_single_calls(net, rng, n=12):
     """(r, n) query times give the rows of r single-time evaluations."""
     prob, grid = net.problem, net.grid
@@ -102,7 +128,7 @@ def naive_slab_eval(slab, t, w, y):
             for i in range(q):
                 acc = np.zeros(conv.m)
                 for j in range(conv.d_y):
-                    nets = slab._nets[j][0 if slab._shared else i]
+                    nets = slab.interpolants.nets[j][0 if slab._shared else i]
                     acc += (
                         conv.omega[j]
                         * y[r, j]
@@ -299,13 +325,106 @@ class TestSlabNet:
         zb = rng.uniform(-0.5, 1.5, (30, slab.q, 1))
 
         def sweep(Z):
-            vals = slab._component_values(Z)
-            V = np.einsum("nqmj,nj->nqm", vals, slab.conv.omega * y)
+            V = slab._sweep_values(Z, y)
             return w[:, None, :] + slab.cell * (np.cumsum(V, axis=1) - 0.5 * V)
 
         num = np.abs(sweep(za) - sweep(zb)).max(axis=(1, 2))
         den = np.abs(za - zb).max(axis=(1, 2))
         assert (num / den).max() <= 0.5 + 1e-9
+
+
+class TestFusedSweep:
+    """One sweep evaluates all interpolants of a slab from stacked tables."""
+
+    # the s = 1 shared slab is TestSlabNet.test_naive_reference_agreement
+    @pytest.mark.parametrize(
+        "make_problem, tau, contract_first",
+        [
+            (cosine_problem_m2, 0.2, False),
+            (time_dependent_problem, 0.1, False),
+            (constant_problem_m2, 0.2, True),
+        ],
+        ids=["s2_shared", "s1_per_cell", "s2_one_cell"],
+    )
+    def test_naive_reference_agreement(self, rng, make_problem, tau, contract_first):
+        prob = make_problem()
+        grid = tc.macro_grid(1.0, prob.convection.norm)
+        slab = tc.build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
+        assert slab._shared == prob.convection.time_independent()
+        # both orders of weighting and lookup are covered
+        assert [g[3] for g in slab.interpolants.groups] == [contract_first]
+        n = 3
+        t = rng.uniform(*grid.slab(1), n)
+        w = rng.uniform(prob.eval_box[:, 0], prob.eval_box[:, 1], (n, prob.m))
+        y = rng.uniform(-1, 1, (n, prob.d_y))
+        np.testing.assert_allclose(
+            slab.at_times(t, w, y), naive_slab_eval(slab, t, w, y), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "make_problem, eps",
+        [
+            (lambda: cosine_problem(d_y=2), 0.1),
+            (cosine_problem_m2, 0.4),
+            (time_dependent_problem, 0.4),
+        ],
+        ids=["s1_shared", "s2_shared", "s1_per_cell"],
+    )
+    def test_rows_independent_of_blocks(self, make_problem, eps):
+        prob = make_problem()
+        net = tc.build_char_net(prob, eps)
+        slab = net.slabs[0]
+        step = int(tc.BLOCK_BYTES // (8 * slab.q * slab.point_width))
+        n = 2 * step + 3  # three row blocks in slab 0, the last one partial
+        t, x, y = prob.sample_inputs(n, seed=21)
+        got = net.eval(t, x, y)
+        for r in range(n):
+            one = slice(r, r + 1)
+            np.testing.assert_array_equal(got[one], net.eval(t[one], x[one], y[one]))
+        rev = slice(None, None, -1)
+        np.testing.assert_array_equal(got[rev], net.eval(t[rev], x[rev], y[rev]))
+
+    def test_zero_beyond_ghost_knots(self):
+        # the ghost knots at -h and 1+h end the boundary hat ramps: states
+        # past them get exactly np.interp's values, zero
+        prob = cosine_problem(d_y=3)
+        grid = tc.macro_grid(1.0, prob.convection.norm)
+        slab = tc.build_slab_net(prob, grid.slab(0), tau=0.05)
+        interp = slab.interpolants
+        net = interp.nets[0][0][0]
+        h = net.grid.h
+        lo, hi = net.grid.box[0]
+        xu = np.array([-5.0, -2 * h, -h, -h * (1 - 1e-9), 1 + h * (1 - 1e-9), 1 + h, 1 + 3 * h, 7.0])
+        knots = np.concatenate(([-h], np.arange(net.grid.q + 1) * h, [1 + h]))
+        ref = np.interp(xu, knots, np.concatenate(([0.0], net.coeffs, [0.0])))
+        got = net.eval(lo + xu[:, None] * (hi - lo))[:, 0]
+        outside = (xu <= -h) | (xu >= 1 + h)
+        np.testing.assert_array_equal(got[outside], ref[outside])
+        assert np.all(got[outside] == 0.0)
+        np.testing.assert_allclose(got[~outside], ref[~outside], rtol=0, atol=1e-12)
+        # the fused sweep: every interpolant vanishes past the ghost knots
+        Z = (lo + xu[outside] * (hi - lo)).reshape(1, -1, 1)
+        V = interp.sweep(Z, np.ones((1, prob.d_y)))
+        assert V.shape == Z.shape and np.all(V == 0.0)
+
+    def test_eval_memory_bounded(self):
+        import json
+        import tracemalloc
+        from pathlib import Path
+
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "affine_m1_dy4.json"
+        prob = tc.problem_from_dict(json.loads(cfg.read_text())["problem"])
+        net = tc.build_char_net(prob, 0.1)
+        peaks = []
+        for n in (1000, 8000):
+            t, x, y = prob.sample_inputs(n, seed=3)
+            tracemalloc.start()
+            try:
+                net.eval(t, x, y)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 * 2**20
 
 
 class TestRhoGateSize:
