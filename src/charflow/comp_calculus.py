@@ -665,6 +665,29 @@ def _factor_as_net(f):
     raise ValueError(f"factor {type(f).__name__} has no exact ReLU realization")
 
 
+def eval_width(f):
+    """Widest per-point array that evaluating ``f`` allocates, in floats.
+
+    ``f`` is a factor or an :class:`ImplantedComposition`; implanted
+    interpolants count their hat template layers.
+    """
+    if isinstance(f, ImplantedComposition):
+        return max(eval_width(g) for g in f.factors)
+    widths = [f.in_dim, f.out_dim]
+    if isinstance(f, ParallelFactor):
+        widths += [eval_width(c) for c in f.children]
+    elif isinstance(f, NetFactor):
+        widths += [layer.out_dim for layer in f.net.layers]
+    elif isinstance(f, ImplantedFactor):
+        widths += [
+            layer.out_dim
+            for net in f.nets
+            if net.template is not None
+            for layer in net.template.layers
+        ]
+    return max(widths)
+
+
 def implant(rep, deltas, max_grid_nodes=4_000_000):
     """Replace generic factors by Lipschitz-stable interpolant networks.
 

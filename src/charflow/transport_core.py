@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, lip_interp
-from .comp_calculus import gamma_inverse, implant
+from .comp_calculus import eval_width, gamma_inverse, implant
 from .relu_net import rho_values
 
 E_HALF = math.exp(0.5)
@@ -382,12 +382,29 @@ def _field_on_grid(field, xs, Z, y):
 # slab networks
 
 
-# Row blocks keep the largest per-sweep temporary, rows * q * width
-# floats, at half of glibc's default 128 KB mmap and trim thresholds.
-# A sweep holds several temporaries of that size at once; past the
-# thresholds freed blocks go back to the kernel, and the page faults of
-# touching them again cost more than the sweep arithmetic.
+# Row blocks keep the largest temporary of one network evaluation in a
+# sweep, rows * row_floats floats, at half of glibc's default 128 KB
+# mmap and trim thresholds.  An evaluation holds several temporaries of
+# that size at once; past the thresholds freed blocks go back to the
+# kernel, and the page faults of touching them again cost more than the
+# sweep arithmetic.  A per-cell general slab evaluates its q cell nets
+# one at a time, so only its sweep state (rows, q, m) is larger; that is
+# made a few times per sweep, not in each of the q evaluations.
 BLOCK_BYTES = 64 * 1024
+
+
+def _subintervals(conv, interval, q):
+    """Intervals on which a slab's spatial networks represent the field.
+
+    The whole slab if the field is time-independent, else each of the
+    q quadrature cells.
+    """
+    if conv.time_independent():
+        return [interval]
+    lo, hi = interval
+    cell = (hi - lo) / q
+    midpoints = lo + (np.arange(q) + 0.5) * cell
+    return [(c - 0.5 * cell, c + 0.5 * cell) for c in midpoints]
 
 
 class SlabNet:
@@ -399,9 +416,11 @@ class SlabNet:
     the field values at the quadrature states after the last sweep.
     V depends on the seeds ``w`` and the parameters ``y`` only, so one
     sweep state answers any number of query times.  Subclasses build
-    the spatial networks and supply ``_sweep_values(Z, y)``, the field
-    values at quadrature states Z of shape (n, q, m), ``point_width``,
-    the widest per-state temporary of a sweep in floats, and
+    the spatial networks and supply ``chain(conv, intervals, sched,
+    eval_box)``, which builds the slabs on consecutive intervals,
+    ``_sweep_values(Z, y)``, the field values at quadrature states Z of
+    shape (n, q, m), ``row_floats``, the floats per row of the largest
+    temporary of one network evaluation in a sweep, and
     ``interpolant_size()``.
     """
 
@@ -415,16 +434,7 @@ class SlabNet:
         self.cell = (hi - lo) / self.q
         self.midpoints = lo + (np.arange(self.q) + 0.5) * self.cell
         self._shared = conv.time_independent()
-        # the spatial networks represent the field on the whole slab if it
-        # is time-independent, else on each quadrature cell
-        self.subintervals = [interval] if self._shared else [
-            (c - 0.5 * self.cell, c + 0.5 * self.cell) for c in self.midpoints
-        ]
-
-    @classmethod
-    def chain(cls, conv, grid, sched, eval_box):
-        """The K slabs of a characteristic network on the macro grid."""
-        return [cls(conv, grid.slab(k), sched, eval_box) for k in range(grid.K)]
+        self.subintervals = _subintervals(conv, interval, self.q)
 
     def _forward(self, w, y):
         """Run mu sweeps; returns the final gated field values (n, q, m)."""
@@ -465,7 +475,7 @@ class SlabNet:
         mask = np.asarray(mask, dtype=bool).reshape(times.shape)
         gated = np.empty(times.shape + (w.shape[1],))
         w_next = np.empty_like(w)
-        step = max(1, int(BLOCK_BYTES // (8 * self.q * self.point_width)))
+        step = max(1, int(BLOCK_BYTES // (8 * self.row_floats)))
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
             wb = w[rows]
@@ -578,30 +588,33 @@ class AffineSlabNet(SlabNet):
 
     The spatial networks are interpolants of the slab-averaged
     components, coupled by the exact trilinear gate
-    x + sum_i rho_i(t) sum_j y_j omega_j N_{j,i}(z_i).
-    ``interpolants`` reuses the :class:`SlabInterpolants` of another
-    slab of the same time-independent field.
+    x + sum_i rho_i(t) sum_j y_j omega_j N_{j,i}(z_i),
+    with the slab's :class:`SlabInterpolants` as the networks N.
     """
 
-    def __init__(self, conv, interval, sched, eval_box, interpolants=None):
+    def __init__(self, conv, interval, sched, interpolants):
         super().__init__(conv, interval, sched)
-        self.eval_box = np.asarray(eval_box, dtype=float)
-        if interpolants is None:
-            interpolants = SlabInterpolants(
-                conv, self.subintervals, self.eval_box, self.delta, self.q
-            )
         self.interpolants = interpolants
-        self.point_width = interpolants.point_width
+        # one fused evaluation covers all q states of a row
+        self.row_floats = self.q * interpolants.point_width
 
     @classmethod
-    def chain(cls, conv, grid, sched, eval_box):
-        # a time-independent component is its own slab average, so all
-        # slabs get the same interpolants: build them once
-        first = cls(conv, grid.slab(0), sched, eval_box)
-        shared = first.interpolants if first._shared else None
-        return [first] + [
-            cls(conv, grid.slab(k), sched, eval_box, shared) for k in range(1, grid.K)
-        ]
+    def chain(cls, conv, intervals, sched, eval_box):
+        """Slabs on ``intervals``.
+
+        A time-independent component is its own slab average, so all
+        slabs of such a field share one set of interpolants.
+        """
+        box = np.asarray(eval_box, dtype=float)
+
+        def interpolants(interval):
+            subs = _subintervals(conv, interval, sched.q)
+            return SlabInterpolants(conv, subs, box, sched.delta, sched.q)
+
+        if conv.time_independent():
+            shared = interpolants(intervals[0])
+            return [cls(conv, iv, sched, shared) for iv in intervals]
+        return [cls(conv, iv, sched, interpolants(iv)) for iv in intervals]
 
     @staticmethod
     def design(conv, sl, tau):
@@ -638,10 +651,8 @@ class AffineSlabNet(SlabNet):
 class GeneralSlabNet(SlabNet):
     """One-slab network for a general field via implanted representations."""
 
-    def __init__(self, conv, interval, sched, eval_box):
+    def __init__(self, conv, interval, sched):
         super().__init__(conv, interval, sched)
-        # each quadrature state enters the implanted net as a row (z, y)
-        self.point_width = conv.m + conv.d_y
         self._nets = []
         for sub in self.subintervals:
             rep = conv.rep_builder(sub, sched.N)
@@ -649,6 +660,16 @@ class GeneralSlabNet(SlabNet):
             per_comp = self.delta / max(1, depth)
             implanted, _ = implant(rep, [per_comp] * depth)
             self._nets.append(implanted)
+        # each quadrature state enters an implanted net as a point (z, y);
+        # the shared net sees all q states of a row in one evaluation, a
+        # cell net one state per row
+        width = max(conv.m + conv.d_y, *(eval_width(net) for net in self._nets))
+        self.row_floats = width * (self.q if self._shared else 1)
+
+    @classmethod
+    def chain(cls, conv, intervals, sched, eval_box):
+        """Slabs on ``intervals``; the implanted nets ignore ``eval_box``."""
+        return [cls(conv, iv, sched) for iv in intervals]
 
     @staticmethod
     def design(conv, sl, tau):
@@ -703,7 +724,7 @@ def build_slab_net(problem, interval, tau, mu=1):
     slab_cls = _slab_class(conv)
     q, delta, n_budget, _ = slab_cls.design(conv, sl, tau)
     sched = Schedule(tau, tau, 1, sl, tau, mu, tau, q, delta, n_budget)
-    return slab_cls(conv, interval, sched, problem.eval_box)
+    return slab_cls.chain(conv, [interval], sched, problem.eval_box)[0]
 
 
 def _slab_class(conv):
@@ -811,7 +832,8 @@ def build_char_net(problem, eps, direction="forward", q_ceiling=200_000):
         )
     grid = macro_grid(problem.T_hat, max(1.0, conv.norm))
     sched = schedule(eps, grid, problem, q_ceiling=q_ceiling)
-    slabs = _slab_class(conv).chain(conv, grid, sched, problem.eval_box)
+    intervals = [grid.slab(k) for k in range(grid.K)]
+    slabs = _slab_class(conv).chain(conv, intervals, sched, problem.eval_box)
     net = CharNetwork(problem, grid, sched, slabs, direction)
     net.report = {
         "eps": eps,

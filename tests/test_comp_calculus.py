@@ -225,6 +225,28 @@ class TestImplant:
         x = rng.uniform(0, 1, (200, 1))
         np.testing.assert_allclose(net.eval(x), imp.eval(x), atol=1e-12)
 
+    def test_eval_width(self):
+        # s = 1 interpolants have no template, so the parallel stage's
+        # output is the widest array; s = 2 ones add their hat templates
+        gen = cc.GenericFactor(
+            lambda z: np.hstack([np.cos(z[:, :1]), np.sin(z[:, :1])]),
+            1, 2, lip=1.0, sup=1.0, box=[[0, 1]],
+        )
+        bil = cc.MultilinearFactor(
+            lambda v: v[:, :1] * v[:, 2:3] + v[:, 1:2] * v[:, 3:4], 4, 1,
+            lip=2.0, sup=2.0,
+        )
+        rep = cc.CompRep([cc.ParallelFactor([gen, cc.IdentityFactor(2)]), bil])
+        imp, _ = cc.implant(rep, [0.1, 0.0])
+        assert cc.eval_width(imp) == 4
+        f2 = cc.GenericFactor(
+            lambda z: z[:, :1] * z[:, 1:2], 2, 1, lip=1.0, sup=1.0,
+            box=[[0, 1], [0, 1]],
+        )
+        imp2, _ = cc.implant(cc.CompRep([f2, cc.LinearFactor([[1.0]])]), [0.1, 0.0])
+        layers = imp2.factors[0].nets[0].template.layers
+        assert cc.eval_width(imp2) == max(layer.out_dim for layer in layers) > 2
+
     def test_resource_refusal(self):
         f = cc.GenericFactor(
             lambda z: z[:, :1] * 0.0, 2, 1, lip=1.0, sup=1.0, box=[[0, 1], [0, 1]]

@@ -367,14 +367,20 @@ class TestFusedSweep:
             (lambda: cosine_problem(d_y=2), 0.1),
             (cosine_problem_m2, 0.4),
             (time_dependent_problem, 0.4),
+            (
+                lambda: tc.TransportProblem(
+                    TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]]
+                ),
+                0.2,
+            ),
         ],
-        ids=["s1_shared", "s2_shared", "s1_per_cell"],
+        ids=["s1_shared", "s2_shared", "s1_per_cell", "general_shared"],
     )
     def test_rows_independent_of_blocks(self, make_problem, eps):
         prob = make_problem()
         net = tc.build_char_net(prob, eps)
         slab = net.slabs[0]
-        step = int(tc.BLOCK_BYTES // (8 * slab.q * slab.point_width))
+        step = int(tc.BLOCK_BYTES // (8 * slab.row_floats))
         n = 2 * step + 3  # three row blocks in slab 0, the last one partial
         t, x, y = prob.sample_inputs(n, seed=21)
         got = net.eval(t, x, y)
@@ -543,7 +549,7 @@ class TestCharNetwork:
 
 class TestGeneralConvection:
     @staticmethod
-    def make_general():
+    def make_general(L_t=0.0):
         m, d_y = 1, 2
 
         def evaluator(t, x, y):
@@ -566,7 +572,7 @@ class TestGeneralConvection:
 
         return tc.GeneralConvection(
             m, d_y, evaluator, A=1.0, L=1.5, a_norm=1.5, gf=gf,
-            rep_builder=rep_builder, L_t=0.0,
+            rep_builder=rep_builder, L_t=L_t,
         )
 
     def test_builder_contract(self):
@@ -592,6 +598,24 @@ class TestGeneralConvection:
     def test_time_sets_match_single_calls(self, rng):
         prob = tc.TransportProblem(self.make_general(), 1.0, [[0.0, 1.0]])
         assert_time_sets_match_single_calls(tc.build_char_net(prob, 0.2), rng)
+
+    def test_cell_nets_see_whole_row_blocks(self, rng):
+        # a time-dependent field has one implanted net per quadrature cell;
+        # its row blocks are sized by one net's evaluation, not by all q
+        # states of a row, so 200 rows take one block: mu * q evaluations
+        conv = self.make_general(L_t=0.5)
+        prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
+        grid = tc.macro_grid(1.0, conv.norm)
+        slab = tc.build_slab_net(prob, grid.slab(0), tau=0.05, mu=2)
+        assert not slab._shared and len(slab._nets) == slab.q
+        calls = []
+        for net in slab._nets:
+            net.eval = lambda x, f=net.eval: calls.append(len(x)) or f(x)
+        n = 200
+        w = rng.uniform(0, 1, (n, 1))
+        y = rng.uniform(-1, 1, (n, 2))
+        slab.at_times(rng.uniform(*grid.slab(0), n), w, y)
+        assert calls == [n] * (slab.mu * slab.q)
 
     def test_normalization_rejected(self):
         with pytest.raises(ValueError):
