@@ -55,6 +55,12 @@ from .transport_core import (
     predicted_complexity,
     schedule,
 )
-from .oracle import OdeConfig, exact_const, rk4_char, solution_oracle
+from .oracle import (
+    OdeConfig,
+    OracleToleranceError,
+    exact_const,
+    rk4_char,
+    solution_oracle,
+)
 
 __version__ = "0.1.0"

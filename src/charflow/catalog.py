@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Gauss-Legendre nodes of the time average of a time-dependent component
+GAUSS_ORDER = 20
+
 
 @dataclass(frozen=True)
 class FieldComponent:
@@ -35,16 +38,17 @@ class FieldComponent:
         t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
         return np.asarray(self.fn(t, x), dtype=float).reshape(x.shape[0], self.m)
 
-    def slab_average(self, interval, gauss_order=20):
+    def slab_average(self, interval):
         """Spatial map w -> average of fn(., w) over the interval.
 
         Exact (the component itself) for time-independent components;
-        otherwise Gauss-Legendre quadrature in time, vectorized over w.
+        otherwise GAUSS_ORDER-point Gauss-Legendre quadrature in time,
+        vectorized over w.
         """
         lo, hi = float(interval[0]), float(interval[1])
         if self.time_independent:
             return lambda x: self(lo, x)
-        nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * weights  # normalized: sum = 1/2 * 2 = 1
 

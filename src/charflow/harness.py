@@ -114,13 +114,17 @@ def _build_and_certify(problem, eps, cfg):
     t, x, y = problem.sample_inputs(cfg.n_samples, cfg.seed)
     ocfg = oracle.OdeConfig(steps=32, tol=eps / 100.0)
     approx = net.eval(t, x, y)
-    if cfg.kind == "char":
-        ref, _ = oracle.rk4_char(
-            net.oracle_field(), np.zeros(len(t)), t, x, y, ocfg
-        )
+    try:
+        if cfg.kind == "char":
+            ref, _ = oracle.rk4_char(
+                net.oracle_field(), np.zeros(len(t)), t, x, y, ocfg
+            )
+        else:
+            ref = oracle.solution_oracle(problem, t, x, y, ocfg)
+    except oracle.OracleToleranceError:
+        err = math.nan  # no trusted reference, so the rung cannot pass
     else:
-        ref = oracle.solution_oracle(problem, t, x, y, ocfg)
-    err = float(np.max(np.abs(approx - ref)))
+        err = float(np.max(np.abs(approx - ref)))
     cert = tc.lipschitz_certificate(char_net, n_samples=2000, seed=cfg.seed)
     status = "PASS" if (err <= eps and cert["pass_xy"] and cert["pass_t"]) else "FAIL"
     return CertReport(

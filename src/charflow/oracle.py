@@ -19,18 +19,26 @@ class OdeConfig:
     """Fixed-step RK4 configuration.
 
     ``tol`` drives the step-doubling loop: steps double until the
-    Richardson estimate |z_h - z_{h/2}| falls below it.  ``richardson``
-    additionally returns the extrapolated endpoint.
+    Richardson estimate |z_h - z_{h/2}| falls below it, and a run that
+    still misses it at ``max_steps`` raises :class:`OracleToleranceError`.
     """
 
     steps: int = 64
     tol: float = None
-    richardson: bool = True
     max_steps: int = 1 << 16
 
     def __post_init__(self):
         if self.steps < 4:
             raise ValueError("need at least 4 steps")
+
+
+class OracleToleranceError(RuntimeError):
+    """The oracle's error estimate misses its tolerance at ``max_steps``."""
+
+    def __init__(self, est, tol):
+        super().__init__(f"RK4 error estimate {est:.3g} exceeds tol {tol:.3g}")
+        self.est = est
+        self.tol = tol
 
 
 def _rk4_sweep(field, t0, t1, x, y, steps, record=False):
@@ -71,9 +79,10 @@ def rk4_char(field, t0, t1, x, y, config=OdeConfig(), dense=False):
     """Trajectory endpoint of dz/dt = field(t, z, y) from (t0, x) to t1.
 
     Integrates forward or backward depending on the sign of t1 - t0.
-    Returns (endpoint, error_estimate); the estimate compares the run
-    against one with doubled steps (Richardson), and when a tolerance
-    is set, steps double until the estimate meets it.  With ``dense``
+    Returns (Richardson-extrapolated endpoint, error_estimate); the
+    estimate compares the run against one with doubled steps, and when
+    a tolerance is set, steps double until the estimate meets it or
+    :class:`OracleToleranceError` is raised.  With ``dense``
     the return becomes (endpoint, estimate, (times, states)) holding
     the trajectory at the finest accepted resolution.
     """
@@ -85,7 +94,9 @@ def rk4_char(field, t0, t1, x, y, config=OdeConfig(), dense=False):
         if config.tol is None or est <= config.tol or 2 * steps >= config.max_steps:
             break
         coarse, steps = fine, 2 * steps
-    endpoint = fine + (fine - coarse) / 15.0 if config.richardson else fine
+    if config.tol is not None and est > config.tol:
+        raise OracleToleranceError(est, config.tol)
+    endpoint = fine + (fine - coarse) / 15.0
     if dense:
         path = _rk4_sweep(field, t0, t1, x, y, 2 * steps, record=True)
         return endpoint, est, path
@@ -123,13 +134,7 @@ def solution_oracle(problem, t, x, y, config=OdeConfig()):
         return np.hstack([dz, dv[:, None]])
 
     state0 = np.hstack([foot, np.zeros((n, 1))])
-    cfg = OdeConfig(
-        steps=config.steps,
-        tol=config.tol,
-        richardson=config.richardson,
-        max_steps=config.max_steps,
-    )
-    state, _ = rk4_char(augmented, np.zeros(n), t, state0, y, cfg)
+    state, _ = rk4_char(augmented, np.zeros(n), t, state0, y, config)
     return u0_vals + state[:, m]
 
 

@@ -30,6 +30,13 @@ from .relu_net import rho_values
 
 E_HALF = math.exp(0.5)
 
+# build budget: quadrature nodes per slab (and source nodes of a solution
+# net) and interpolation-grid cells per axis
+Q_CEILING = 200_000
+KNOT_CEILING = 2_000_000
+# guard added to the evaluation box for the network's own speed excess
+BOX_MARGIN = 0.1
+
 
 class ResourceCeiling(RuntimeError):
     """Requested accuracy exceeds the configured build budget."""
@@ -166,13 +173,13 @@ class TransportProblem:
     and all interpolation grids stay inside.
     """
 
-    def __init__(self, convection, T_hat, domain, u0=None, f=None, margin=0.1):
+    def __init__(self, convection, T_hat, domain, u0=None, f=None):
         self.convection = convection
         self.T_hat = float(T_hat)
         self.domain = np.asarray(domain, dtype=float).reshape(convection.m, 2)
         self.u0 = u0
         self.f = f
-        infl = convection.A * self.T_hat + margin
+        infl = convection.A * self.T_hat + BOX_MARGIN
         self.eval_box = np.column_stack(
             [self.domain[:, 0] - infl, self.domain[:, 1] + infl]
         )
@@ -207,17 +214,27 @@ class TransportProblem:
             return np.zeros(np.atleast_2d(x).shape[0])
         return self.f.f(t, x, y)
 
+    def check_queries(self, t, x, y):
+        """Refuse queries outside [0, T_hat] x D x [-1,1]^d_y with ValueError."""
+        checks = {
+            "t outside [0, T_hat]": (t >= 0.0) & (t <= self.T_hat),
+            "x outside the domain": (x >= self.domain[:, 0]) & (x <= self.domain[:, 1]),
+            "y outside [-1, 1]^d_y": (y >= -1.0) & (y <= 1.0),
+        }
+        refused = [name for name, ok in checks.items() if not np.all(ok)]
+        if refused:
+            raise ValueError("query refused: " + ", ".join(refused))
+
     def inside_eval_box(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.all(
             (x >= self.eval_box[:, 0]) & (x <= self.eval_box[:, 1]), axis=1
         )
 
-    def sample_inputs(self, n, seed, t_range=None):
+    def sample_inputs(self, n, seed):
         """Random (t, x, y) samples over [0, T_hat] x D x [-1,1]^d_y."""
         rng = np.random.default_rng(seed)
-        t_hi = self.T_hat if t_range is None else t_range
-        t = rng.uniform(0.0, t_hi, size=n)
+        t = rng.uniform(0.0, self.T_hat, size=n)
         x = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(n, self.m))
         y = rng.uniform(-1.0, 1.0, size=(n, self.d_y))
         return t, x, y
@@ -292,13 +309,7 @@ class Schedule:
     N: int = None  # general fields only
 
 
-def schedule(
-    eps,
-    grid,
-    problem,
-    q_ceiling=200_000,
-    knot_ceiling=2_000_000,
-):
+def schedule(eps, grid, problem):
     """Derive (eta, mu, tau, q, delta[, N]) for a public accuracy target.
 
     The assembly certifies twice the per-stage target, so everything is
@@ -316,7 +327,7 @@ def schedule(
     q, delta, n_budget, lam = _slab_class(conv).design(conv, sl, tau)
     knots = _grid_cells(lam, problem.eval_box, delta)
     cost = q * problem.d_y * knots * mu * grid.K
-    if q > q_ceiling or knots > knot_ceiling:
+    if q > Q_CEILING or knots > KNOT_CEILING:
         raise ResourceCeiling(
             f"schedule for eps={eps} needs q={q}, grid knots={knots}", cost
         )
@@ -414,6 +425,9 @@ class SlabNet:
     field, and the exact multilinear gate
     x + sum_i rho_i(t) * V_i, where the sweep state V (n, q, m) holds
     the field values at the quadrature states after the last sweep.
+    The clamped ramps make that sum a lookup in the running sums of V
+    (:meth:`_gate`), which gives the sweeps' midpoint states, the values
+    at query times and the junction alike.
     V depends on the seeds ``w`` and the parameters ``y`` only, so one
     sweep state answers any number of query times.  Subclasses build
     the spatial networks and supply ``chain(conv, intervals, sched,
@@ -437,14 +451,29 @@ class SlabNet:
         self.subintervals = _subintervals(conv, interval, self.q)
 
     def _forward(self, w, y):
-        """Run mu sweeps; returns the final gated field values (n, q, m)."""
+        """Run mu sweeps from seeds ``w`` (n, m).
+
+        Returns the field values V (n, q, m) at the quadrature states of
+        the last sweep and their running sums S = cumsum(V) over the cells.
+        """
         Z = np.repeat(w[:, None, :], self.q, axis=1)
-        V = None
         for sweep in range(self.mu):
             V = self._sweep_values(Z, y)
+            S = np.cumsum(V, axis=1)
             if sweep < self.mu - 1:
-                Z = w[:, None, :] + self.cell * (np.cumsum(V, axis=1) - 0.5 * V)
-        return V
+                Z = self._gate(w[:, None, :], V, S, 0.5)
+        return V, S
+
+    def _gate(self, w, V, S, f):
+        """The gate w + sum_i rho_i(t) V_i at a time t in quadrature cell j.
+
+        ``V`` and ``S`` hold V_j and S_j = V_0 + ... + V_j, and ``f`` is
+        the fraction of cell j that lies before t: the ramps of the
+        earlier cells are full and ramp j has risen f * cell, so the sum
+        is cell * (S_j - (1 - f) V_j).  Cell midpoints are f = 1/2, the
+        slab's right end is j = q - 1 with f = 1.
+        """
+        return w + self.cell * (S - (1.0 - f) * V)
 
     def at_times(self, t, w, y):
         """Slab values at query times ``t`` (n,) from seeds ``w`` (n, m)."""
@@ -479,14 +508,17 @@ class SlabNet:
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
             wb = w[rows]
-            V = self._forward(wb, y[rows])
-            # the block's gated entries, all time sets together, step at a time
-            r_idx, c_idx = np.nonzero(mask[:, rows])
-            for g in range(0, len(r_idx), step):
-                r, c = r_idx[g : g + step], c_idx[g : g + step]
-                rho = rho_values(self.interval, self.q, times[r, lo + c])
-                gated[r, lo + c] = wb[c] + np.einsum("nq,nqm->nm", rho, V[c])
-            w_next[rows] = wb + self.cell * V.sum(axis=1)
+            V, S = self._forward(wb, y[rows])
+            # the block's gated entries, all time sets together, each at
+            # cell j = floor(u) and fraction f = u - j of its time; clamping
+            # u to [0, q] clamps t to the slab as the ramps do, giving the
+            # seeds below it and the junction value above it
+            r, c = np.nonzero(mask[:, rows])
+            u = np.clip((times[r, lo + c] - self.interval[0]) / self.cell, 0.0, self.q)
+            j = np.minimum(u.astype(np.intp), self.q - 1)
+            f = (u - j)[:, None]
+            gated[r, lo + c] = self._gate(wb[c], V[c, j], S[c, j], f)
+            w_next[rows] = self._gate(wb, V[:, -1], S[:, -1], 1.0)
         return gated[mask], w_next
 
     def size(self):
@@ -761,11 +793,14 @@ class CharNetwork:
         junction chain runs once per (x, y) batch: slab k sweeps only
         the rows whose latest query time lies in slab k or later, and
         gates every time set it owns while its sweep state is live.
+        Queries outside [0, T_hat] x domain x [-1, 1]^d_y raise
+        ``ValueError``: the certificate does not cover them.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         n = x.shape[0]
         t = np.asarray(t, dtype=float)
+        self.problem.check_queries(t, x, y)
         times = t if t.ndim > 1 else np.broadcast_to(t, (1, n))
         k_idx = np.clip(
             np.floor(times / self.grid.slab_length).astype(int), 0, self.grid.K - 1
@@ -813,7 +848,7 @@ class CharNetwork:
         return self.problem.field_evaluator()
 
 
-def build_char_net(problem, eps, direction="forward", q_ceiling=200_000):
+def build_char_net(problem, eps, direction="forward"):
     """Certified characteristic surrogate: sup error <= eps on the box.
 
     The backward variant runs the identical pipeline on the
@@ -831,7 +866,7 @@ def build_char_net(problem, eps, direction="forward", q_ceiling=200_000):
             conv, problem.T_hat, problem.domain, problem.u0, problem.f
         )
     grid = macro_grid(problem.T_hat, max(1.0, conv.norm))
-    sched = schedule(eps, grid, problem, q_ceiling=q_ceiling)
+    sched = schedule(eps, grid, problem)
     intervals = [grid.slab(k) for k in range(grid.K)]
     slabs = _slab_class(conv).chain(conv, intervals, sched, problem.eval_box)
     net = CharNetwork(problem, grid, sched, slabs, direction)
@@ -850,20 +885,20 @@ def build_char_net(problem, eps, direction="forward", q_ceiling=200_000):
     return net
 
 
-def predicted_complexity(problem, eps, kind, const=1.0, alpha=None):
+def predicted_complexity(problem, eps, kind):
     """Closed-form complexity predictions for plotting against measurements.
 
     kind='char': affine fields use the d_y-linear bound
     d_y m^2 A T (e^(LT)/eps)^(m+1) log2(e^(LT)/eps)^2; general fields
     the growth-law branches.  kind='solution' uses the m+1+beta power
-    with beta = max(1, (m+1)/alpha).
+    with beta = max(1, (m+1)/alpha) at data smoothness alpha = m+1.
     """
     conv = problem.convection
     m, d_y, T = problem.m, problem.d_y, problem.T_hat
     ratio = math.exp(conv.norm * T) / eps
     if kind == "char":
         if isinstance(conv, AffineConvection):
-            return const * d_y * m**2 * conv.A * T * ratio ** (m + 1) * math.log2(
+            return d_y * m**2 * conv.A * T * ratio ** (m + 1) * math.log2(
                 ratio
             ) ** 2
         gf = conv.gf
@@ -871,24 +906,20 @@ def predicted_complexity(problem, eps, kind, const=1.0, alpha=None):
         base = conv.A * T * 2**s * conv.a_norm ** (2 * s)
         if gf.kind == "alg":
             return (
-                const
-                * base
+                base
                 * gf.C ** (-1.0 / gf.alpha)
                 * ratio ** ((1 + s) * (1 + gf.alpha) / gf.alpha)
                 * math.log2(ratio) ** 2
             )
         return (
-            const
-            * base
+            base
             * gf.alpha ** (-(1 + s))
             * ratio ** (1 + s)
             * math.log2(ratio) ** (3 + s)
         )
     if kind == "solution":
-        if alpha is None:
-            alpha = float(m + 1)
-        beta = solution_beta(m, alpha)
-        return const * d_y * ratio ** (m + 1 + beta) * math.log2(ratio) ** 2
+        beta = solution_beta(m, float(m + 1))
+        return d_y * ratio ** (m + 1 + beta) * math.log2(ratio) ** 2
     raise ValueError("kind must be 'char' or 'solution'")
 
 
@@ -900,18 +931,18 @@ def solution_beta(m, alpha):
 # Lipschitz certificates
 
 
-def lipschitz_certificate(net, n_samples=4000, seed=0, c3=None):
+def lipschitz_certificate(net, n_samples=4000, seed=0):
     """Sampled Lipschitz lower bounds vs the theory thresholds.
 
     Samples difference quotients separately in t (frozen x, y) and in
     (x, y) jointly (frozen t).  PASS requires the (x,y) bound below
     e^(L_hat * T) with L_hat = A + 1/T + c3 (1 + A_circ) Lam |omega|_1,
-    and the t bound below A + |omega|_1 * delta.
+    and the t bound below A + |omega|_1 * delta; c3 is the calibrated
+    Lipschitz amplification constant.
     """
     problem = net.problem
     conv = problem.convection
-    if c3 is None:
-        c3 = lip_interp.CALIBRATED["c3"]
+    c3 = lip_interp.CALIBRATED["c3"]
     rng = np.random.default_rng(seed)
     n = n_samples
     t, x, y = problem.sample_inputs(n, seed)
@@ -1056,7 +1087,7 @@ def _datum_net(problem, datum, tol, is_source=False, at_time=None):
     return net
 
 
-def build_solution_net(problem, eps, source_sign=1.0, q_ceiling=200_000):
+def build_solution_net(problem, eps, source_sign=1.0):
     """Certified solution surrogate with sup error <= eps.
 
     Follows the composed-representation assembly: eps_tilde =
@@ -1074,7 +1105,7 @@ def build_solution_net(problem, eps, source_sign=1.0, q_ceiling=200_000):
             "solution assembly anchors backward flows at the query time; "
             "time-dependent convection needs per-anchor builds"
         )
-    back = build_char_net(problem, eps_t, direction="backward", q_ceiling=q_ceiling)
+    back = build_char_net(problem, eps_t, direction="backward")
     u0_net = (
         _datum_net(problem, problem.u0, eps_t) if problem.u0 is not None else None
     )
@@ -1082,7 +1113,7 @@ def build_solution_net(problem, eps, source_sign=1.0, q_ceiling=200_000):
     q_src = 0
     if problem.f is not None:
         q_src = int(math.ceil(T / (2.0 * eps_t)))
-        if q_src > q_ceiling:
+        if q_src > Q_CEILING:
             raise ResourceCeiling("source quadrature too fine", q_src)
         xi = (np.arange(q_src) + 0.5) * T / q_src
         f_nets = [

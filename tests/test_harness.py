@@ -97,6 +97,25 @@ class TestConvergence:
         assert reports[1].status == "SKIP"
         assert reports[1].predicted > 0  # refusal carries the predicted cost
 
+    def test_fail_when_oracle_misses_tolerance(self, monkeypatch):
+        # an oracle that cannot meet its tolerance gives no trusted reference
+        problem = dict(SMOKE_PROBLEM)
+        problem["field"] = dict(
+            SMOKE_PROBLEM["field"],
+            components=[
+                {"kind": "cosine", "amp": 1.0, "freq": 1.0, "phase": p} for p in (0.0, 0.7)
+            ],
+        )
+        ode_config = harness.oracle.OdeConfig
+        monkeypatch.setattr(
+            harness.oracle,
+            "OdeConfig",
+            lambda **kw: ode_config(steps=4, tol=1e-30, max_steps=16),
+        )
+        (report,) = harness.run_convergence(smoke_config(problem=problem, eps_ladder=[0.2]))
+        assert report.status == "FAIL"
+        assert np.isnan(report.measured_err)
+
     def test_meta_sidecar(self, tmp_path):
         cfg = smoke_config()
         harness.run_convergence(cfg, out_dir=str(tmp_path))

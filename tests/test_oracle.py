@@ -38,6 +38,13 @@ class TestRk4:
         z1, est = oracle.rk4_char(field, 0.0, 1.0, np.array([[0.2]]), None, cfg)
         assert est <= 1e-10
 
+    def test_missed_tolerance_raises(self):
+        field = lambda t, x, y: np.cos(5 * x)
+        cfg = oracle.OdeConfig(steps=4, tol=1e-30, max_steps=16)
+        with pytest.raises(oracle.OracleToleranceError) as exc:
+            oracle.rk4_char(field, 0.0, 1.0, np.array([[0.2]]), None, cfg)
+        assert exc.value.tol == 1e-30 and exc.value.est > 1e-30
+
     def test_nonfinite_rejected(self):
         field = lambda t, x, y: np.full_like(x, np.inf)
         with pytest.raises(FloatingPointError):
@@ -85,6 +92,17 @@ class TestSolutionOracle:
         t, x, y = prob.sample_inputs(200, seed=5)
         vals = oracle.solution_oracle(prob, t, x, y, oracle.OdeConfig(steps=64))
         np.testing.assert_allclose(vals, t, atol=1e-12)
+
+    def test_missed_tolerance_raises(self):
+        comps = [catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0})]
+        conv = tc.AffineConvection(1, 1, [1.0], comps)
+        prob = tc.TransportProblem(
+            conv, 1.0, [[0.0, 1.0]], f=catalog.make_f({"kind": "constant", "value": 1.0})
+        )
+        t, x, y = prob.sample_inputs(20, seed=5)
+        cfg = oracle.OdeConfig(steps=4, tol=1e-30, max_steps=16)
+        with pytest.raises(oracle.OracleToleranceError):
+            oracle.solution_oracle(prob, t, x, y, cfg)
 
     def test_manufactured_polynomial(self, rng):
         # u(t, x, y) = p(x - t a(y)) with p piecewise-linear hat: transport

@@ -149,6 +149,14 @@ def naive_slab_eval(slab, t, w, y):
     return out
 
 
+def edge_times(interval, q):
+    """Cell boundaries tau_0, tau_1, tau_{q//2}, tau_{q-1}, tau_q of the
+    slab's ramps, and one time 0.1 |I| before and after the slab."""
+    lo, hi = interval
+    taus = lo + (hi - lo) * np.array([0, 1, q // 2, q - 1, q]) / q
+    return np.concatenate([taus, [lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)]])
+
+
 def zero_field_problem():
     comps = [catalog.make_component({"kind": "constant", "value": 0.0})]
     conv = tc.AffineConvection(1, 1, [1.0], comps, validate=False)
@@ -284,9 +292,9 @@ class TestSlabNet:
         prob = cosine_problem(d_y=2)
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(0), tau=0.05, mu=3)
-        t = rng.uniform(*grid.slab(0), 4)
-        w = rng.uniform(0, 1, (4, 1))
-        y = rng.uniform(-1, 1, (4, 2))
+        t = np.concatenate([rng.uniform(*grid.slab(0), 4), edge_times(slab.interval, slab.q)])
+        w = rng.uniform(0, 1, (len(t), 1))
+        y = rng.uniform(-1, 1, (len(t), 2))
         np.testing.assert_allclose(
             slab.at_times(t, w, y), naive_slab_eval(slab, t, w, y), atol=1e-12
         )
@@ -353,8 +361,8 @@ class TestFusedSweep:
         assert slab._shared == prob.convection.time_independent()
         # both orders of weighting and lookup are covered
         assert [g[3] for g in slab.interpolants.groups] == [contract_first]
-        n = 3
-        t = rng.uniform(*grid.slab(1), n)
+        t = np.concatenate([rng.uniform(*grid.slab(1), 3), edge_times(slab.interval, slab.q)])
+        n = len(t)
         w = rng.uniform(prob.eval_box[:, 0], prob.eval_box[:, 1], (n, prob.m))
         y = rng.uniform(-1, 1, (n, prob.d_y))
         np.testing.assert_allclose(
@@ -492,6 +500,32 @@ class TestCharNetwork:
             lo = net.grid.slab(k)[0]
             vals = net.slabs[k].at_times(np.full(50, lo), seeds[k], y)
             np.testing.assert_array_equal(vals, seeds[k])
+
+    @pytest.mark.parametrize("kind", ["char", "solution"])
+    def test_refuses_queries_outside_domain(self, kind):
+        if kind == "char":
+            prob = cosine_problem(d_y=2)
+            net = tc.build_char_net(prob, 0.1)
+        else:
+            prob = cosine_problem(d_y=2, f_spec={"kind": "constant", "value": 1.0})
+            net = tc.build_solution_net(prob, 0.2)
+        t, x, y = prob.sample_inputs(6, seed=3)
+        t[:2] = 0.0, prob.T_hat  # the closed ends are inside
+        net.eval(t, x, y)
+        for arr, idx, value in [
+            (t, 1, -1e-12),
+            (t, 2, prob.T_hat + 1e-12),
+            (t, 3, np.nan),
+            (x, (4, 0), prob.domain[0, 1] + 1e-12),
+            (x, (5, 0), prob.domain[0, 0] - 0.5),
+            (y, (0, 1), 1.0 + 1e-12),
+            (y, (1, 0), -2.0),
+        ]:
+            saved = arr[idx]
+            arr[idx] = value
+            with pytest.raises(ValueError, match="query refused"):
+                net.eval(t, x, y)
+            arr[idx] = saved
 
     def test_certificate_threshold_eps_uniform(self):
         # the stability threshold does not grow when eps shrinks
