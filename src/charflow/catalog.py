@@ -9,12 +9,26 @@ shape (n, d_y).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 # Gauss-Legendre nodes of the time average of a time-dependent component
 GAUSS_ORDER = 20
+
+
+@functools.cache
+def gauss_rule():
+    """Read-only GAUSS_ORDER-point Gauss-Legendre (nodes, weights) on [-1, 1].
+
+    Made on first use: importing numpy.polynomial costs about 1 MB of
+    resident memory, which only time-dependent fields need.
+    """
+    rule = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,7 @@ class FieldComponent:
         lo, hi = float(interval[0]), float(interval[1])
         if self.time_independent:
             return lambda x: self(lo, x)
-        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+        nodes, weights = gauss_rule()
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * weights  # normalized: sum = 1/2 * 2 = 1
 

@@ -267,15 +267,6 @@ def tensor_hat(indices, h, delta):
     return compose(product_net(s, delta), hat_bank(indices, h))
 
 
-def tensor_hat_value(indices, h, x):
-    """Direct tensor-product formula, used as test oracle."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.ones(x.shape[0])
-    for j, i in enumerate(indices):
-        out = out * hat_value(h, i, x[:, j])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # grids and sampled functions
 
@@ -380,6 +371,70 @@ class GridTooCoarse(ValueError):
 # Lipschitz-stable interpolant networks
 
 
+def knot_slopes(values):
+    """Differences values[l + 1] - values[l] along axis 0.
+
+    The last entry, which no lookup reads, is zero.
+    """
+    slopes = np.empty_like(values)
+    np.subtract(values[1:], values[:-1], out=slopes[:-1])
+    slopes[-1] = 0.0
+    return slopes
+
+
+class KnotLookup:
+    """s = 1 hat sums over stacked knot tables, for a fixed number of points.
+
+    ``values`` (L * (q + 3),) + trailing stacks L tables laid out like
+    :attr:`InterpolantNet.table` on ``grid``, whose entries may be blocks
+    of values, one per interpolant; ``slopes`` are their
+    :func:`knot_slopes`.  Point r reads the table that starts at
+    ``starts[r]``.  Everything but the points is fixed here, so a call
+    is one in-place pass over work buffers made once.
+    """
+
+    def __init__(self, grid, values, slopes, starts):
+        self.grid = grid
+        self.values = values
+        self.slopes = slopes
+        # table entry of cell -1, the ghost knot at -h, is entry 0
+        self.origin = starts + 1
+        p = len(starts)
+        self.u = np.empty(p)
+        self.cell = np.empty(p)
+        self.index = np.empty(p, dtype=np.intp)
+        self.base = np.empty((p,) + values.shape[1:])
+
+    def __call__(self, x, out):
+        """Hat sums at the points ``x`` (p,) of the grid's box, into ``out``.
+
+        The two cell ends are the only active hats, with exact weights:
+        out = values[l] + slopes[l] * (u - cell) at grid coordinate u.
+        """
+        q, u, cell, index = self.grid.q, self.u, self.cell, self.index
+        lo, hi = self.grid.box[0]
+        np.subtract(x, lo, out=u)
+        u /= hi - lo
+        u /= self.grid.h
+        # clipping to the ghost knots gives literal zeros beyond [-h, 1+h]
+        np.clip(u, -1.0, q + 1.0, out=u)
+        np.floor(u, out=cell)
+        np.minimum(cell, q, out=cell)
+        np.copyto(index, cell, casting="unsafe")
+        index += self.origin
+        u -= cell
+        # The clip puts every index in its point's own table, with
+        # index + 1 at most its last entry, so mode="clip" never changes
+        # a read: it only lets take write into out without a buffered
+        # copy.  A NaN point escapes the clip; its cast warns and its
+        # value comes out NaN.
+        self.slopes.take(index, axis=0, out=out, mode="clip")
+        out *= u.reshape(u.shape + (1,) * (out.ndim - 1))
+        self.values.take(index, axis=0, out=self.base, mode="clip")
+        out += self.base
+        return out
+
+
 class InterpolantNet:
     """Weighted sum of tensor-hat networks over a uniform grid.
 
@@ -388,7 +443,8 @@ class InterpolantNet:
     output layers (see :meth:`materialize`, cross-checked in tests),
     but stores one shared hat template plus the coefficient array so
     that evaluation touches only the <= 2^s hats active at each point.
-    ``table`` is the coefficient array as :meth:`weighted_sum` reads it.
+    ``table`` is the coefficient array as :class:`KnotLookup` (s = 1,
+    with its ``slopes``) or :meth:`weighted_sum` (s >= 2) reads it.
     ``size()`` and ``depth()`` report the exact monolithic counts.
     """
 
@@ -403,6 +459,7 @@ class InterpolantNet:
             self.template = None
             # ghost zero-nodes at -h and 1+h carry the boundary hat ramps
             self.table = np.concatenate(([0.0], self.coeffs, [0.0]))
+            self.slopes = knot_slopes(self.table)
         else:
             self.table = self.coeffs
             if delta_inner is None:
@@ -432,12 +489,19 @@ class InterpolantNet:
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        xu = self.grid.to_unit(np.atleast_2d(x))
-        out = self.weighted_sum(xu, self.table[None])[:, None]
+        x = np.atleast_2d(x)
+        if self.s == 1:
+            n = x.shape[0]
+            lookup = KnotLookup(
+                self.grid, self.table, self.slopes, np.zeros(n, dtype=np.intp)
+            )
+            out = lookup(x[:, 0], np.empty(n))[:, None]
+        else:
+            out = self.weighted_sum(self.grid.to_unit(x), self.table[None])[:, None]
         return out[0] if single else out
 
     def weighted_sum(self, xu, tables, lead=None):
-        """Hat sums sum_node tables[lead, node] * hat_node(xu).
+        """Hat sums sum_node tables[lead, node] * hat_node(xu), s >= 2.
 
         ``xu`` (n, s) are points in unit-cube coordinates of this net's
         grid.  ``tables`` has shape (L,) + ``table.shape`` + trailing
@@ -446,29 +510,15 @@ class InterpolantNet:
         this grid and hat template.  Point r reads table ``lead[r]``
         (table 0 if ``lead`` is None).  Returns (n,) + trailing axes.
 
-        Only the hats active at a point are evaluated: the two cell ends
-        when s == 1, with exact hat weights; otherwise the 2^s cell
-        corners, one template evaluation per corner for all points and
-        all trailing entries at once.
+        Only the 2^s cell corners, the hats active at a point, are
+        evaluated: one template evaluation per corner for all points and
+        all trailing entries at once.  s = 1 nets are looked up by
+        :class:`KnotLookup` instead.
         """
         q, s = self.grid.q, self.s
         trailing = tables.shape[s + 1 :]
         flat = tables.reshape((-1,) + trailing)
         u = xu / self.grid.h
-        if s == 1:
-            # clipping to the ghost knots gives literal zeros beyond [-h, 1+h]
-            u = np.clip(u[:, 0], -1.0, q + 1.0)
-            cell = np.minimum(np.floor(u), q)
-            left = cell.astype(int) + 1
-            if lead is not None:
-                left += lead * (q + 3)
-            rows = flat.reshape(flat.shape[0], -1)
-            base = np.take(rows, left, axis=0)
-            out = np.take(rows, left + 1, axis=0)
-            out -= base
-            out *= (u - cell)[:, None]
-            out += base
-            return out.reshape((-1,) + trailing)
         cell = np.floor(u).astype(int)
         out = np.zeros((xu.shape[0],) + trailing)
         for corner in np.ndindex(*(2,) * s):

@@ -10,8 +10,6 @@ the stored matrices.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 RELU = "relu"
@@ -269,10 +267,6 @@ def sum_nets(nets, weights=None, report=False):
     return net
 
 
-def negate(net):
-    return scale_net(net, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # quadrature gates
 
@@ -352,39 +346,3 @@ def _pair_quotient(net, a, b):
     if not np.any(ok):
         return 0.0
     return float((num[ok] / den[ok]).max())
-
-
-# ---------------------------------------------------------------------------
-# serialization (exact decimal round-trip via shortest float repr)
-
-
-def to_json(net):
-    doc = {
-        "in_dim": net.in_dim,
-        "out_dim": net.out_dim,
-        "layers": [
-            {
-                "rows": layer.out_dim,
-                "cols": layer.in_dim,
-                "weights": [float(v) for v in layer.weights.ravel()],
-                "biases": [float(v) for v in layer.biases],
-                "activation": layer.activation,
-            }
-            for layer in net.layers
-        ],
-    }
-    return json.dumps(doc)
-
-
-def from_json(text):
-    doc = json.loads(text)
-    layers = []
-    for spec in doc["layers"]:
-        weights = np.array(spec["weights"], dtype=float).reshape(
-            spec["rows"], spec["cols"]
-        )
-        layers.append(AffineLayer(weights, spec["biases"], spec["activation"]))
-    net = ReluNetwork(layers)
-    if net.in_dim != doc["in_dim"] or net.out_dim != doc["out_dim"]:
-        raise ValueError("serialized dims inconsistent with layers")
-    return net

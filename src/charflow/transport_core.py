@@ -144,21 +144,6 @@ class GeneralConvection:
     def time_independent(self):
         return self.L_t == 0.0
 
-    def check_builder(self, interval, N, box, n_samples=500, seed=0):
-        """Sampled consistency check of the builder contract."""
-        rep = self.rep_builder(interval, N)
-        rng = np.random.default_rng(seed)
-        box = np.asarray(box, dtype=float)
-        pts = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, box.shape[0]))
-        z, y = pts[:, : self.m], pts[:, self.m :]
-        mid = 0.5 * (interval[0] + interval[1])
-        ref = self.eval(np.full(n_samples, mid), z, y)
-        err = float(np.max(np.abs(rep.eval(pts) - ref)))
-        budget = self.a_norm / float(self.gf(N)) + self.a_norm * (
-            interval[1] - interval[0]
-        ) * (self.L_t or 0.0)
-        return {"sampled_error": err, "contract_budget": budget, "ok": err <= budget}
-
 
 # ---------------------------------------------------------------------------
 # problem container
@@ -432,10 +417,11 @@ class SlabNet:
     sweep state answers any number of query times.  Subclasses build
     the spatial networks and supply ``chain(conv, intervals, sched,
     eval_box)``, which builds the slabs on consecutive intervals,
-    ``_sweep_values(Z, y)``, the field values at quadrature states Z of
-    shape (n, q, m), ``row_floats``, the floats per row of the largest
-    temporary of one network evaluation in a sweep, and
-    ``interpolant_size()``.
+    ``_sweep_plan(y)``, the sweep of one row block with parameters y:
+    a function from quadrature states Z (n, q, m) to the field values
+    at them, which may return the same buffer on every call,
+    ``row_floats``, the floats per row of the largest temporary of one
+    network evaluation in a sweep, and ``interpolant_size()``.
     """
 
     def __init__(self, conv, interval, sched):
@@ -455,25 +441,33 @@ class SlabNet:
 
         Returns the field values V (n, q, m) at the quadrature states of
         the last sweep and their running sums S = cumsum(V) over the cells.
+        The sweep is planned once; the states and running sums are
+        rewritten in place by each sweep.
         """
+        sweep = self._sweep_plan(y)
         Z = np.repeat(w[:, None, :], self.q, axis=1)
-        for sweep in range(self.mu):
-            V = self._sweep_values(Z, y)
-            S = np.cumsum(V, axis=1)
-            if sweep < self.mu - 1:
-                Z = self._gate(w[:, None, :], V, S, 0.5)
+        S = np.empty_like(Z)
+        for k in range(self.mu):
+            V = sweep(Z)
+            np.cumsum(V, axis=1, out=S)
+            if k < self.mu - 1:
+                self._gate(w[:, None, :], V, S, 0.5, out=Z)
         return V, S
 
-    def _gate(self, w, V, S, f):
+    def _gate(self, w, V, S, f, out=None):
         """The gate w + sum_i rho_i(t) V_i at a time t in quadrature cell j.
 
         ``V`` and ``S`` hold V_j and S_j = V_0 + ... + V_j, and ``f`` is
         the fraction of cell j that lies before t: the ramps of the
         earlier cells are full and ramp j has risen f * cell, so the sum
         is cell * (S_j - (1 - f) V_j).  Cell midpoints are f = 1/2, the
-        slab's right end is j = q - 1 with f = 1.
+        slab's right end is j = q - 1 with f = 1.  Computed in ``out``
+        if given, which may be ``V`` but not ``w`` or ``S``.
         """
-        return w + self.cell * (S - (1.0 - f) * V)
+        out = np.multiply(1.0 - f, V, out=out)
+        np.subtract(S, out, out=out)
+        np.multiply(self.cell, out, out=out)
+        return np.add(w, out, out=out)
 
     def at_times(self, t, w, y):
         """Slab values at query times ``t`` (n,) from seeds ``w`` (n, m)."""
@@ -518,7 +512,7 @@ class SlabNet:
             j = np.minimum(u.astype(np.intp), self.q - 1)
             f = (u - j)[:, None]
             gated[r, lo + c] = self._gate(wb[c], V[c, j], S[c, j], f)
-            w_next[rows] = self._gate(wb, V[:, -1], S[:, -1], 1.0)
+            self._gate(wb, V[:, -1], S[:, -1], 1.0, out=w_next[rows])
         return gated[mask], w_next
 
     def size(self):
@@ -540,10 +534,12 @@ class SlabInterpolants:
     group; its coefficient tables are stacked to shape
     (subintervals,) + table shape + (m, group size), or to
     (group size,) + table shape + (m,) for a group that is contracted
-    with the row weights before the lookup.
+    with the row weights before the lookup.  :meth:`plan` makes the
+    sweep of one row block.
     """
 
     def __init__(self, conv, subintervals, eval_box, delta, q):
+        self.q = q
         self.grid = lip_interp.GridSpec(
             conv.m, _grid_cells(conv.Lam, eval_box, delta), box=eval_box
         )
@@ -587,6 +583,10 @@ class SlabInterpolants:
             if first:
                 tables = np.ascontiguousarray(np.moveaxis(tables[0], -1, 0))
             self.groups.append((net, tables, js, first))
+            if s == 1 and not first:
+                # knot rows of all subintervals, with their slopes
+                values = tables.reshape(-1, len(js))
+                self.knots = values, lip_interp.knot_slopes(values)
             widths = [per_table / q if first else m * len(js)]
             if net.template is not None:
                 widths += [layer.out_dim for layer in net.template.layers]
@@ -595,24 +595,69 @@ class SlabInterpolants:
         self.size = sum(net.size() for net in every)
         self.depth = max(net.depth() for net in every)
 
-    def sweep(self, Z, weights):
-        """sum_j weights[:, j] * N_{j,i}(Z[:, i]) for states Z (n, q, m)."""
-        n, q, m = Z.shape
-        xu = self.grid.to_unit(Z.reshape(n * q, m))
-        V = None
+    def plan(self, weights):
+        """The sweep of one row block: states Z (n, q, m) -> V (n, q, m).
+
+        V[:, i] = sum_j weights[:, j] * N_{j,i}(Z[:, i]) for row weights
+        ``weights`` (n, d_y).  What does not depend on the states is
+        made here, once per row block: a contracted group's per-row
+        tables, the table each state reads and, for s = 1, the knot
+        slopes and the lookup's buffers, so that each sweep is one pass.
+        For s = 1 the returned V is one buffer, rewritten by every call.
+        """
+        n, q, m = len(weights), self.q, self.grid.s
+        if m == 1:
+            return self._knot_plan(weights)
+        steps = []
         for net, tables, js, first in self.groups:
             w = weights[:, js]
             if first:
                 per_row = np.einsum("rk,k...->r...", w, tables)
-                lead = np.repeat(np.arange(n), q)
-                vals = net.weighted_sum(xu, per_row, lead)
+                steps.append((net, per_row, np.repeat(np.arange(n), q), None))
             else:
                 lead = None if len(tables) == 1 else np.tile(np.arange(q), n)
-                vals = net.weighted_sum(xu, tables, lead).reshape(n, q, m, len(js))
-                vals = np.einsum("nqmk,nk->nqm", vals, w)
-            vals = vals.reshape(n, q, m)
-            V = vals if V is None else V + vals
-        return V
+                steps.append((net, tables, lead, w))
+
+        def sweep(Z):
+            xu = self.grid.to_unit(Z.reshape(n * q, m))
+            V = None
+            for net, tables, lead, w in steps:
+                vals = net.weighted_sum(xu, tables, lead)
+                if w is not None:
+                    vals = np.einsum("nqmk,nk->nqm", vals.reshape(n, q, m, -1), w)
+                vals = vals.reshape(n, q, m)
+                V = vals if V is None else V + vals
+            return V
+
+        return sweep
+
+    def _knot_plan(self, weights):
+        """:meth:`plan` for s = 1: one group, looked up by a KnotLookup."""
+        ((_, tables, js, first),) = self.groups
+        n, q, stride = len(weights), self.q, self.grid.q + 3
+        w = weights[:, js]
+        if first:
+            values = np.einsum("rk,k...->r...", w, tables).reshape(-1)
+            slopes = lip_interp.knot_slopes(values)
+            starts = np.repeat(np.arange(n) * stride, q)
+            V = np.empty((n, q, 1))
+            out = V.reshape(-1)
+        else:
+            values, slopes = self.knots
+            if len(tables) == 1:
+                starts = np.zeros(n * q, dtype=np.intp)
+            else:
+                starts = np.tile(np.arange(q) * stride, n)
+            out = np.empty((n * q, len(js)))
+        lookup = lip_interp.KnotLookup(self.grid, values, slopes, starts)
+
+        def sweep(Z):
+            lookup(Z.reshape(-1), out)
+            if first:
+                return V
+            return np.einsum("nqmk,nk->nqm", out.reshape(n, q, 1, -1), w)
+
+        return sweep
 
 
 class AffineSlabNet(SlabNet):
@@ -659,8 +704,8 @@ class AffineSlabNet(SlabNet):
         delta = tau / (2.0 * sl * conv.omega1) if conv.omega1 > 0 else math.inf
         return q, delta, None, conv.Lam
 
-    def _sweep_values(self, Z, y):
-        return self.interpolants.sweep(Z, self.conv.omega * y)
+    def _sweep_plan(self, y):
+        return self.interpolants.plan(self.conv.omega * y)
 
     def interpolant_size(self):
         # a shared set of interpolants stands for q identical copies
@@ -716,15 +761,24 @@ class GeneralSlabNet(SlabNet):
         delta = tau / (2.0 * conv.a_norm)
         return q, delta, n_budget, conv.L
 
-    def _sweep_values(self, Z, y):
-        n, q, m = Z.shape
+    def _sweep_plan(self, y):
+        n, q, m = len(y), self.q, self.conv.m
         if self._shared:
-            flat = np.hstack([Z.reshape(n * q, m), np.repeat(y, q, axis=0)])
-            return self._nets[0].eval(flat).reshape(n, q, m)
-        V = np.empty((n, q, m))
-        for i in range(q):
-            V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :], y]))
-        return V
+            ys = np.repeat(y, q, axis=0)
+
+            def sweep(Z):
+                flat = np.hstack([Z.reshape(n * q, m), ys])
+                return self._nets[0].eval(flat).reshape(n, q, m)
+
+            return sweep
+
+        def sweep(Z):
+            V = np.empty((n, q, m))
+            for i in range(q):
+                V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :], y]))
+            return V
+
+        return sweep
 
     def interpolant_size(self):
         return (self.q if self._shared else 1) * sum(net.size() for net in self._nets)
@@ -828,16 +882,6 @@ class CharNetwork:
 
     def depth(self):
         return sum(s.depth() for s in self.slabs)
-
-    def junction_values(self, x, y):
-        """Seeds entering each slab, shape (K+1, n, m)."""
-        w = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        ws = [w]
-        for slab in self.slabs:
-            w = slab.junction(w, y)
-            ws.append(w)
-        return np.stack(ws)
 
     def oracle_field(self):
         """Field whose exact characteristics this network approximates.
@@ -1168,10 +1212,3 @@ def problem_from_dict(doc):
     u0 = catalog.make_u0(doc["u0"]) if "u0" in doc and doc["u0"] else None
     f = catalog.make_f(doc["f"], T_hat) if "f" in doc and doc["f"] else None
     return TransportProblem(conv, T_hat, doc.get("domain", [[0.0, 1.0]] * m), u0, f)
-
-
-def load_problem(path):
-    import json
-
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))

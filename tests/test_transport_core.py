@@ -114,6 +114,33 @@ def four_chain_lipschitz(net, n_samples, seed):
     return lip_xy, lip_t
 
 
+def junction_values(net, x, y):
+    """Seeds entering each slab of a char net, shape (K+1, n, m)."""
+    w = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    ws = [w]
+    for slab in net.slabs:
+        w = slab.junction(w, y)
+        ws.append(w)
+    return np.stack(ws)
+
+
+def check_builder(conv, interval, N, box, n_samples=500, seed=0):
+    """Sampled consistency check of a general field's builder contract."""
+    rep = conv.rep_builder(interval, N)
+    rng = np.random.default_rng(seed)
+    box = np.asarray(box, dtype=float)
+    pts = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, box.shape[0]))
+    z, y = pts[:, : conv.m], pts[:, conv.m :]
+    mid = 0.5 * (interval[0] + interval[1])
+    ref = conv.eval(np.full(n_samples, mid), z, y)
+    err = float(np.max(np.abs(rep.eval(pts) - ref)))
+    budget = conv.a_norm / float(conv.gf(N)) + conv.a_norm * (
+        interval[1] - interval[0]
+    ) * (conv.L_t or 0.0)
+    return {"sampled_error": err, "contract_budget": budget, "ok": err <= budget}
+
+
 def naive_slab_eval(slab, t, w, y):
     """Per-sample reference for an affine slab's arithmetic."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -322,6 +349,27 @@ class TestSlabNet:
         assert (sched.N is not None) == general
         assert budgets == [sched.N] * (net.grid.K + 1 if general else 0)
 
+    @pytest.mark.parametrize("f", ["midpoint", "end", "array"])
+    def test_gate_in_place(self, rng, f):
+        # _gate(..., out=) is the one gate formula, computed in place
+        slab = tc.build_slab_net(cosine_problem(d_y=2), (0.0, 0.5), tau=0.05)
+        n, q = 7, slab.q
+        if f == "midpoint":
+            f, w, shape = 0.5, rng.uniform(0, 1, (n, 1, 1)), (n, q, 1)
+        elif f == "end":
+            f, w, shape = 1.0, rng.uniform(0, 1, (n, 1)), (n, 1)
+        else:
+            f, w, shape = rng.uniform(0, 1, (n, 1)), rng.uniform(0, 1, (n, 1)), (n, 1)
+        V = rng.uniform(-1, 1, shape)
+        S = rng.uniform(-1, 1, shape)
+        want = slab._gate(w, V, S, f)
+        np.testing.assert_array_equal(want, w + slab.cell * (S - (1.0 - f) * V))
+        out = np.empty(shape)
+        assert slab._gate(w, V, S, f, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        slab._gate(w, V, S, f, out=V)
+        np.testing.assert_array_equal(V, want)
+
     def test_contraction_of_sweeps(self, rng):
         # two sweeps from distinct quadrature-state seeds contract by >= 2
         prob = cosine_problem(d_y=1)
@@ -332,8 +380,10 @@ class TestSlabNet:
         za = rng.uniform(-0.5, 1.5, (30, slab.q, 1))
         zb = rng.uniform(-0.5, 1.5, (30, slab.q, 1))
 
+        plan = slab._sweep_plan(y)
+
         def sweep(Z):
-            V = slab._sweep_values(Z, y)
+            V = plan(Z)
             return w[:, None, :] + slab.cell * (np.cumsum(V, axis=1) - 0.5 * V)
 
         num = np.abs(sweep(za) - sweep(zb)).max(axis=(1, 2))
@@ -417,9 +467,59 @@ class TestFusedSweep:
         assert np.all(got[outside] == 0.0)
         np.testing.assert_allclose(got[~outside], ref[~outside], rtol=0, atol=1e-12)
         # the fused sweep: every interpolant vanishes past the ghost knots
-        Z = (lo + xu[outside] * (hi - lo)).reshape(1, -1, 1)
-        V = interp.sweep(Z, np.ones((1, prob.d_y)))
+        Z = np.resize(lo + xu[outside] * (hi - lo), slab.q).reshape(1, -1, 1)
+        V = interp.plan(np.ones((1, prob.d_y)))(Z)
         assert V.shape == Z.shape and np.all(V == 0.0)
+
+    @pytest.mark.parametrize(
+        "make_problem, tau, contracted",
+        [
+            (lambda: cosine_problem(d_y=3), 0.05, True),
+            (lambda: cosine_problem(d_y=2), 0.2, False),
+            (time_dependent_problem, 0.1, False),
+        ],
+        ids=["contracted", "shared_table", "per_cell"],
+    )
+    def test_knot_plan_matches_two_gathers(self, rng, make_problem, tau, contracted):
+        # the s = 1 plan's lookup, bit for bit: gather a state's two knot
+        # entries from its own row's table and lerp base + (next - base) * frac
+        prob = make_problem()
+        grid = tc.macro_grid(1.0, prob.convection.norm)
+        slab = tc.build_slab_net(prob, grid.slab(0), tau=tau)
+        interp = slab.interpolants
+        ((_, tables, js, first),) = interp.groups
+        assert first == contracted
+        q, qg, h = slab.q, interp.grid.q, interp.grid.h
+        lo, hi = interp.grid.box[0]
+        # knots 0, h and 1, the ghost knots -h and 1+h, states beyond them,
+        # whose cell is the top one, and interior states, spread over rows
+        special = [0.0, h, 1.0, -h, 1 + h, -3 * h, 1 + 3 * h, -5.0, 7.0]
+        n = 12
+        xu = np.concatenate([special, rng.uniform(-0.2, 1.2, n * q - len(special))])
+        Z = (lo + xu * (hi - lo)).reshape(n, q, 1)
+        weights = rng.uniform(-1, 1, (n, prob.d_y)) * prob.convection.omega
+
+        u = np.clip((Z[..., 0] - lo) / (hi - lo) / h, -1.0, qg + 1.0)
+        cell = np.minimum(np.floor(u), qg)
+        left = cell.astype(int) + 1
+        frac = u - cell
+        # the top cell's right end is the last entry of the state's table
+        assert left.min() == 0 and left.max() + 1 == qg + 2 == tables.shape[1] - 1
+        w = weights[:, js]
+        if first:
+            per_row = np.einsum("rk,k...->r...", w, tables)[..., 0]
+            rows = np.arange(n)[:, None]
+            base, nxt = per_row[rows, left], per_row[rows, left + 1]
+            ref = base + (nxt - base) * frac
+        else:
+            table = np.broadcast_to(np.arange(q) if len(tables) > 1 else 0, (n, q))
+            base, nxt = tables[table, left, 0], tables[table, left + 1, 0]
+            vals = base + (nxt - base) * frac[..., None]
+            ref = np.einsum("nqmk,nk->nqm", vals[:, :, None, :], w)[..., 0]
+
+        plan = interp.plan(weights)
+        plan(rng.uniform(lo, hi, Z.shape))  # the buffers keep nothing between sweeps
+        np.testing.assert_array_equal(plan(Z)[..., 0], ref)
 
     def test_eval_memory_bounded(self):
         import json
@@ -495,7 +595,7 @@ class TestCharNetwork:
         net = tc.build_char_net(prob, 0.1)
         x = rng.uniform(0, 1, (50, 1))
         y = rng.uniform(-1, 1, (50, 2))
-        seeds = net.junction_values(x, y)
+        seeds = junction_values(net, x, y)
         for k in range(1, net.grid.K):
             lo = net.grid.slab(k)[0]
             vals = net.slabs[k].at_times(np.full(50, lo), seeds[k], y)
@@ -611,8 +711,8 @@ class TestGeneralConvection:
 
     def test_builder_contract(self):
         conv = self.make_general()
-        out = conv.check_builder(
-            (0.0, 0.3), 20, np.array([[-1.6, 2.6], [-1, 1], [-1, 1]])
+        out = check_builder(
+            conv, (0.0, 0.3), 20, np.array([[-1.6, 2.6], [-1, 1], [-1, 1]])
         )
         assert out["ok"]
 
@@ -765,7 +865,7 @@ class TestProblemFiles:
         import json
 
         path.write_text(json.dumps(doc))
-        prob = tc.load_problem(str(path))
+        prob = tc.problem_from_dict(json.loads(path.read_text()))
         assert prob.d_y == 2 and prob.convection.A == 1.0
 
     @pytest.mark.parametrize("T_hat", [1.0, 2.0])
