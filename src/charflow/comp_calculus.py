@@ -473,14 +473,6 @@ class Regularizer:
             raise ValueError("unknown regularizer kind")
 
 
-def reg_parallel_upper(r1, r2):
-    return max(r1, r2)
-
-
-def reg_compose_upper(r1, r2):
-    return max(r1, r2, r1 * r2)
-
-
 def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
     """[lower, upper] bracket of the regularizer value of a chain.
 
@@ -531,27 +523,6 @@ def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
             upper = max(upper, fac_lip1)
             lower = max(lower, min(sampled_fac, fac_lip1))
     return [lower, upper]
-
-
-def partial_composition_upper(rep, k):
-    """Product Lipschitz bound of the tail composition from factor k on."""
-    return float(np.prod([f.lip_upper() for f in rep.factors[k:]])) if k < len(
-        rep.factors
-    ) else 1.0
-
-
-def sampled_partial_lip(rep, k, box, n_samples=2000, seed=0):
-    """Sampled lower bound for the tail composition from factor k on."""
-    rng = np.random.default_rng(seed)
-    box = np.asarray(box, dtype=float).reshape(rep.in_dim, 2)
-    a = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, rep.in_dim))
-    b = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, rep.in_dim))
-    for f in rep.factors[:k]:
-        a, b = f.eval(a), f.eval(b)
-    a_in, b_in = a, b
-    for f in rep.factors[k:]:
-        a, b = f.eval(a), f.eval(b)
-    return _quotient(a_in, b_in, a, b)
 
 
 def _quotient(a_in, b_in, a_out, b_out):
@@ -769,56 +740,3 @@ def implant_for_accuracy(rep_family, gf, norm, seminorm, eps):
             f"accuracy target not certifiable: bound {report['total_bound']} > {eps}"
         )
     return implanted, report
-
-
-def describe_rep(rep):
-    """Serializable descriptor of a representation (metadata only).
-
-    Factor kinds, dimensions, Lipschitz data, dependency sets, and grid
-    boxes; evaluators themselves are not serialized.
-    """
-    return {
-        "in_dim": rep.in_dim,
-        "out_dim": rep.out_dim,
-        "complexity": complexity(rep),
-        "s_infinity": s_infinity(rep),
-        "factors": [_describe_factor(f) for f in rep.factors],
-    }
-
-
-def _describe_factor(f):
-    doc = {
-        "kind": type(f).__name__,
-        "in_dim": f.in_dim,
-        "out_dim": f.out_dim,
-        "lip": None if not np.isfinite(f.lip_upper()) else f.lip_upper(),
-        "sup": None if not np.isfinite(f.sup_upper()) else f.sup_upper(),
-        "complexity": f.complexity(),
-    }
-    if isinstance(f, GenericFactor):
-        doc["dep_sets"] = [list(d) for d in f.dep_sets]
-        if f.box is not None:
-            doc["box"] = f.box.tolist()
-    if isinstance(f, LinearFactor):
-        doc["matrix"] = f.matrix.tolist()
-    if isinstance(f, ParallelFactor):
-        doc["split_input"] = f.split_input
-        doc["children"] = [_describe_factor(c) for c in f.children]
-    return doc
-
-
-def rep_descriptor_json(rep):
-    import json
-
-    return json.dumps(describe_rep(rep), sort_keys=True)
-
-
-def aclass_seminorm_upper(samples, gf):
-    """Upper estimate of the approximation-class seminorm.
-
-    ``samples`` holds (N, error, norm_upper) triples from an approximant
-    family; the estimate is max over samples of gamma(N)*error + norm.
-    """
-    if not samples:
-        raise ValueError("empty sample list")
-    return max(float(gf(n)) * err + norm for n, err, norm in samples)

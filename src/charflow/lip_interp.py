@@ -303,9 +303,15 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def to_unit(self, x):
+    @property
+    def spacing(self):
+        """Cell length per axis in box coordinates."""
+        return (self.box[:, 1] - self.box[:, 0]) / self.q
+
+    def to_grid(self, x):
+        """Grid units (x - lo) / spacing: node i of an axis sits at i."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (x - self.box[:, 0]) / (self.box[:, 1] - self.box[:, 0])
+        return (x - self.box[:, 0]) / self.spacing
 
     def unit_lip(self, lip_box):
         """Max-norm Lipschitz bound after mapping the box to the unit cube."""
@@ -394,42 +400,40 @@ class KnotLookup:
     """
 
     def __init__(self, grid, values, slopes, starts):
-        self.grid = grid
+        self.top = grid.q + 1.0
         self.values = values
         self.slopes = slopes
         # table entry of cell -1, the ghost knot at -h, is entry 0
         self.origin = starts + 1
         p = len(starts)
         self.u = np.empty(p)
+        self.frac = self.u.reshape((p,) + (1,) * (values.ndim - 1))
         self.cell = np.empty(p)
         self.index = np.empty(p, dtype=np.intp)
         self.base = np.empty((p,) + values.shape[1:])
 
     def __call__(self, x, out):
-        """Hat sums at the points ``x`` (p,) of the grid's box, into ``out``.
+        """Hat sums at the points ``x`` (p,) in grid units, into ``out``.
 
         The two cell ends are the only active hats, with exact weights:
         out = values[l] + slopes[l] * (u - cell) at grid coordinate u.
         """
-        q, u, cell, index = self.grid.q, self.u, self.cell, self.index
-        lo, hi = self.grid.box[0]
-        np.subtract(x, lo, out=u)
-        u /= hi - lo
-        u /= self.grid.h
-        # clipping to the ghost knots gives literal zeros beyond [-h, 1+h]
-        np.clip(u, -1.0, q + 1.0, out=u)
+        u, cell, index = self.u, self.cell, self.index
+        # clipping to the ghost knots gives literal zeros beyond them: the
+        # top state q + 1 reads its table's last entry, whose value and
+        # slope are both zero
+        np.maximum(x, -1.0, out=u)
+        np.minimum(u, self.top, out=u)
         np.floor(u, out=cell)
-        np.minimum(cell, q, out=cell)
         np.copyto(index, cell, casting="unsafe")
         index += self.origin
         u -= cell
-        # The clip puts every index in its point's own table, with
-        # index + 1 at most its last entry, so mode="clip" never changes
-        # a read: it only lets take write into out without a buffered
-        # copy.  A NaN point escapes the clip; its cast warns and its
-        # value comes out NaN.
+        # The clip puts every index in its point's own table, so
+        # mode="clip" never changes a read: it only lets take write into
+        # out without a buffered copy.  A NaN point escapes the clip; its
+        # cast warns and its value comes out NaN.
         self.slopes.take(index, axis=0, out=out, mode="clip")
-        out *= u.reshape(u.shape + (1,) * (out.ndim - 1))
+        out *= self.frac
         self.values.take(index, axis=0, out=self.base, mode="clip")
         out += self.base
         return out
@@ -464,7 +468,7 @@ class InterpolantNet:
             self.table = self.coeffs
             if delta_inner is None:
                 raise ValueError("s >= 2 interpolants need delta_inner")
-            # template in local hat coordinates u = x_unit/h - i
+            # template in local hat coordinates: grid coordinate minus node
             self.template = compose(
                 product_net(grid.s, delta_inner),
                 parallelize(
@@ -489,25 +493,25 @@ class InterpolantNet:
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        x = np.atleast_2d(x)
+        u = self.grid.to_grid(x)
         if self.s == 1:
-            n = x.shape[0]
+            n = u.shape[0]
             lookup = KnotLookup(
                 self.grid, self.table, self.slopes, np.zeros(n, dtype=np.intp)
             )
-            out = lookup(x[:, 0], np.empty(n))[:, None]
+            out = lookup(u[:, 0], np.empty(n))[:, None]
         else:
-            out = self.weighted_sum(self.grid.to_unit(x), self.table[None])[:, None]
+            out = self.weighted_sum(u, self.table[None])[:, None]
         return out[0] if single else out
 
-    def weighted_sum(self, xu, tables, lead=None):
-        """Hat sums sum_node tables[lead, node] * hat_node(xu), s >= 2.
+    def weighted_sum(self, u, tables, lead=None):
+        """Hat sums sum_node tables[lead, node] * hat_node(u), s >= 2.
 
-        ``xu`` (n, s) are points in unit-cube coordinates of this net's
-        grid.  ``tables`` has shape (L,) + ``table.shape`` + trailing
-        axes: L coefficient tables laid out like :attr:`table`, whose
-        entries may be blocks of values, one per interpolant sharing
-        this grid and hat template.  Point r reads table ``lead[r]``
+        ``u`` (n, s) are points in grid units of this net's grid
+        (:meth:`GridSpec.to_grid`).  ``tables`` has shape (L,) +
+        ``table.shape`` + trailing axes: L coefficient tables laid out
+        like :attr:`table`, whose entries may be blocks of values, one
+        per interpolant sharing this grid and hat template.  Point r reads table ``lead[r]``
         (table 0 if ``lead`` is None).  Returns (n,) + trailing axes.
 
         Only the 2^s cell corners, the hats active at a point, are
@@ -518,9 +522,8 @@ class InterpolantNet:
         q, s = self.grid.q, self.s
         trailing = tables.shape[s + 1 :]
         flat = tables.reshape((-1,) + trailing)
-        u = xu / self.grid.h
         cell = np.floor(u).astype(int)
-        out = np.zeros((xu.shape[0],) + trailing)
+        out = np.zeros((u.shape[0],) + trailing)
         for corner in np.ndindex(*(2,) * s):
             node = cell + np.asarray(corner)
             valid = np.all((node >= 0) & (node <= q), axis=1)

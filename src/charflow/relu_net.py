@@ -24,7 +24,7 @@ class AffineLayer:
     weights plus the number of nonzero biases.
     """
 
-    __slots__ = ("weights", "biases", "activation")
+    __slots__ = ("weights", "biases", "activation", "_matrix")
 
     def __init__(self, weights, biases, activation=RELU):
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -40,6 +40,11 @@ class AffineLayer:
         self.activation = activation
         self.weights.setflags(write=False)
         self.biases.setflags(write=False)
+        # the right factor of apply's product, padded to two columns
+        matrix = weights.T
+        if weights.shape[0] == 1:
+            matrix = np.hstack([matrix, np.zeros_like(matrix)])
+        self._matrix = matrix
 
     @property
     def in_dim(self):
@@ -53,7 +58,16 @@ class AffineLayer:
         return int(np.count_nonzero(self.weights) + np.count_nonzero(self.biases))
 
     def apply(self, x):
-        z = x @ self.weights.T
+        # numpy hands a product with one row or one column to BLAS gemv,
+        # whose rounding differs from gemm's and changes with the number
+        # of rows; at least two of each keeps a row's value independent
+        # of the batch it is evaluated in
+        rows = len(x)
+        if rows == 1:
+            x = np.concatenate([x, x])
+        z = x @ self._matrix
+        if z.shape != (rows, self.out_dim):
+            z = z[:rows, : self.out_dim]
         z += self.biases
         if self.activation == RELU:
             np.maximum(z, 0.0, out=z)

@@ -414,15 +414,24 @@ class SlabNet:
     (:meth:`_gate`), which gives the sweeps' midpoint states, the values
     at query times and the junction alike.
     V depends on the seeds ``w`` and the parameters ``y`` only, so one
-    sweep state answers any number of query times.  Subclasses build
+    sweep state answers any number of query times.
+
+    A slab sweeps in its own units: states u with x = x_0 + ``unit`` * u
+    per axis, and increments V that already carry the cell length, so a
+    gate adds S_j - (1 - f) V_j to the seed's state with no unit factor.
+    ``unit`` is None for slabs that sweep in x itself.  Subclasses build
     the spatial networks and supply ``chain(conv, intervals, sched,
     eval_box)``, which builds the slabs on consecutive intervals,
-    ``_sweep_plan(y)``, the sweep of one row block with parameters y:
-    a function from quadrature states Z (n, q, m) to the field values
-    at them, which may return the same buffer on every call,
-    ``row_floats``, the floats per row of the largest temporary of one
-    network evaluation in a sweep, and ``interpolant_size()``.
+    ``_states(w)``, the states of seeds ``w`` (n, m), ``_sweep_plan(y)``,
+    the sweep of one row block with parameters y: a function from states
+    Z (n, p, m), p = q quadrature states or p = 1 seed per row, to the
+    increments at them, which may return the same buffer on every call
+    with the same p, ``row_floats``, the floats per row of the largest
+    temporary of one network evaluation in a sweep, and
+    ``interpolant_size()``.
     """
+
+    unit = None
 
     def __init__(self, conv, interval, sched):
         self.conv = conv
@@ -436,37 +445,51 @@ class SlabNet:
         self._shared = conv.time_independent()
         self.subintervals = _subintervals(conv, interval, self.q)
 
-    def _forward(self, w, y):
-        """Run mu sweeps from seeds ``w`` (n, m).
+    def _states(self, w):
+        return w
 
-        Returns the field values V (n, q, m) at the quadrature states of
-        the last sweep and their running sums S = cumsum(V) over the cells.
-        The sweep is planned once; the states and running sums are
-        rewritten in place by each sweep.
+    def _forward(self, u, y):
+        """Run mu sweeps from seed states ``u`` (n, m).
+
+        Returns the increments V (n, q, m) at the quadrature states of
+        the last sweep and their running sums S = cumsum(V) over the
+        cells.  The sweep is planned once; the states and running sums
+        are rewritten in place by each sweep.  The seeds are constant
+        along q, so a slab whose networks do not depend on the cell
+        evaluates its first sweep once per row and broadcasts it.
         """
         sweep = self._sweep_plan(y)
-        Z = np.repeat(w[:, None, :], self.q, axis=1)
+        seeds = u[:, None, :]
+        Z = np.empty((len(u), self.q, u.shape[1]))
+        if self._shared:
+            V = np.broadcast_to(sweep(seeds), Z.shape)
+        else:
+            Z[...] = seeds
+            V = sweep(Z)
         S = np.empty_like(Z)
         for k in range(self.mu):
-            V = sweep(Z)
+            if k:
+                V = sweep(Z)
             np.cumsum(V, axis=1, out=S)
             if k < self.mu - 1:
-                self._gate(w[:, None, :], V, S, 0.5, out=Z)
+                self._gate(seeds, V, S, 0.5, out=Z)
         return V, S
 
-    def _gate(self, w, V, S, f, out=None):
+    def _gate(self, w, V, S, f, unit=None, out=None):
         """The gate w + sum_i rho_i(t) V_i at a time t in quadrature cell j.
 
-        ``V`` and ``S`` hold V_j and S_j = V_0 + ... + V_j, and ``f`` is
-        the fraction of cell j that lies before t: the ramps of the
-        earlier cells are full and ramp j has risen f * cell, so the sum
-        is cell * (S_j - (1 - f) V_j).  Cell midpoints are f = 1/2, the
-        slab's right end is j = q - 1 with f = 1.  Computed in ``out``
-        if given, which may be ``V`` but not ``w`` or ``S``.
+        ``V`` and ``S`` hold the increments V_j and S_j = V_0 + ... + V_j,
+        and ``f`` is the fraction of cell j that lies before t: the ramps
+        of the earlier cells are full and ramp j has risen f * cell, so
+        the sum is S_j - (1 - f) V_j in sweep units, scaled by ``unit``
+        if given to add it to x.  Cell midpoints are f = 1/2, the slab's
+        right end is j = q - 1 with f = 1.  Computed in ``out`` if given,
+        which may be ``V`` but not ``w`` or ``S``.
         """
         out = np.multiply(1.0 - f, V, out=out)
         np.subtract(S, out, out=out)
-        np.multiply(self.cell, out, out=out)
+        if unit is not None:
+            np.multiply(unit, out, out=out)
         return np.add(w, out, out=out)
 
     def at_times(self, t, w, y):
@@ -502,17 +525,17 @@ class SlabNet:
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
             wb = w[rows]
-            V, S = self._forward(wb, y[rows])
+            V, S = self._forward(self._states(wb), y[rows])
             # the block's gated entries, all time sets together, each at
-            # cell j = floor(u) and fraction f = u - j of its time; clamping
-            # u to [0, q] clamps t to the slab as the ramps do, giving the
+            # cell j = floor(s) and fraction f = s - j of its time; clamping
+            # s to [0, q] clamps t to the slab as the ramps do, giving the
             # seeds below it and the junction value above it
             r, c = np.nonzero(mask[:, rows])
-            u = np.clip((times[r, lo + c] - self.interval[0]) / self.cell, 0.0, self.q)
-            j = np.minimum(u.astype(np.intp), self.q - 1)
-            f = (u - j)[:, None]
-            gated[r, lo + c] = self._gate(wb[c], V[c, j], S[c, j], f)
-            self._gate(wb, V[:, -1], S[:, -1], 1.0, out=w_next[rows])
+            s = np.clip((times[r, lo + c] - self.interval[0]) / self.cell, 0.0, self.q)
+            j = np.minimum(s.astype(np.intp), self.q - 1)
+            f = (s - j)[:, None]
+            gated[r, lo + c] = self._gate(wb[c], V[c, j], S[c, j], f, self.unit)
+            self._gate(wb, V[:, -1], S[:, -1], 1.0, self.unit, out=w_next[rows])
         return gated[mask], w_next
 
     def size(self):
@@ -527,9 +550,9 @@ class SlabInterpolants:
     """Interpolant networks of one affine slab, stacked for a fused sweep.
 
     ``nets[j][i][c]`` interpolates output c of component j averaged over
-    subinterval i.  All share one grid on the evaluation box, so one
-    sweep maps the quadrature states to the unit cube once and visits
-    the active hats once for every interpolant.  Components whose hat
+    subinterval i.  All share one grid on the evaluation box, whose units
+    the sweep states keep, so one sweep visits the active hats once for
+    every interpolant.  Components whose hat
     templates agree (equal ``delta_inner``, always so for s = 1) form a
     group; its coefficient tables are stacked to shape
     (subintervals,) + table shape + (m, group size), or to
@@ -540,6 +563,7 @@ class SlabInterpolants:
 
     def __init__(self, conv, subintervals, eval_box, delta, q):
         self.q = q
+        self.per_cell = len(subintervals) > 1
         self.grid = lip_interp.GridSpec(
             conv.m, _grid_cells(conv.Lam, eval_box, delta), box=eval_box
         )
@@ -595,67 +619,88 @@ class SlabInterpolants:
         self.size = sum(net.size() for net in every)
         self.depth = max(net.depth() for net in every)
 
-    def plan(self, weights):
-        """The sweep of one row block: states Z (n, q, m) -> V (n, q, m).
+    def plan(self, weights, cell):
+        """The sweep of one row block: states Z (n, p, m) -> V (n, p, m).
 
-        V[:, i] = sum_j weights[:, j] * N_{j,i}(Z[:, i]) for row weights
-        ``weights`` (n, d_y).  What does not depend on the states is
-        made here, once per row block: a contracted group's per-row
-        tables, the table each state reads and, for s = 1, the knot
-        slopes and the lookup's buffers, so that each sweep is one pass.
-        For s = 1 the returned V is one buffer, rewritten by every call.
+        Z holds p = q quadrature states per row, or p = 1 seed per row
+        if the interpolants are shared by all cells, in grid units
+        (:meth:`lip_interp.GridSpec.to_grid`).  V[:, i] = sum_j
+        weights[:, j] * N_{j,i}(Z[:, i]) * cell / spacing for row weights
+        ``weights`` (n, d_y): the increments of cells of length ``cell``
+        in grid units.  What does not depend on the states is made here,
+        once per row block: the weights with the cell length folded in,
+        a contracted group's per-row tables, the table each state reads
+        and, for s = 1, the knot slopes and the lookup's buffers, so that
+        each sweep is one pass.  For s = 1 the returned V is one buffer
+        per p, rewritten by every call.
         """
-        n, q, m = len(weights), self.q, self.grid.s
+        n, m = len(weights), self.grid.s
+        scale = cell / self.grid.spacing
         if m == 1:
-            return self._knot_plan(weights)
+            return self._knot_plan(weights * scale[0])
         steps = []
         for net, tables, js, first in self.groups:
-            w = weights[:, js]
+            w = weights[:, None, js] * scale[:, None]
             if first:
-                per_row = np.einsum("rk,k...->r...", w, tables)
-                steps.append((net, per_row, np.repeat(np.arange(n), q), None))
+                steps.append((net, np.einsum("rak,k...a->r...a", w, tables), None))
             else:
-                lead = None if len(tables) == 1 else np.tile(np.arange(q), n)
-                steps.append((net, tables, lead, w))
+                steps.append((net, tables, w))
 
         def sweep(Z):
-            xu = self.grid.to_unit(Z.reshape(n * q, m))
+            p = Z.shape[1]
+            u = Z.reshape(n * p, m)
             V = None
-            for net, tables, lead, w in steps:
-                vals = net.weighted_sum(xu, tables, lead)
+            for net, tables, w in steps:
+                lead = self._table_of_state(n, p, w is None)
+                vals = net.weighted_sum(u, tables, lead)
                 if w is not None:
-                    vals = np.einsum("nqmk,nk->nqm", vals.reshape(n, q, m, -1), w)
-                vals = vals.reshape(n, q, m)
+                    vals = np.einsum("npak,nak->npa", vals.reshape(n, p, m, -1), w)
+                vals = vals.reshape(n, p, m)
                 V = vals if V is None else V + vals
             return V
 
         return sweep
 
+    def _table_of_state(self, n, p, per_row, stride=1):
+        """Table read by each of the p states of n rows, row-major.
+
+        The row's own table for a contracted group, the state's cell's
+        table for per-cell tables, else None: every state reads table 0.
+        Tables are numbered in steps of ``stride``.
+        """
+        if per_row:
+            return np.repeat(np.arange(n) * stride, p)
+        if self.per_cell:
+            return np.tile(np.arange(p) * stride, n)
+        return None
+
     def _knot_plan(self, weights):
         """:meth:`plan` for s = 1: one group, looked up by a KnotLookup."""
         ((_, tables, js, first),) = self.groups
-        n, q, stride = len(weights), self.q, self.grid.q + 3
+        n, stride = len(weights), self.grid.q + 3
         w = weights[:, js]
         if first:
             values = np.einsum("rk,k...->r...", w, tables).reshape(-1)
             slopes = lip_interp.knot_slopes(values)
-            starts = np.repeat(np.arange(n) * stride, q)
-            V = np.empty((n, q, 1))
-            out = V.reshape(-1)
         else:
             values, slopes = self.knots
-            if len(tables) == 1:
-                starts = np.zeros(n * q, dtype=np.intp)
-            else:
-                starts = np.tile(np.arange(q) * stride, n)
-            out = np.empty((n * q, len(js)))
-        lookup = lip_interp.KnotLookup(self.grid, values, slopes, starts)
+        # a lookup per number p of states per row; shared tables also see
+        # the seeds, p = 1
+        lookups = {}
+        for p in {self.q} if self.per_cell else {1, self.q}:
+            starts = self._table_of_state(n, p, first, stride)
+            if starts is None:
+                starts = np.zeros(n * p, dtype=np.intp)
+            out = np.empty((n * p,) + values.shape[1:])
+            lookups[p] = lip_interp.KnotLookup(self.grid, values, slopes, starts), out
 
         def sweep(Z):
+            p = Z.shape[1]
+            lookup, out = lookups[p]
             lookup(Z.reshape(-1), out)
             if first:
-                return V
-            return np.einsum("nqmk,nk->nqm", out.reshape(n, q, 1, -1), w)
+                return out.reshape(n, p, 1)
+            return np.einsum("npak,nk->npa", out.reshape(n, p, 1, -1), w)
 
         return sweep
 
@@ -672,6 +717,8 @@ class AffineSlabNet(SlabNet):
     def __init__(self, conv, interval, sched, interpolants):
         super().__init__(conv, interval, sched)
         self.interpolants = interpolants
+        # sweeps run in the interpolation grid's units
+        self.unit = interpolants.grid.spacing
         # one fused evaluation covers all q states of a row
         self.row_floats = self.q * interpolants.point_width
 
@@ -704,8 +751,11 @@ class AffineSlabNet(SlabNet):
         delta = tau / (2.0 * sl * conv.omega1) if conv.omega1 > 0 else math.inf
         return q, delta, None, conv.Lam
 
+    def _states(self, w):
+        return self.interpolants.grid.to_grid(w)
+
     def _sweep_plan(self, y):
-        return self.interpolants.plan(self.conv.omega * y)
+        return self.interpolants.plan(self.conv.omega * y, self.cell)
 
     def interpolant_size(self):
         # a shared set of interpolants stands for q identical copies
@@ -762,13 +812,15 @@ class GeneralSlabNet(SlabNet):
         return q, delta, n_budget, conv.L
 
     def _sweep_plan(self, y):
+        # sweeps run in x; the increments carry the cell length
         n, q, m = len(y), self.q, self.conv.m
         if self._shared:
-            ys = np.repeat(y, q, axis=0)
+            ys = {1: y, q: np.repeat(y, q, axis=0)}
 
             def sweep(Z):
-                flat = np.hstack([Z.reshape(n * q, m), ys])
-                return self._nets[0].eval(flat).reshape(n, q, m)
+                p = Z.shape[1]
+                flat = np.hstack([Z.reshape(n * p, m), ys[p]])
+                return self.cell * self._nets[0].eval(flat).reshape(n, p, m)
 
             return sweep
 
@@ -776,6 +828,7 @@ class GeneralSlabNet(SlabNet):
             V = np.empty((n, q, m))
             for i in range(q):
                 V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :], y]))
+            V *= self.cell
             return V
 
         return sweep
@@ -859,11 +912,11 @@ class CharNetwork:
         k_idx = np.clip(
             np.floor(times / self.grid.slab_length).astype(int), 0, self.grid.K - 1
         )
-        k_last = k_idx.max(axis=0)
+        k_last = k_idx.max(axis=0, initial=-1)
         out = np.empty(times.shape + (x.shape[1],))
         rows = np.arange(n)
         w = x
-        for k in range(int(k_last.max()) + 1):
+        for k in range(int(k_last.max(initial=-1)) + 1):
             live = k_last[rows] >= k
             rows, w = rows[live], w[live]
             mask = k_idx[:, rows] == k

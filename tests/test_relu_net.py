@@ -56,6 +56,26 @@ class TestEval:
         for i in range(100):
             np.testing.assert_allclose(batch[i], naive_forward(net, xs[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    def test_rows_independent_of_batch(self, rng, out_dim):
+        # one row, a few rows or all rows at once: the same bits per row
+        dims = [10, 10, 10, out_dim]
+        net = rn.ReluNetwork(
+            [
+                rn.AffineLayer(
+                    rng.normal(size=(b, a)),
+                    rng.normal(size=b),
+                    rn.IDENTITY if b == out_dim else rn.RELU,
+                )
+                for a, b in zip(dims, dims[1:])
+            ]
+        )
+        xs = rng.normal(size=(300, 10))
+        batch = net.eval(xs)
+        for lo, hi in [(0, 1), (7, 8), (1, 3), (5, 18), (100, 229)]:
+            np.testing.assert_array_equal(net.eval(xs[lo:hi]), batch[lo:hi])
+        np.testing.assert_array_equal(net.eval(xs[4]), batch[4])
+
     def test_dim_mismatch(self):
         net = rn.identity_net(2)
         with pytest.raises(ValueError):

@@ -351,7 +351,9 @@ class TestSlabNet:
 
     @pytest.mark.parametrize("f", ["midpoint", "end", "array"])
     def test_gate_in_place(self, rng, f):
-        # _gate(..., out=) is the one gate formula, computed in place
+        # _gate(..., out=) is the one gate formula, computed in place: it
+        # adds the increments in sweep units, or scaled by the grid
+        # spacing to add them to x
         slab = tc.build_slab_net(cosine_problem(d_y=2), (0.0, 0.5), tau=0.05)
         n, q = 7, slab.q
         if f == "midpoint":
@@ -363,28 +365,34 @@ class TestSlabNet:
         V = rng.uniform(-1, 1, shape)
         S = rng.uniform(-1, 1, shape)
         want = slab._gate(w, V, S, f)
-        np.testing.assert_array_equal(want, w + slab.cell * (S - (1.0 - f) * V))
+        np.testing.assert_array_equal(want, w + (S - (1.0 - f) * V))
+        want_x = slab._gate(w, V, S, f, slab.unit)
+        np.testing.assert_array_equal(want_x, w + slab.unit * (S - (1.0 - f) * V))
         out = np.empty(shape)
         assert slab._gate(w, V, S, f, out=out) is out
         np.testing.assert_array_equal(out, want)
-        slab._gate(w, V, S, f, out=V)
-        np.testing.assert_array_equal(V, want)
+        slab._gate(w, V, S, f, slab.unit, out=V)
+        np.testing.assert_array_equal(V, want_x)
 
     def test_contraction_of_sweeps(self, rng):
         # two sweeps from distinct quadrature-state seeds contract by >= 2
         prob = cosine_problem(d_y=1)
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(0), tau=0.01)
-        w = rng.uniform(0, 1, (30, 1))
+        # in the slab's sweep units, as the sweeps run
+        u = slab._states(rng.uniform(0, 1, (30, 1)))[:, None, :]
         y = rng.uniform(-1, 1, (30, 1))
-        za = rng.uniform(-0.5, 1.5, (30, slab.q, 1))
-        zb = rng.uniform(-0.5, 1.5, (30, slab.q, 1))
+        q = slab.q
+        za, zb = (
+            slab._states(rng.uniform(-0.5, 1.5, (30 * q, 1))).reshape(30, q, 1)
+            for _ in range(2)
+        )
 
         plan = slab._sweep_plan(y)
 
         def sweep(Z):
             V = plan(Z)
-            return w[:, None, :] + slab.cell * (np.cumsum(V, axis=1) - 0.5 * V)
+            return u + (np.cumsum(V, axis=1) - 0.5 * V)
 
         num = np.abs(sweep(za) - sweep(zb)).max(axis=(1, 2))
         den = np.abs(za - zb).max(axis=(1, 2))
@@ -467,8 +475,9 @@ class TestFusedSweep:
         assert np.all(got[outside] == 0.0)
         np.testing.assert_allclose(got[~outside], ref[~outside], rtol=0, atol=1e-12)
         # the fused sweep: every interpolant vanishes past the ghost knots
-        Z = np.resize(lo + xu[outside] * (hi - lo), slab.q).reshape(1, -1, 1)
-        V = interp.plan(np.ones((1, prob.d_y)))(Z)
+        Z = interp.grid.to_grid(np.resize(lo + xu[outside] * (hi - lo), slab.q))
+        Z = Z.reshape(1, -1, 1)
+        V = interp.plan(np.ones((1, prob.d_y)), slab.cell)(Z)
         assert V.shape == Z.shape and np.all(V == 0.0)
 
     @pytest.mark.parametrize(
@@ -482,44 +491,139 @@ class TestFusedSweep:
     )
     def test_knot_plan_matches_two_gathers(self, rng, make_problem, tau, contracted):
         # the s = 1 plan's lookup, bit for bit: gather a state's two knot
-        # entries from its own row's table and lerp base + (next - base) * frac
+        # entries from its own row's table and lerp base + (next - base) * frac,
+        # with weights omega_j y_j * cell / spacing, in grid units
         prob = make_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(0), tau=tau)
         interp = slab.interpolants
         ((_, tables, js, first),) = interp.groups
         assert first == contracted
-        q, qg, h = slab.q, interp.grid.q, interp.grid.h
-        lo, hi = interp.grid.box[0]
-        # knots 0, h and 1, the ghost knots -h and 1+h, states beyond them,
-        # whose cell is the top one, and interior states, spread over rows
-        special = [0.0, h, 1.0, -h, 1 + h, -3 * h, 1 + 3 * h, -5.0, 7.0]
+        q, qg = slab.q, interp.grid.q
+        # knots 0, 1 and qg, the ghost knots -1 and qg + 1, states beyond
+        # them, interior states spread over rows, and last the top state
+        # qg + 1 in the last row, whose table is the last one stacked
+        special = [0.0, 1.0, qg, -1.0, qg + 1.0, -3.0, qg + 3.0, -5.0 * qg, 7.0 * qg]
         n = 12
-        xu = np.concatenate([special, rng.uniform(-0.2, 1.2, n * q - len(special))])
-        Z = (lo + xu * (hi - lo)).reshape(n, q, 1)
+        inner = rng.uniform(-0.2 * qg, 1.2 * qg, n * q - len(special) - 1)
+        Z = np.concatenate([special, inner, [qg + 1.0]]).reshape(n, q, 1)
         weights = rng.uniform(-1, 1, (n, prob.d_y)) * prob.convection.omega
 
-        u = np.clip((Z[..., 0] - lo) / (hi - lo) / h, -1.0, qg + 1.0)
-        cell = np.minimum(np.floor(u), qg)
+        u = np.clip(Z[..., 0], -1.0, qg + 1.0)
+        cell = np.floor(u)
         left = cell.astype(int) + 1
         frac = u - cell
-        # the top cell's right end is the last entry of the state's table
-        assert left.min() == 0 and left.max() + 1 == qg + 2 == tables.shape[1] - 1
-        w = weights[:, js]
+        # the top state reads its table's last entry, the ghost zero
+        assert left.min() == 0 and left.max() == qg + 2 == tables.shape[1] - 1
+        assert left[-1, -1] == qg + 2
+        w = (weights * (slab.cell / interp.grid.spacing[0]))[:, js]
         if first:
             per_row = np.einsum("rk,k...->r...", w, tables)[..., 0]
+            per_row = np.pad(per_row, [(0, 0), (0, 1)])  # next of the last entry
             rows = np.arange(n)[:, None]
             base, nxt = per_row[rows, left], per_row[rows, left + 1]
             ref = base + (nxt - base) * frac
         else:
+            padded = np.pad(tables, [(0, 0), (0, 1), (0, 0), (0, 0)])
             table = np.broadcast_to(np.arange(q) if len(tables) > 1 else 0, (n, q))
-            base, nxt = tables[table, left, 0], tables[table, left + 1, 0]
+            base, nxt = padded[table, left, 0], padded[table, left + 1, 0]
             vals = base + (nxt - base) * frac[..., None]
             ref = np.einsum("nqmk,nk->nqm", vals[:, :, None, :], w)[..., 0]
 
-        plan = interp.plan(weights)
-        plan(rng.uniform(lo, hi, Z.shape))  # the buffers keep nothing between sweeps
-        np.testing.assert_array_equal(plan(Z)[..., 0], ref)
+        plan = interp.plan(weights, slab.cell)
+        plan(rng.uniform(0, qg, Z.shape))  # the buffers keep nothing between sweeps
+        got = plan(Z)[..., 0]
+        np.testing.assert_array_equal(got, ref)
+        assert got[-1, -1] == 0.0
+
+    def test_top_state_reads_own_table(self):
+        # the top state qg + 1 reads the last entry of its own table, a
+        # ghost zero with slope zero, so no index leaves the stacked tables
+        grid = tc.lip_interp.GridSpec(1, 4)
+        tables = np.array(
+            [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0], [0.0, -1.0, 2.0, -3.0, 4.0, -5.0, 0.0]]
+        )
+        values = tables.reshape(-1)
+        slopes = tc.lip_interp.knot_slopes(values)
+        starts = np.array([0, 7, 0, 7, 0, 7])
+        lookup = tc.lip_interp.KnotLookup(grid, values, slopes, starts)
+        out = lookup(np.array([5.0, 4.0, 3.5, 9.0, 1e9, 5.0]), np.empty(6))
+        np.testing.assert_array_equal(lookup.index, [6, 12, 4, 13, 6, 13])
+        np.testing.assert_array_equal(out, [0.0, -5.0, 4.5, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "make_problem, tau",
+        [
+            (lambda: cosine_problem(d_y=3), 0.05),
+            (lambda: cosine_problem(d_y=2), 0.2),
+            (cosine_problem_m2, 0.2),
+            (constant_problem_m2, 0.2),
+            (
+                lambda: tc.TransportProblem(
+                    TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]]
+                ),
+                0.1,
+            ),
+        ],
+        ids=[
+            "s1_contracted", "s1_shared_table", "s2_shared", "s2_contracted", "general_shared"
+        ],
+    )
+    def test_seed_sweep_matches_q_copies(self, rng, make_problem, tau):
+        # a shared slab sweeps its constant seeds once per row; that equals
+        # sweeping q copies of them, bit for bit
+        prob = make_problem()
+        grid = tc.macro_grid(1.0, prob.convection.norm)
+        slab = tc.build_slab_net(prob, grid.slab(1), tau=tau, mu=3)
+        assert slab._shared
+        n = 9
+        w = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
+        y = rng.uniform(-1, 1, (n, prob.d_y))
+        u = slab._states(w)
+        plan = slab._sweep_plan(y)
+        seeds = plan(u[:, None, :]).copy()
+        copies = plan(np.repeat(u[:, None, :], slab.q, axis=1))
+        assert seeds.shape == (n, 1, prob.m)
+        np.testing.assert_array_equal(np.broadcast_to(seeds, copies.shape), copies)
+
+        # the whole forward pass against one that sweeps q copies first
+        for slab.mu in (1, 3):
+            Z = np.repeat(u[:, None, :], slab.q, axis=1)
+            for k in range(slab.mu):
+                V = plan(Z).copy()
+                S = np.cumsum(V, axis=1)
+                Z = u[:, None, :] + (S - 0.5 * V)
+            got_V, got_S = slab._forward(u, y)
+            np.testing.assert_array_equal(got_V, V)
+            np.testing.assert_array_equal(got_S, S)
+
+    @pytest.mark.parametrize(
+        "make_problem, tau, shared",
+        [
+            (lambda: cosine_problem(d_y=2), 0.2, True),
+            (time_dependent_problem, 0.1, False),
+        ],
+        ids=["shared", "per_cell"],
+    )
+    def test_first_sweep_states(self, rng, make_problem, tau, shared):
+        # a shared slab's first sweep looks up one seed per row; a per-cell
+        # slab's networks differ by cell, so it sweeps all q states
+        prob = make_problem()
+        grid = tc.macro_grid(1.0, prob.convection.norm)
+        slab = tc.build_slab_net(prob, grid.slab(0), tau=tau, mu=3)
+        assert slab._shared == shared
+        plan_of = slab._sweep_plan
+        states = []
+
+        def recording(y):
+            sweep = plan_of(y)
+            return lambda Z: states.append(Z.shape[1]) or sweep(Z)
+
+        slab._sweep_plan = recording
+        n = 5
+        w = rng.uniform(0, 1, (n, 1))
+        slab._forward(slab._states(w), rng.uniform(-1, 1, (n, prob.d_y)))
+        assert states == [1 if shared else slab.q] + [slab.q] * (slab.mu - 1)
 
     def test_eval_memory_bounded(self):
         import json
@@ -626,6 +730,19 @@ class TestCharNetwork:
             with pytest.raises(ValueError, match="query refused"):
                 net.eval(t, x, y)
             arr[idx] = saved
+
+    @pytest.mark.parametrize("kind", ["char", "solution"])
+    def test_empty_batch(self, kind):
+        prob = cosine_problem(d_y=2, f_spec={"kind": "constant", "value": 1.0})
+        build = tc.build_char_net if kind == "char" else tc.build_solution_net
+        net = build(prob, 0.2)
+        t, x, y = prob.sample_inputs(0, seed=3)
+        got = net.eval(t, x, y)
+        assert got.shape == ((0, prob.m) if kind == "char" else (0,))
+        if kind == "char":
+            assert net.eval(np.zeros((3, 0)), x, y).shape == (3, 0, prob.m)
+            t, x, y = prob.sample_inputs(4, seed=3)
+            assert net.eval(np.zeros((0, 4)), x, y).shape == (0, 4, prob.m)
 
     def test_certificate_threshold_eps_uniform(self):
         # the stability threshold does not grow when eps shrinks
