@@ -640,7 +640,8 @@ def eval_width(f):
     """Widest per-point array that evaluating ``f`` allocates, in floats.
 
     ``f`` is a factor or an :class:`ImplantedComposition`; implanted
-    interpolants count their hat template layers.
+    interpolants count the temporaries of their evaluation
+    (:meth:`lip_interp.InterpolantNet.point_floats`).
     """
     if isinstance(f, ImplantedComposition):
         return max(eval_width(g) for g in f.factors)
@@ -650,12 +651,7 @@ def eval_width(f):
     elif isinstance(f, NetFactor):
         widths += [layer.out_dim for layer in f.net.layers]
     elif isinstance(f, ImplantedFactor):
-        widths += [
-            layer.out_dim
-            for net in f.nets
-            if net.template is not None
-            for layer in net.template.layers
-        ]
+        widths += [net.point_floats() for net in f.nets]
     return max(widths)
 
 

@@ -234,6 +234,50 @@ def product_net(s, delta):
     return net
 
 
+def square_values(x, n):
+    """Elementwise values of :func:`square_net` (n) at ``x`` <= 1.
+
+    On the knot cell k = clip(floor(x 2^n), 0, 2^n - 1) the net is the
+    chord of x^2, max((2k+1) x / 2^n - k (k+1) / 4^n, 0), computed here
+    as (k^2 + (2k+1) r) / 4^n with r = x 2^n - k, a sum of nonnegative
+    terms on [0, 1]: exactly zero at 0 and for x < 0.  (Beyond 1 the net
+    rises like x, but its callers only feed [0, 1].)
+    """
+    t = np.multiply(x, 2.0**n)
+    k = np.floor(t)
+    np.maximum(k, 0.0, out=k)
+    np.minimum(k, 2.0**n - 1.0, out=k)
+    t -= k
+    t *= 2.0 * k + 1.0
+    k *= k
+    t += k
+    np.maximum(t, 0.0, out=t)
+    t *= 4.0**-n
+    return t
+
+
+def product_values(v, n):
+    """Elementwise values of :func:`product_net` over the last axis of ``v``.
+
+    ``v`` (..., s) are the factors; ``n`` is the sawtooth depth
+    :func:`product_depth_param` picks.  The twin of the net's layers:
+    clamp to [0, 1], then a pairwise tree of products
+    S((a + b) / 2) - S(|a - b| / 2) with S = :func:`square_values`, an
+    odd last factor passed through to the next level.  A zero factor
+    makes the product exactly zero, because both square arguments of
+    its pair coincide.
+    """
+    v = np.minimum(np.maximum(v, 0.0), 1.0)
+    while v.shape[-1] > 1:
+        a, b = v[..., 0:-1:2], v[..., 1::2]
+        prod = square_values((a + b) * 0.5, n)
+        prod -= square_values(np.abs(a - b) * 0.5, n)
+        if v.shape[-1] % 2:
+            prod = np.concatenate([prod, v[..., -1:]], axis=-1)
+        v = prod
+    return v[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # tensor-product hat networks
 
@@ -255,10 +299,12 @@ def tensor_hat(indices, h, delta):
 
     Approximates prod_j phi_{i_j,h}(x_j) with sup error <= delta.  The
     product network vanishes whenever a factor is zero (exactly so in
-    exact arithmetic; float evaluation leaves sub-1e-13 dust), so the
-    support is contained in the support of the exact tensor hat by
-    construction, with no separate gating.  The interpolant evaluator
-    built on top masks inactive cells to literal zeros.
+    exact arithmetic; float evaluation of its layers leaves sub-1e-13
+    dust), so the support is contained in the support of the exact
+    tensor hat by construction, with no separate gating.  The
+    interpolant evaluator built on top evaluates the closed form
+    :func:`product_values` instead of the layers, which gives literal
+    zeros outside the support.
     """
     indices = list(indices)
     s = len(indices)
@@ -445,11 +491,14 @@ class InterpolantNet:
     Functionally identical to the monolithic ReLU network obtained by
     parallelizing all tensor hats and fusing the weighted sum into the
     output layers (see :meth:`materialize`, cross-checked in tests),
-    but stores one shared hat template plus the coefficient array so
-    that evaluation touches only the <= 2^s hats active at each point.
+    but stores the coefficient array and evaluates only the <= 2^s hats
+    active at each point, from the closed form of their networks.
     ``table`` is the coefficient array as :class:`KnotLookup` (s = 1,
     with its ``slopes``) or :meth:`weighted_sum` (s >= 2) reads it.
-    ``size()`` and ``depth()`` report the exact monolithic counts.
+    For s >= 2, ``template`` is the shared tensor-hat network in local
+    hat coordinates and ``sawtooth_depth`` the depth n of its product
+    network; ``size()`` and ``depth()`` report the exact monolithic
+    counts.
     """
 
     def __init__(self, grid, coeffs, delta_inner=None):
@@ -478,6 +527,14 @@ class InterpolantNet:
                     ]
                 ),
             )
+            self.sawtooth_depth = product_depth_param(grid.s, delta_inner)
+            # a cell's low and high node are cell + steps; its corner c
+            # takes node bits[c, j] on axis j; offsets[j] steps axis j of
+            # a C-order table
+            self._steps = np.array([[0.0], [1.0]])
+            self._bits = np.array(list(np.ndindex(*(2,) * grid.s)), dtype=np.intp)
+            self._axes = np.arange(grid.s)
+            self._offsets = (grid.q + 1) ** self._axes[::-1]
 
     @property
     def in_dim(self):
@@ -486,6 +543,18 @@ class InterpolantNet:
     @property
     def out_dim(self):
         return 1
+
+    def point_floats(self, entries=1):
+        """Floats per point of the largest temporary of one evaluation.
+
+        ``entries`` is the number of values each table entry holds (the
+        product of the trailing axes).  For s >= 2 that temporary has one
+        row per cell corner: the (2^s, s) hat factors or the 2^s gathered
+        entries; for s = 1 it is one entry per point.
+        """
+        if self.s == 1:
+            return entries
+        return 2**self.s * max(self.s, entries)
 
     def __call__(self, x):
         return self.eval(x)
@@ -511,32 +580,38 @@ class InterpolantNet:
         (:meth:`GridSpec.to_grid`).  ``tables`` has shape (L,) +
         ``table.shape`` + trailing axes: L coefficient tables laid out
         like :attr:`table`, whose entries may be blocks of values, one
-        per interpolant sharing this grid and hat template.  Point r reads table ``lead[r]``
-        (table 0 if ``lead`` is None).  Returns (n,) + trailing axes.
+        per interpolant sharing this grid and ``delta_inner``.  Point r
+        reads table ``lead[r]`` (table 0 if ``lead`` is None).  Returns
+        (n,) + trailing axes.
 
-        Only the 2^s cell corners, the hats active at a point, are
-        evaluated: one template evaluation per corner for all points and
-        all trailing entries at once.  s = 1 nets are looked up by
-        :class:`KnotLookup` instead.
+        The hats active at a point are those of its cell's 2^s corners,
+        all evaluated in one pass: the per-axis hat factors 1 - |u - node|
+        of the cell's two nodes, zero for a node off the grid, then one
+        :func:`product_values` over the corners' factors (the template's
+        closed form, so a zero factor gives an exact zero), one gather of
+        the corners' entries (at node indices clipped to the grid) and
+        one contraction.  s = 1 nets are looked up by :class:`KnotLookup`
+        instead.
         """
-        q, s = self.grid.q, self.s
+        n, s = u.shape
+        cell = np.floor(u)
+        # (n, 2, s): the hat factors, 1 - frac and frac, and the nodes of
+        # the low and the high node
+        factor = np.empty((n, 2, s))
+        np.subtract(u, cell, out=factor[:, 1])
+        np.subtract(1.0, factor[:, 1], out=factor[:, 0])
+        node = cell[:, None, :] + self._steps
+        index = np.minimum(np.maximum(node, 0.0), self.grid.q)
+        factor *= index == node
+        index = index.astype(np.intp) * self._offsets
+        # (n, 2^s): the corners' hat values and table indices
+        hats = product_values(factor[:, self._bits, self._axes], self.sawtooth_depth)
+        index = index[:, self._bits, self._axes].sum(axis=-1)
+        if lead is not None:
+            index += (lead * self.table.size)[:, None]
         trailing = tables.shape[s + 1 :]
-        flat = tables.reshape((-1,) + trailing)
-        cell = np.floor(u).astype(int)
-        out = np.zeros((u.shape[0],) + trailing)
-        for corner in np.ndindex(*(2,) * s):
-            node = cell + np.asarray(corner)
-            valid = np.all((node >= 0) & (node <= q), axis=1)
-            local = u - node
-            active = valid & np.all(np.abs(local) < 1.0, axis=1)
-            if not np.any(active):
-                continue
-            index = tuple(node[active].T)
-            which = 0 if lead is None else lead[active]
-            coeff = flat[np.ravel_multi_index((which,) + index, tables.shape[: s + 1])]
-            vals = self.template.eval(local[active])[:, 0]
-            out[active] += coeff * vals.reshape((-1,) + (1,) * len(trailing))
-        return out
+        coeff = tables.reshape((-1,) + trailing).take(index, axis=0)
+        return np.einsum("nc,nc...->n...", hats, coeff)
 
     # -- exact structural accounting -------------------------------------
 

@@ -611,10 +611,11 @@ class SlabInterpolants:
                 # knot rows of all subintervals, with their slopes
                 values = tables.reshape(-1, len(js))
                 self.knots = values, lip_interp.knot_slopes(values)
-            widths = [per_table / q if first else m * len(js)]
-            if net.template is not None:
-                widths += [layer.out_dim for layer in net.template.layers]
-            self.point_width = max(self.point_width, *widths)
+            # a contracted group's per-row table counts per state too
+            entries = m if first else m * len(js)
+            self.point_width = max(
+                self.point_width, net.point_floats(entries), per_table / q if first else 0
+            )
         every = [net for per_j in self.nets for per_i in per_j for net in per_i]
         self.size = sum(net.size() for net in every)
         self.depth = max(net.depth() for net in every)

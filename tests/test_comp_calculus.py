@@ -215,8 +215,9 @@ class TestImplant:
         np.testing.assert_allclose(net.eval(x), imp.eval(x), atol=1e-12)
 
     def test_eval_width(self):
-        # s = 1 interpolants have no template, so the parallel stage's
-        # output is the widest array; s = 2 ones add their hat templates
+        # an s = 1 interpolant holds one value per point, so the parallel
+        # stage's output is the widest array; an s = 2 one holds the hat
+        # factors of its 4 cell corners, 2 per corner
         gen = cc.GenericFactor(
             lambda z: np.hstack([np.cos(z[:, :1]), np.sin(z[:, :1])]),
             1, 2, lip=1.0, sup=1.0, box=[[0, 1]],
@@ -233,8 +234,7 @@ class TestImplant:
             box=[[0, 1], [0, 1]],
         )
         imp2, _ = cc.implant(cc.CompRep([f2, cc.LinearFactor([[1.0]])]), [0.1, 0.0])
-        layers = imp2.factors[0].nets[0].template.layers
-        assert cc.eval_width(imp2) == max(layer.out_dim for layer in layers) > 2
+        assert cc.eval_width(imp2) == imp2.factors[0].nets[0].point_floats() == 8
 
     def test_resource_refusal(self):
         f = cc.GenericFactor(

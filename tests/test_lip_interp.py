@@ -99,6 +99,55 @@ class TestSquareAndProduct:
             li.product_net(2, 1.5)
 
 
+def closed_form_points(rng, n, s):
+    """Random points of [0, 1]^s, the dyadic knots, 0, 1 and zero faces."""
+    knots = np.arange(2**n + 1) / 2**n
+    pts = [rng.uniform(0, 1, (500, s)), np.resize(knots, (len(knots), s))]
+    pts += [np.zeros((1, s)), np.ones((1, s))]
+    for j in range(s):
+        face = rng.uniform(0, 1, (50, s))
+        face[:, j] = 0.0
+        pts.append(face)
+    return np.concatenate(pts)
+
+
+class TestClosedForm:
+    """square_values / product_values are elementwise twins of the nets."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 14])
+    def test_square_values(self, n, rng):
+        x = np.concatenate([rng.uniform(-0.5, 1, 1000), np.arange(2**n + 1) / 2**n])
+        got = li.square_values(x, n)
+        np.testing.assert_allclose(got, li.square_net(n).eval(x[:, None])[:, 0], rtol=0, atol=1e-12)
+        # exact at the knots, zero on (-inf, 0]
+        knots = np.arange(2**n + 1) / 2**n
+        np.testing.assert_array_equal(li.square_values(knots, n), knots**2)
+        assert np.all(li.square_values(np.array([-3.0, -1e-300, 0.0]), n) == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    def test_mult2(self, n, rng):
+        uv = closed_form_points(rng, n, 2)
+        np.testing.assert_allclose(
+            li.product_values(uv, n), li.mult2_net(n).eval(uv)[:, 0], rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-9])
+    def test_product_values(self, s, delta, rng):
+        n = li.product_depth_param(s, delta)
+        v = closed_form_points(rng, 6, s)
+        got = li.product_values(v, n)
+        np.testing.assert_allclose(got, li.product_net(s, delta).eval(v)[:, 0], rtol=0, atol=1e-12)
+        # the zero faces give a literal zero, the net only rounding dust
+        assert np.all(got[np.any(v == 0.0, axis=1)] == 0.0)
+        # the net clamps its inputs to [0, 1] first
+        wide = rng.uniform(-0.5, 1.5, (300, s))
+        np.testing.assert_allclose(
+            li.product_values(wide, n), li.product_net(s, delta).eval(wide)[:, 0],
+            rtol=0, atol=1e-12,
+        )
+
+
 class TestTensorHat:
     def test_node_value(self):
         net = li.tensor_hat((2, 3), 0.25, 1e-2)
@@ -186,13 +235,13 @@ class TestLipStableNet:
             li.lip_stable_net(sf, 0.05)
         assert exc.value.required_q >= 40
 
-    @pytest.mark.parametrize("s,q,delta", [(1, 10, 0.25), (2, 8, 0.3)])
+    @pytest.mark.parametrize("s,q,delta", [(1, 10, 0.25), (2, 8, 0.3), (3, 3, 0.75)])
     def test_materialization_equivalence(self, s, q, delta, rng):
         g = li.GridSpec(s, q)
         fn = (
             (lambda x: np.abs(x[:, 0] - 0.4))
             if s == 1
-            else (lambda x: np.abs(x[:, 0] - 0.5) + 0.3 * x[:, 1])
+            else (lambda x: np.abs(x[:, 0] - 0.5) + 0.3 * x[:, 1:].sum(axis=1) / (s - 1))
         )
         sf = li.SampledFunction.from_function(fn, g, lip_bound=1.0)
         net, _ = li.lip_stable_net(sf, delta)
@@ -236,6 +285,56 @@ class TestLipStableNet:
                 net, rep = li.lip_stable_net(sf, delta)
                 ratios.append(rep["size"] / (delta**-s * k))
             assert max(ratios) / min(ratios) <= 4.0
+
+
+def template_walk(net, u, tables, lead=None):
+    """Reference for InterpolantNet.weighted_sum: the hats of each cell
+    corner in turn, through the tensor-hat template network."""
+    q, s = net.grid.q, net.s
+    trailing = tables.shape[s + 1 :]
+    flat = tables.reshape((-1,) + trailing)
+    cell = np.floor(u).astype(int)
+    out = np.zeros((u.shape[0],) + trailing)
+    for corner in np.ndindex(*(2,) * s):
+        node = cell + np.asarray(corner)
+        valid = np.all((node >= 0) & (node <= q), axis=1)
+        local = u - node
+        active = valid & np.all(np.abs(local) < 1.0, axis=1)
+        if not np.any(active):
+            continue
+        index = tuple(node[active].T)
+        which = 0 if lead is None else lead[active]
+        coeff = flat[np.ravel_multi_index((which,) + index, tables.shape[: s + 1])]
+        vals = net.template.eval(local[active])[:, 0]
+        out[active] += coeff * vals.reshape((-1,) + (1,) * len(trailing))
+    return out
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("s,q,delta", [(2, 6, 1e-3), (3, 3, 1e-2), (4, 2, 1e-7)])
+    @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)], ids=["one", "contracted", "weighted_after"])
+    def test_matches_template_walk(self, s, q, delta, trailing, rng):
+        net = li.InterpolantNet(
+            li.GridSpec(s, q), rng.standard_normal((q + 1,) * s), delta_inner=delta
+        )
+        tables = rng.standard_normal((3,) + (q + 1,) * s + trailing)
+        inside = rng.uniform(0, q, (300, s))
+        faces = inside.copy()
+        faces[:100, 0] = np.round(faces[:100, 0])  # on a cell face
+        faces[100:200] = np.round(faces[100:200])  # on a node
+        faces[200:, -1] = rng.choice([0.0, q], 100)  # on the grid boundary
+        ramps = rng.uniform(-1.5, q + 1.5, (300, s))  # the boundary hat ramps
+        far = rng.choice([-1.0, 1.0], (50, s)) * rng.uniform(q + 1, 1e6, (50, s))
+        u = np.concatenate([inside, faces, ramps, far])
+        lead = rng.integers(0, 3, len(u))
+        for which in (None, lead):
+            got = net.weighted_sum(u, tables, which)
+            assert got.shape == (len(u),) + trailing
+            np.testing.assert_allclose(
+                got, template_walk(net, u, tables, which), rtol=0, atol=1e-12
+            )
+            # past the boundary hat ramps every corner is off the grid
+            assert np.all(got[-50:] == 0.0)
 
 
 class TestPartitionOfUnity:

@@ -32,6 +32,15 @@ def cosine_problem_m2():
     return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]])
 
 
+def affine_m1_dy4_problem():
+    """The problem of configs/affine_m1_dy4.json."""
+    import json
+    from pathlib import Path
+
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "affine_m1_dy4.json"
+    return tc.problem_from_dict(json.loads(cfg.read_text())["problem"])
+
+
 def time_dependent_problem():
     """Affine field whose components move in t: every slab is per-cell."""
     comps = [
@@ -626,23 +635,29 @@ class TestFusedSweep:
         assert states == [1 if shared else slab.q] + [slab.q] * (slab.mu - 1)
 
     def test_eval_memory_bounded(self):
-        import json
-        import tracemalloc
-        from pathlib import Path
+        assert_eval_memory_bounded(affine_m1_dy4_problem(), 0.1, (1000, 8000))
 
-        cfg = Path(__file__).resolve().parent.parent / "configs" / "affine_m1_dy4.json"
-        prob = tc.problem_from_dict(json.loads(cfg.read_text())["problem"])
-        net = tc.build_char_net(prob, 0.1)
-        peaks = []
-        for n in (1000, 8000):
-            t, x, y = prob.sample_inputs(n, seed=3)
-            tracemalloc.start()
-            try:
-                net.eval(t, x, y)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 4 * 2**20
+    def test_eval_memory_bounded_m2(self):
+        assert_eval_memory_bounded(cosine_problem_m2(), 0.4, (500, 4000))
+
+
+def assert_eval_memory_bounded(prob, eps, sizes):
+    """Peak traced memory of an eval barely grows from n = sizes[0] to
+    sizes[1]: unbounded row blocks would hold sweep temporaries of
+    (rows, q, point width) floats, tens of MB at the larger size."""
+    import tracemalloc
+
+    net = tc.build_char_net(prob, eps)
+    peaks = []
+    for n in sizes:
+        t, x, y = prob.sample_inputs(n, seed=3)
+        tracemalloc.start()
+        try:
+            net.eval(t, x, y)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * 2**20
 
 
 class TestRhoGateSize:
@@ -743,6 +758,20 @@ class TestCharNetwork:
             assert net.eval(np.zeros((3, 0)), x, y).shape == (3, 0, prob.m)
             t, x, y = prob.sample_inputs(4, seed=3)
             assert net.eval(np.zeros((0, 4)), x, y).shape == (0, 4, prob.m)
+
+    def test_m2_certified_at_harness_size(self):
+        # a convergence rung of the m = 2 field as the harness runs it:
+        # 200 queries against the RK4 oracle, the 2000-sample certificate
+        prob, eps, seed = cosine_problem_m2(), 0.4, 7
+        net = tc.build_char_net(prob, eps)
+        t, x, y = prob.sample_inputs(200, seed)
+        ref, _ = oracle.rk4_char(
+            net.oracle_field(), np.zeros(len(t)), t, x, y,
+            oracle.OdeConfig(steps=32, tol=eps / 100.0),
+        )
+        assert np.abs(net.eval(t, x, y) - ref).max() <= eps
+        cert = tc.lipschitz_certificate(net, n_samples=2000, seed=seed)
+        assert cert["pass_xy"] and cert["pass_t"]
 
     def test_certificate_threshold_eps_uniform(self):
         # the stability threshold does not grow when eps shrinks
