@@ -235,7 +235,7 @@ def product_net(s, delta):
 
 
 def square_values(x, n):
-    """Elementwise values of :func:`square_net` (n) at ``x`` <= 1.
+    """Elementwise values of :func:`square_net` (n) at an array ``x`` <= 1.
 
     On the knot cell k = clip(floor(x 2^n), 0, 2^n - 1) the net is the
     chord of x^2, max((2k+1) x / 2^n - k (k+1) / 4^n, 0), computed here
