@@ -20,6 +20,7 @@ exactly zero, which is what makes tensor-hat supports exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -301,16 +302,30 @@ def tensor_hat(indices, h, delta):
     product network vanishes whenever a factor is zero (exactly so in
     exact arithmetic; float evaluation of its layers leaves sub-1e-13
     dust), so the support is contained in the support of the exact
-    tensor hat by construction, with no separate gating.  The
-    interpolant evaluator built on top evaluates the closed form
-    :func:`product_values` instead of the layers, which gives literal
-    zeros outside the support.
+    tensor hat by construction, with no separate gating.  Interpolants
+    evaluate its closed form :func:`product_values` instead, which gives
+    literal zeros outside the support.
     """
     indices = list(indices)
     s = len(indices)
     if s == 1:
         return hat1d(h, indices[0])
     return compose(product_net(s, delta), hat_bank(indices, h))
+
+
+@functools.lru_cache(maxsize=None)
+def template_counts(s, n):
+    """(size, depth) of an interpolant's tensor hat at sawtooth depth n.
+
+    Composed once per (s, n) as the hat of node 0 with h = 1, whose
+    biases (1, 0, -1) have one zero per axis that an interior hat's do
+    not have: size adds s.
+    """
+    delta = None if s == 1 else max(product_error_bounds(s, n))
+    # the bounds fall strictly in n, so this delta selects n again
+    assert s == 1 or product_depth_param(s, delta) == n
+    template = tensor_hat([0] * s, 1.0, delta)
+    return template.size() + s, template.depth()
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +500,37 @@ class KnotLookup:
         return out
 
 
+class TableStack:
+    """L tables (L,) + ``net.table.shape`` + trailing of nets with
+    ``net``'s grid and sawtooth depth, for s = 1 with their knot slopes.
+
+    Called with points ``u`` (p, s) in grid units and table indices
+    ``which`` (p,), it gives point r's hat sum in table ``which[r]``.
+    """
+
+    def __init__(self, net, tables, slopes=None):
+        self.net = net
+        self.tables = tables
+        if net.s == 1:
+            self.values = tables.reshape((-1,) + tables.shape[2:])
+            self.slopes = knot_slopes(self.values) if slopes is None else slopes
+
+    @classmethod
+    def of(cls, nets):
+        """The stack of the tables of ``nets``, in their order."""
+        if len({(net.table.shape, net.sawtooth_depth) for net in nets}) > 1:
+            raise ValueError("stacked nets need one grid and sawtooth depth")
+        return cls(nets[0], np.stack([net.table for net in nets]))
+
+    def __call__(self, u, which):
+        net = self.net
+        if net.s > 1:
+            return net.weighted_sum(u, self.tables, which)
+        starts = which * self.tables.shape[1]
+        out = np.empty((len(u),) + self.values.shape[1:])
+        return KnotLookup(net.grid, self.values, self.slopes, starts)(u[:, 0], out)
+
+
 class InterpolantNet:
     """Weighted sum of tensor-hat networks over a uniform grid.
 
@@ -493,12 +539,11 @@ class InterpolantNet:
     output layers (see :meth:`materialize`, cross-checked in tests),
     but stores the coefficient array and evaluates only the <= 2^s hats
     active at each point, from the closed form of their networks.
-    ``table`` is the coefficient array as :class:`KnotLookup` (s = 1,
-    with its ``slopes``) or :meth:`weighted_sum` (s >= 2) reads it.
-    For s >= 2, ``template`` is the shared tensor-hat network in local
-    hat coordinates and ``sawtooth_depth`` the depth n of its product
-    network; ``size()`` and ``depth()`` report the exact monolithic
-    counts.
+    ``table`` is the coefficient array as a :class:`TableStack` reads
+    it, for s = 1 with its knot ``slopes``; ``sawtooth_depth`` is the
+    depth n of the hats' product network (None for s = 1).  ``size()``
+    and ``depth()`` report the exact monolithic counts through
+    :func:`template_counts`; only :meth:`materialize` builds networks.
     """
 
     def __init__(self, grid, coeffs, delta_inner=None):
@@ -508,8 +553,8 @@ class InterpolantNet:
         )
         self.s = grid.s
         self.delta_inner = delta_inner
+        self.sawtooth_depth = self.slopes = None
         if grid.s == 1:
-            self.template = None
             # ghost zero-nodes at -h and 1+h carry the boundary hat ramps
             self.table = np.concatenate(([0.0], self.coeffs, [0.0]))
             self.slopes = knot_slopes(self.table)
@@ -517,16 +562,6 @@ class InterpolantNet:
             self.table = self.coeffs
             if delta_inner is None:
                 raise ValueError("s >= 2 interpolants need delta_inner")
-            # template in local hat coordinates: grid coordinate minus node
-            self.template = compose(
-                product_net(grid.s, delta_inner),
-                parallelize(
-                    [
-                        compose(hat1d(1.0, 0), affine_net(_unit_row(grid.s, j)))
-                        for j in range(grid.s)
-                    ]
-                ),
-            )
             self.sawtooth_depth = product_depth_param(grid.s, delta_inner)
             # a cell's low and high node are cell + steps; its corner c
             # takes node bits[c, j] on axis j; offsets[j] steps axis j of
@@ -563,14 +598,8 @@ class InterpolantNet:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         u = self.grid.to_grid(x)
-        if self.s == 1:
-            n = u.shape[0]
-            lookup = KnotLookup(
-                self.grid, self.table, self.slopes, np.zeros(n, dtype=np.intp)
-            )
-            out = lookup(u[:, 0], np.empty(n))[:, None]
-        else:
-            out = self.weighted_sum(u, self.table[None])[:, None]
+        own = TableStack(self, self.table[None], self.slopes)
+        out = own(u, np.zeros(len(u), dtype=np.intp))[:, None]
         return out[0] if single else out
 
     def weighted_sum(self, u, tables, lead=None):
@@ -580,8 +609,8 @@ class InterpolantNet:
         (:meth:`GridSpec.to_grid`).  ``tables`` has shape (L,) +
         ``table.shape`` + trailing axes: L coefficient tables laid out
         like :attr:`table`, whose entries may be blocks of values, one
-        per interpolant sharing this grid and ``delta_inner``.  Point r
-        reads table ``lead[r]`` (table 0 if ``lead`` is None).  Returns
+        per interpolant sharing this grid and ``sawtooth_depth``.  Point
+        r reads table ``lead[r]`` (table 0 if ``lead`` is None).  Returns
         (n,) + trailing axes.
 
         The hats active at a point are those of its cell's 2^s corners,
@@ -628,11 +657,7 @@ class InterpolantNet:
         n_active = int(mask.sum())
         if n_active == 0:
             return 0
-        if self.s == 1:
-            per = 3 + 3 + 3  # hat weights, biases, readout row
-        else:
-            per = _template_body_size(self.template, self.s)
-        total = n_active * per
+        total = n_active * template_counts(self.s, self.sawtooth_depth)[0]
         # subtract fused hat-layer biases that happen to be exactly zero
         i = np.arange(self.grid.q + 1)
         for j in range(self.s):
@@ -642,9 +667,7 @@ class InterpolantNet:
         return total
 
     def depth(self):
-        if self.s == 1:
-            return 2
-        return self.template.depth()
+        return template_counts(self.s, self.sawtooth_depth)[1]
 
     def materialize(self, max_nodes=2000):
         """Assemble the literal monolithic ReLU network (small grids only).
@@ -671,24 +694,7 @@ class InterpolantNet:
         scale = np.diag(1.0 / widths)
         shift = -self.grid.box[:, 0] / widths
         to_unit = affine_net(scale, shift)
-        if self.s == 1:
-            return compose(hat1d(self.grid.h, indices[0]), to_unit)
-        bank = hat_bank(indices, self.grid.h)
-        return compose(
-            compose(product_net(self.s, self.delta_inner), bank), to_unit
-        )
-
-
-def _unit_row(s, j):
-    row = np.zeros((1, s))
-    row[0, j] = 1.0
-    return row
-
-
-def _template_body_size(template, s):
-    # template hats sit at index 0 with h=1: biases (1, 0, -1) per axis,
-    # i.e. one zero bias each; a generic interior hat has all three nonzero.
-    return template.size() + s
+        return compose(tensor_hat(indices, self.grid.h, self.delta_inner), to_unit)
 
 
 def lip_stable_net(sf, delta, reference_fn=None):

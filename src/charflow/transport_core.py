@@ -303,20 +303,33 @@ def schedule(eps, grid, problem):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    conv = problem.convection
     eps_int = eps / 2.0
     eta = eta_tolerance(eps_int, grid.K)
     mu = mu_iterations(eta)
     tau = tau_from_eta(eta)
     sl = grid.slab_length
+    q, delta, n_budget = _design(
+        problem, sl, tau, mu * grid.K, f"schedule for eps={eps}"
+    )
+    return Schedule(eps, eps_int, grid.K, sl, eta, mu, tau, q, delta, n_budget)
+
+
+def _design(problem, sl, tau, sweeps, label):
+    """(q, delta, N) of slabs of length ``sl`` with one-step error ``tau``.
+
+    Refuses with :class:`ResourceCeiling` when the quadrature count or
+    the interpolation grid exceeds its ceiling; the predicted cost
+    counts ``sweeps`` slab sweeps.
+    """
+    conv = problem.convection
     q, delta, n_budget, lam = _slab_class(conv).design(conv, sl, tau)
     knots = _grid_cells(lam, problem.eval_box, delta)
-    cost = q * problem.d_y * knots * mu * grid.K
     if q > Q_CEILING or knots > KNOT_CEILING:
         raise ResourceCeiling(
-            f"schedule for eps={eps} needs q={q}, grid knots={knots}", cost
+            f"{label} needs q={q}, grid knots={knots}",
+            q * problem.d_y * knots * sweeps,
         )
-    return Schedule(eps, eps_int, grid.K, sl, eta, mu, tau, q, delta, n_budget)
+    return q, delta, n_budget
 
 
 def _grid_cells(lip, box, tol):
@@ -403,6 +416,32 @@ def _subintervals(conv, interval, q):
     return [(c - 0.5 * cell, c + 0.5 * cell) for c in midpoints]
 
 
+def ramp_cell(t, lo, cell, q):
+    """Cell j of times ``t`` clamped to q cells from ``lo``, and the
+    fraction f of cell j that lies before t."""
+    s = np.clip((t - lo) / cell, 0.0, q)
+    j = np.minimum(s.astype(np.intp), q - 1)
+    return j, s - j
+
+
+def ramp_gate(w, V, S, f, unit=None, out=None):
+    """The gate w + sum_i rho_i(t) V_i at a time t in quadrature cell j.
+
+    ``V`` and ``S`` hold the increments V_j and S_j = V_0 + ... + V_j,
+    and ``f`` is the fraction of cell j that lies before t
+    (:func:`ramp_cell`): the ramps of the earlier cells are full and
+    ramp j has risen f * cell, so the sum is S_j - (1 - f) V_j in units
+    of the cell, scaled by ``unit`` if given.  Cell midpoints are
+    f = 1/2, the right end is j = q - 1 with f = 1.  Computed in ``out``
+    if given, which may be ``V`` but not ``w`` or ``S``.
+    """
+    out = np.multiply(1.0 - f, V, out=out)
+    np.subtract(S, out, out=out)
+    if unit is not None:
+        np.multiply(unit, out, out=out)
+    return np.add(w, out, out=out)
+
+
 class SlabNet:
     """One-slab characteristic network: ``mu`` fixed-point sweeps and a gate.
 
@@ -411,7 +450,7 @@ class SlabNet:
     x + sum_i rho_i(t) * V_i, where the sweep state V (n, q, m) holds
     the field values at the quadrature states after the last sweep.
     The clamped ramps make that sum a lookup in the running sums of V
-    (:meth:`_gate`), which gives the sweeps' midpoint states, the values
+    (:func:`ramp_gate`), which gives the sweeps' midpoint states, the values
     at query times and the junction alike.
     V depends on the seeds ``w`` and the parameters ``y`` only, so one
     sweep state answers any number of query times.
@@ -472,25 +511,8 @@ class SlabNet:
                 V = sweep(Z)
             np.cumsum(V, axis=1, out=S)
             if k < self.mu - 1:
-                self._gate(seeds, V, S, 0.5, out=Z)
+                ramp_gate(seeds, V, S, 0.5, out=Z)
         return V, S
-
-    def _gate(self, w, V, S, f, unit=None, out=None):
-        """The gate w + sum_i rho_i(t) V_i at a time t in quadrature cell j.
-
-        ``V`` and ``S`` hold the increments V_j and S_j = V_0 + ... + V_j,
-        and ``f`` is the fraction of cell j that lies before t: the ramps
-        of the earlier cells are full and ramp j has risen f * cell, so
-        the sum is S_j - (1 - f) V_j in sweep units, scaled by ``unit``
-        if given to add it to x.  Cell midpoints are f = 1/2, the slab's
-        right end is j = q - 1 with f = 1.  Computed in ``out`` if given,
-        which may be ``V`` but not ``w`` or ``S``.
-        """
-        out = np.multiply(1.0 - f, V, out=out)
-        np.subtract(S, out, out=out)
-        if unit is not None:
-            np.multiply(unit, out, out=out)
-        return np.add(w, out, out=out)
 
     def at_times(self, t, w, y):
         """Slab values at query times ``t`` (n,) from seeds ``w`` (n, m)."""
@@ -526,16 +548,14 @@ class SlabNet:
             rows = slice(lo, lo + step)
             wb = w[rows]
             V, S = self._forward(self._states(wb), y[rows])
-            # the block's gated entries, all time sets together, each at
-            # cell j = floor(s) and fraction f = s - j of its time; clamping
-            # s to [0, q] clamps t to the slab as the ramps do, giving the
-            # seeds below it and the junction value above it
+            # the block's gated entries, all time sets together; a time
+            # clamped to the slab gives the seeds below it and the
+            # junction value above it
             r, c = np.nonzero(mask[:, rows])
-            s = np.clip((times[r, lo + c] - self.interval[0]) / self.cell, 0.0, self.q)
-            j = np.minimum(s.astype(np.intp), self.q - 1)
-            f = (s - j)[:, None]
-            gated[r, lo + c] = self._gate(wb[c], V[c, j], S[c, j], f, self.unit)
-            self._gate(wb, V[:, -1], S[:, -1], 1.0, self.unit, out=w_next[rows])
+            j, f = ramp_cell(times[r, lo + c], self.interval[0], self.cell, self.q)
+            f = f[:, None]
+            gated[r, lo + c] = ramp_gate(wb[c], V[c, j], S[c, j], f, self.unit)
+            ramp_gate(wb, V[:, -1], S[:, -1], 1.0, self.unit, out=w_next[rows])
         return gated[mask], w_next
 
     def size(self):
@@ -552,9 +572,9 @@ class SlabInterpolants:
     ``nets[j][i][c]`` interpolates output c of component j averaged over
     subinterval i.  All share one grid on the evaluation box, whose units
     the sweep states keep, so one sweep visits the active hats once for
-    every interpolant.  Components whose hat
-    templates agree (equal ``delta_inner``, always so for s = 1) form a
-    group; its coefficient tables are stacked to shape
+    every interpolant.  Components of one sawtooth depth, which is all
+    a lookup reads of a net besides the grid, form a group; its
+    coefficient tables are stacked to shape
     (subintervals,) + table shape + (m, group size), or to
     (group size,) + table shape + (m,) for a group that is contracted
     with the row weights before the lookup.  :meth:`plan` makes the
@@ -584,13 +604,13 @@ class SlabInterpolants:
                     comp_nets.append(net)
                 per_j.append(comp_nets)
             self.nets.append(per_j)
-        by_template = {}
+        by_depth = {}
         for j, per_j in enumerate(self.nets):
-            by_template.setdefault(per_j[0][0].delta_inner, []).append(j)
+            by_depth.setdefault(per_j[0][0].sawtooth_depth, []).append(j)
         m, s = conv.m, self.grid.s
         self.groups = []
         self.point_width = float(m)
-        for js in by_template.values():
+        for js in by_depth.values():
             net = self.nets[js[0]][0][0]
             tables = np.array(
                 [
@@ -786,7 +806,13 @@ class GeneralSlabNet(SlabNet):
             rep = conv.rep_builder(sub, sched.N)
             depth = len(rep.factors)
             per_comp = self.delta / max(1, depth)
-            implanted, _ = implant(rep, [per_comp] * depth)
+            implanted, bound = implant(rep, [per_comp] * depth)
+            if bound > conv.a_norm * self.delta:
+                raise ResourceCeiling(
+                    f"implant error {bound:.3g} exceeds the a_norm * delta = "
+                    f"{conv.a_norm * self.delta:.3g} the one-step bound charges",
+                    bound,
+                )
             self._nets.append(implanted)
         # each quadrature state enters an implanted net as a point (z, y);
         # the shared net sees all q states of a row in one evaluation, a
@@ -861,10 +887,9 @@ def build_slab_net(problem, interval, tau, mu=1):
     """
     conv = problem.convection
     sl = interval[1] - interval[0]
-    slab_cls = _slab_class(conv)
-    q, delta, n_budget, _ = slab_cls.design(conv, sl, tau)
+    q, delta, n_budget = _design(problem, sl, tau, mu, f"slab for tau={tau}")
     sched = Schedule(tau, tau, 1, sl, tau, mu, tau, q, delta, n_budget)
-    return slab_cls.chain(conv, [interval], sched, problem.eval_box)[0]
+    return _slab_class(conv).chain(conv, [interval], sched, problem.eval_box)[0]
 
 
 def _slab_class(conv):
@@ -1102,9 +1127,10 @@ class SolutionNetwork:
     """u surrogate: data network on backward feet plus source quadrature.
 
     u(t,x,y) ~ N_u0(B(t,x,y)) + sign * sum_i rho_i(t) N_f,i(B(t-xi_i,x,y))
-    where B is the backward characteristic network.  ``source_sign``
-    defaults to +1; the acceptance suite pins the sign against the
-    solution oracle.
+    where B is the backward characteristic network; the source nets are
+    one stacked lookup, gated like the slabs by :func:`ramp_gate`.
+    ``source_sign`` defaults to +1; the acceptance suite pins the sign
+    against the solution oracle.
     """
 
     def __init__(self, problem, back_net, u0_net, f_nets, q_src, source_sign, report):
@@ -1117,13 +1143,16 @@ class SolutionNetwork:
         self.report = report
         T = problem.T_hat
         self.xi = (np.arange(q_src) + 0.5) * T / q_src if q_src else np.array([])
+        if f_nets:
+            self.cell = T / q_src
+            self.sources = lip_interp.TableStack.of(f_nets)
 
     def eval_parts(self, t, x, y):
         """(initial-datum part, signed-source part before sign)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        n = x.shape[0]
+        n, m = x.shape
         # one backward chain for the query times and every source node
         sigma = np.maximum(t[None, :] - self.xi[:, None], 0.0)
         feet = self.back_net.eval(np.vstack([t[None, :], sigma]), x, y)
@@ -1132,14 +1161,14 @@ class SolutionNetwork:
         )
         if not self.f_nets:
             return u0_part, np.zeros(n)
-        rho = rho_values((0.0, self.problem.T_hat), self.q_src, t)
-        f_part = np.zeros(n)
-        for i, f_net in enumerate(self.f_nets):
-            active = rho[:, i] > 0
-            if not np.any(active):
-                continue
-            f_part[active] += rho[active, i] * f_net.eval(feet[1 + i, active])[:, 0]
-        return u0_part, f_part
+        # V_i: source net i at the feet of node i
+        q = self.q_src
+        u = self.sources.net.grid.to_grid(feet[1:].reshape(-1, m))
+        V = self.sources(u, np.repeat(np.arange(q), n)).reshape(q, n)
+        S = np.cumsum(V, axis=0)
+        j, f = ramp_cell(t, 0.0, self.cell, q)
+        cols = np.arange(n)
+        return u0_part, ramp_gate(0.0, V[j, cols], S[j, cols], f, self.cell)
 
     def eval(self, t, x, y):
         u0_part, f_part = self.eval_parts(t, x, y)

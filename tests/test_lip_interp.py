@@ -289,8 +289,12 @@ class TestLipStableNet:
 
 def template_walk(net, u, tables, lead=None):
     """Reference for InterpolantNet.weighted_sum: the hats of each cell
-    corner in turn, through the tensor-hat template network."""
+    corner in turn, through the tensor-hat template network, the hat of
+    the node at 0 with h = 1 in local coordinates."""
     q, s = net.grid.q, net.s
+    template = li.compose(
+        li.product_net(s, net.delta_inner), li.hat_bank([0] * s, 1.0)
+    )
     trailing = tables.shape[s + 1 :]
     flat = tables.reshape((-1,) + trailing)
     cell = np.floor(u).astype(int)
@@ -305,7 +309,7 @@ def template_walk(net, u, tables, lead=None):
         index = tuple(node[active].T)
         which = 0 if lead is None else lead[active]
         coeff = flat[np.ravel_multi_index((which,) + index, tables.shape[: s + 1])]
-        vals = net.template.eval(local[active])[:, 0]
+        vals = template.eval(local[active])[:, 0]
         out[active] += coeff * vals.reshape((-1,) + (1,) * len(trailing))
     return out
 
@@ -335,6 +339,57 @@ class TestWeightedSum:
             )
             # past the boundary hat ramps every corner is off the grid
             assert np.all(got[-50:] == 0.0)
+
+
+class TestTemplateCounts:
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_pinned_to_composed_template(self, s):
+        for n in range(1, 13):
+            delta = max(li.product_error_bounds(s, n))
+            if delta >= 1.0:
+                continue
+            assert li.product_depth_param(s, delta) == n
+            template = li.compose(li.product_net(s, delta), li.hat_bank([0] * s, 1.0))
+            size, depth = li.template_counts(s, n)
+            assert (size, depth) == (template.size() + s, template.depth())
+            # + s: the template's hats have one zero bias per axis, which
+            # the hats of an interior node do not
+            interior = li.compose(li.product_net(s, delta), li.hat_bank([2] * s, 0.25))
+            assert interior.size() == size
+
+
+class TestTableStack:
+    @pytest.mark.parametrize("s,q", [(1, 9), (2, 5), (3, 3)])
+    def test_equals_per_net_eval(self, s, q, rng):
+        box = np.tile([-0.5, 1.5], (s, 1))
+        grid = li.GridSpec(s, q, box=box)
+        nets = [
+            li.InterpolantNet(grid, rng.standard_normal((q + 1,) * s), delta_inner=1e-4)
+            for _ in range(4)
+        ]
+        stack = li.TableStack.of(nets)
+        h = grid.spacing
+        knots = grid.nodes()[rng.integers(0, (q + 1) ** s, 100)]
+        inside = rng.uniform(box[:, 0], box[:, 1], (100, s))
+        # within one cell past the box: the boundary hats' ghost ramps
+        ramps = inside.copy()
+        ramps[:, 0] = rng.choice([-1.0, 1.0], 100) * rng.uniform(0, h[0], 100)
+        ramps[:, 0] += np.where(ramps[:, 0] < 0, box[0, 0], box[0, 1])
+        far = rng.choice([-1.0, 1.0], (50, s)) * rng.uniform(3.0, 1e6, (50, s))
+        x = np.concatenate([knots, inside, ramps, far])
+        which = rng.integers(0, len(nets), len(x))
+        got = stack(grid.to_grid(x), which)
+        assert got.shape == (len(x),)
+        for i, net in enumerate(nets):
+            np.testing.assert_array_equal(got[which == i], net.eval(x[which == i])[:, 0])
+        assert np.all(got[-50:] == 0.0)
+
+    def test_refuses_mixed_nets(self):
+        grid = li.GridSpec(2, 3)
+        coeffs = np.ones((4, 4))
+        nets = [li.InterpolantNet(grid, coeffs, delta_inner=d) for d in (1e-2, 1e-6)]
+        with pytest.raises(ValueError, match="one grid and sawtooth depth"):
+            li.TableStack.of(nets)
 
 
 class TestPartitionOfUnity:

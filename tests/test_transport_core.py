@@ -21,7 +21,7 @@ def cosine_problem(d_y=4, freq=0.2, T_hat=1.0, u0_spec=None, f_spec=None):
     return tc.TransportProblem(conv, T_hat, [[0.0, 1.0]], u0=u0, f=f)
 
 
-def cosine_problem_m2():
+def cosine_problem_m2(u0_spec=None, f_spec=None):
     comps = [
         catalog.make_component(
             {"kind": "cosine", "amp": 1.0, "freq": 0.2, "phase": 0.7 * j}, m=2
@@ -29,7 +29,9 @@ def cosine_problem_m2():
         for j in range(2)
     ]
     conv = tc.AffineConvection(2, 2, [0.5, 0.5], comps)
-    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]])
+    u0 = catalog.make_u0(u0_spec) if u0_spec else None
+    f = catalog.make_f(f_spec) if f_spec else None
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]], u0=u0, f=f)
 
 
 def affine_m1_dy4_problem():
@@ -247,6 +249,15 @@ class TestSchedule:
             tc.schedule(1e-7, grid, prob)
         assert exc.value.predicted_cost > 0
 
+    def test_slab_build_obeys_ceilings(self):
+        # a constant field needs one grid cell, but tau = 1e-6 on a slab
+        # of length 1/3 needs q = 666667 quadrature nodes
+        comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
+        conv = tc.AffineConvection(1, 1, [1.0], comps)
+        prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
+        with pytest.raises(tc.ResourceCeiling, match="q=666667, grid knots=1"):
+            tc.build_slab_net(prob, (0.0, 1.0 / 3.0), tau=1e-6)
+
 
 class TestPicardNumeric:
     def test_constant_field_one_sweep_exact(self):
@@ -360,8 +371,8 @@ class TestSlabNet:
 
     @pytest.mark.parametrize("f", ["midpoint", "end", "array"])
     def test_gate_in_place(self, rng, f):
-        # _gate(..., out=) is the one gate formula, computed in place: it
-        # adds the increments in sweep units, or scaled by the grid
+        # ramp_gate(..., out=) is the one gate formula, computed in place:
+        # it adds the increments in sweep units, or scaled by the grid
         # spacing to add them to x
         slab = tc.build_slab_net(cosine_problem(d_y=2), (0.0, 0.5), tau=0.05)
         n, q = 7, slab.q
@@ -373,14 +384,14 @@ class TestSlabNet:
             f, w, shape = rng.uniform(0, 1, (n, 1)), rng.uniform(0, 1, (n, 1)), (n, 1)
         V = rng.uniform(-1, 1, shape)
         S = rng.uniform(-1, 1, shape)
-        want = slab._gate(w, V, S, f)
+        want = tc.ramp_gate(w, V, S, f)
         np.testing.assert_array_equal(want, w + (S - (1.0 - f) * V))
-        want_x = slab._gate(w, V, S, f, slab.unit)
+        want_x = tc.ramp_gate(w, V, S, f, slab.unit)
         np.testing.assert_array_equal(want_x, w + slab.unit * (S - (1.0 - f) * V))
         out = np.empty(shape)
-        assert slab._gate(w, V, S, f, out=out) is out
+        assert tc.ramp_gate(w, V, S, f, out=out) is out
         np.testing.assert_array_equal(out, want)
-        slab._gate(w, V, S, f, slab.unit, out=V)
+        tc.ramp_gate(w, V, S, f, slab.unit, out=V)
         np.testing.assert_array_equal(V, want_x)
 
     def test_contraction_of_sweeps(self, rng):
@@ -759,6 +770,36 @@ class TestCharNetwork:
             t, x, y = prob.sample_inputs(4, seed=3)
             assert net.eval(np.zeros((0, 4)), x, y).shape == (0, 4, prob.m)
 
+    def test_m2_builds_compose_no_template_twice(self, monkeypatch):
+        # the tensor-hat template is counted once per (s, n) per process:
+        # a second build of the same ladder composes no ReLU network
+        import json
+        from pathlib import Path
+
+        from charflow import comp_calculus, lip_interp, relu_net
+
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "cosine_m2_dy2.json"
+        doc = json.loads(cfg.read_text())
+        calls = []
+        for mod in (relu_net, lip_interp, comp_calculus, tc):
+            for name in ("compose", "parallelize"):
+                if hasattr(mod, name):
+                    fn = getattr(mod, name)
+
+                    def counted(*args, fn=fn, **kwargs):
+                        calls.append(fn)
+                        return fn(*args, **kwargs)
+
+                    monkeypatch.setattr(mod, name, counted)
+        lip_interp.template_counts.cache_clear()
+        made = []
+        for _ in range(2):
+            for eps in doc["eps_ladder"]:
+                net = tc.build_char_net(tc.problem_from_dict(doc["problem"]), eps)
+                assert net.size() > 0
+            made.append(len(calls))
+        assert made[0] > 0 and made[1] == made[0]
+
     def test_m2_certified_at_harness_size(self):
         # a convergence rung of the m = 2 field as the harness runs it:
         # 200 queries against the RK4 oracle, the 2000-sample certificate
@@ -829,7 +870,7 @@ class TestCharNetwork:
 
 class TestGeneralConvection:
     @staticmethod
-    def make_general(L_t=0.0):
+    def make_general(L_t=0.0, bil_lip=1.5):
         m, d_y = 1, 2
 
         def evaluator(t, x, y):
@@ -846,7 +887,7 @@ class TestGeneralConvection:
             par = cc.ParallelFactor([gen, cc.IdentityFactor(d_y)], split_input=True)
             bil = cc.MultilinearFactor(
                 lambda v: v[:, :1] * v[:, 2:3] + v[:, 1:2] * v[:, 3:4],
-                in_dim=4, out_dim=1, lip=1.5, sup=1.0,
+                in_dim=4, out_dim=1, lip=bil_lip, sup=1.0,
             )
             return cc.CompRep([par, bil])
 
@@ -874,6 +915,17 @@ class TestGeneralConvection:
         assert np.abs(net.eval(t, x, y) - ref).max() <= 0.2
         cert = tc.lipschitz_certificate(net, n_samples=500, seed=1)
         assert cert["pessimistic"]
+
+    def test_implant_bound_refused_past_its_charge(self):
+        # the implant error is the factor errors times the declared
+        # Lipschitz constants after them; one_step_error_bound charges
+        # a_norm * delta for it
+        for eps in (0.2, 0.1):
+            prob = tc.TransportProblem(self.make_general(), 1.0, [[0.0, 1.0]])
+            tc.build_char_net(prob, eps)
+        prob = tc.TransportProblem(self.make_general(bil_lip=1e3), 1.0, [[0.0, 1.0]])
+        with pytest.raises(tc.ResourceCeiling, match="implant error"):
+            tc.build_char_net(prob, 0.2)
 
     def test_time_sets_match_single_calls(self, rng):
         prob = tc.TransportProblem(self.make_general(), 1.0, [[0.0, 1.0]])
@@ -966,18 +1018,26 @@ class TestSolutionNetwork:
         np.testing.assert_allclose(minus.eval(t, x, y), u0p - fp, atol=1e-14)
 
     def test_shared_chain_matches_per_node_reference(self):
-        prob = cosine_problem(
-            d_y=2,
-            u0_spec={"kind": "hat", "center": 0.5, "width": 1.0},
-            f_spec={"kind": "ramp-t", "base": 0.5, "x_coeff": 0.25, "t_coeff": 0.25},
-        )
-        net = tc.build_solution_net(prob, 0.2)
-        assert net.q_src > 1 and net.back_net.grid.K > 1
-        t, x, y = prob.sample_inputs(40, seed=14)
-        got = net.eval_parts(t, x, y)
-        ref = per_node_eval_parts(net, t, x, y)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
+        # the source part sums the same terms as the per-node reference
+        # in running-sum order, so it agrees to rounding, not bit for bit
+        data = {
+            "u0_spec": {"kind": "hat", "center": 0.5, "width": 1.0},
+            "f_spec": {"kind": "ramp-t", "base": 0.5, "x_coeff": 0.25, "t_coeff": 0.25},
+        }
+        for prob, eps in [
+            (cosine_problem(d_y=2, **data), 0.2),
+            (cosine_problem_m2(**data), 0.7),
+        ]:
+            net = tc.build_solution_net(prob, eps)
+            assert net.q_src > 1 and net.back_net.grid.K > 1
+            t, x, y = prob.sample_inputs(40, seed=14)
+            # the ends of the horizon and of the first and last source cells
+            T, q = prob.T_hat, net.q_src
+            t[:4] = 0.0, T, T / q, (q - 1) * T / q
+            got = net.eval_parts(t, x, y)
+            ref = per_node_eval_parts(net, t, x, y)
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-12)
 
     def test_report_carries_budget(self):
         comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
