@@ -399,7 +399,16 @@ def _field_on_grid(field, xs, Z, y):
 # sweep arithmetic.  A per-cell general slab evaluates its q cell nets
 # one at a time, so only its sweep state (rows, q, m) is larger; that is
 # made a few times per sweep, not in each of the q evaluations.
+#
+# An affine block also holds at least MIN_STATES quadrature states.  An
+# m >= 2 sweep is some 30 ufunc calls per pass, and at the few rows the
+# bytes rule allows it (6 rows of q = 76 states on a 2-D field) their
+# call overhead outweighs the arithmetic: 27 rows of the same field
+# evaluate 1.5x faster.  On the m = 1 slabs measured the bytes rule
+# gives more rows than the floor.  Neither bound depends on the number
+# of rows evaluated, so memory stays bounded.
 BLOCK_BYTES = 64 * 1024
+MIN_STATES = 2048
 
 
 def _subintervals(conv, interval, q):
@@ -463,11 +472,11 @@ class SlabNet:
     eval_box)``, which builds the slabs on consecutive intervals,
     ``_states(w)``, the states of seeds ``w`` (n, m), ``_sweep_plan(y)``,
     the sweep of one row block with parameters y: a function from states
-    Z (n, p, m), p = q quadrature states or p = 1 seed per row, to the
-    increments at them, which may return the same buffer on every call
-    with the same p, ``row_floats``, the floats per row of the largest
-    temporary of one network evaluation in a sweep, and
-    ``interpolant_size()``.
+    Z (n, p, m), the states of the first p <= q quadrature cells or
+    p = 1 seed per row, to the increments at them, which may return the
+    same buffer on every call with the same p, ``row_floats``, the
+    floats per row of the largest temporary of one network evaluation
+    in a sweep, and ``interpolant_size()``.
     """
 
     unit = None
@@ -487,19 +496,22 @@ class SlabNet:
     def _states(self, w):
         return w
 
-    def _forward(self, u, y):
-        """Run mu sweeps from seed states ``u`` (n, m).
+    def _forward(self, u, y, p):
+        """Run mu sweeps over the first p cells from seed states ``u`` (n, m).
 
-        Returns the increments V (n, q, m) at the quadrature states of
+        Returns the increments V (n, p, m) at the quadrature states of
         the last sweep and their running sums S = cumsum(V) over the
-        cells.  The sweep is planned once; the states and running sums
-        are rewritten in place by each sweep.  The seeds are constant
-        along q, so a slab whose networks do not depend on the cell
-        evaluates its first sweep once per row and broadcasts it.
+        cells.  The gate is causal, cell i of a sweep reading only cells
+        <= i of the sweep before, so these are the first p cells of a
+        sweep over all q, bit for bit.  The sweep is planned once; the
+        states and running sums are rewritten in place by each sweep.
+        The seeds are constant along the cells, so a slab whose networks
+        do not depend on the cell evaluates its first sweep once per row
+        and broadcasts it.
         """
         sweep = self._sweep_plan(y)
         seeds = u[:, None, :]
-        Z = np.empty((len(u), self.q, u.shape[1]))
+        Z = np.empty((len(u), p, u.shape[1]))
         if self._shared:
             V = np.broadcast_to(sweep(seeds), Z.shape)
         else:
@@ -514,49 +526,62 @@ class SlabNet:
                 ramp_gate(seeds, V, S, 0.5, out=Z)
         return V, S
 
-    def at_times(self, t, w, y):
-        """Slab values at query times ``t`` (n,) from seeds ``w`` (n, m)."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        return self.eval_with_junction(t, w, y, np.ones(w.shape[0], dtype=bool))[0]
+    def block_rows(self):
+        """Rows per block: one network evaluation's largest temporary of
+        a sweep stays within ``BLOCK_BYTES``."""
+        return max(1, int(BLOCK_BYTES // (8 * self.row_floats)))
 
-    def junction(self, w, y):
-        """Seeds of the next slab: the slab's values at its right end."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        n = w.shape[0]
-        return self.eval_with_junction(np.zeros(n), w, y, np.zeros(n, dtype=bool))[1]
-
-    def eval_with_junction(self, t, w, y, mask):
+    def eval_with_junction(self, t, w, y, mask, carry):
         """Gate the masked query times against one sweep state.
 
         ``w`` (n, m) are the seeds of the rows pushed through the slab;
         ``t`` and the boolean ``mask`` have shape (n,) or (r, n), one
-        row per set of query times.  Returns the values at ``t[mask]``
-        in that (row-major) order and the junction values of all n rows.
-        Sweeps, gates and the junction run in blocks of rows sized by
-        ``BLOCK_BYTES``, so memory does not grow with n; a row's values
-        do not depend on which other rows share its block.
+        row per set of query times, and the boolean ``carry`` (n,) marks
+        the rows that go on to the next slab.  Returns the values at
+        ``t[mask]`` in that (row-major) order and the junction values of
+        the carried rows, in their order.
+
+        A row sweeps only the cells it reads: all q if it is carried,
+        since the junction is the last cell, else the cells up to the
+        last one its masked times gate (:func:`ramp_cell`), and none if
+        it has no masked time.  The rows are ordered by that need and
+        run in blocks of :meth:`block_rows` rows, each sweeping the
+        largest need among its rows, so memory does not grow with n.
+        A row's values depend neither on the other rows of its block nor
+        on how many cells its block sweeps.
         """
         w = np.atleast_2d(np.asarray(w, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         n = w.shape[0]
         times = np.asarray(t, dtype=float).reshape(-1, n)
         mask = np.asarray(mask, dtype=bool).reshape(times.shape)
+        carry = np.asarray(carry, dtype=bool).reshape(n)
+        lo_t = self.interval[0]
+        need = np.zeros(n, dtype=np.intp)
+        r, c = np.nonzero(mask)
+        np.maximum.at(need, c, ramp_cell(times[r, c], lo_t, self.cell, self.q)[0] + 1)
+        need[carry] = self.q
+        # rows that read no cell are not swept
+        order = np.argsort(need, kind="stable")[np.count_nonzero(need == 0) :]
         gated = np.empty(times.shape + (w.shape[1],))
         w_next = np.empty_like(w)
-        step = max(1, int(BLOCK_BYTES // (8 * self.row_floats)))
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
+        step = self.block_rows()
+        for lo in range(0, len(order), step):
+            rows = order[lo : lo + step]
+            p = need[rows[-1]]
             wb = w[rows]
-            V, S = self._forward(self._states(wb), y[rows])
+            V, S = self._forward(self._states(wb), y[rows], p)
             # the block's gated entries, all time sets together; a time
             # clamped to the slab gives the seeds below it and the
             # junction value above it
             r, c = np.nonzero(mask[:, rows])
-            j, f = ramp_cell(times[r, lo + c], self.interval[0], self.cell, self.q)
-            f = f[:, None]
-            gated[r, lo + c] = ramp_gate(wb[c], V[c, j], S[c, j], f, self.unit)
-            ramp_gate(wb, V[:, -1], S[:, -1], 1.0, self.unit, out=w_next[rows])
-        return gated[mask], w_next
+            cols = rows[c]
+            j, f = ramp_cell(times[r, cols], lo_t, self.cell, self.q)
+            gated[r, cols] = ramp_gate(wb[c], V[c, j], S[c, j], f[:, None], self.unit)
+            # a block holding a carried row sweeps all q cells
+            c = carry[rows]
+            w_next[rows[c]] = ramp_gate(wb[c], V[c, -1], S[c, -1], 1.0, self.unit)
+        return gated[mask], w_next[carry]
 
     def size(self):
         # mu sweeps of (q*d_y interpolants + one multilinear gate),
@@ -643,8 +668,9 @@ class SlabInterpolants:
     def plan(self, weights, cell):
         """The sweep of one row block: states Z (n, p, m) -> V (n, p, m).
 
-        Z holds p = q quadrature states per row, or p = 1 seed per row
-        if the interpolants are shared by all cells, in grid units
+        Z holds the states of the first p <= q quadrature cells of each
+        row, or p = 1 seed per row if the interpolants are shared by all
+        cells, in grid units
         (:meth:`lip_interp.GridSpec.to_grid`).  V[:, i] = sum_j
         weights[:, j] * N_{j,i}(Z[:, i]) * cell / spacing for row weights
         ``weights`` (n, d_y): the increments of cells of length ``cell``
@@ -652,8 +678,9 @@ class SlabInterpolants:
         once per row block: the weights with the cell length folded in,
         a contracted group's per-row tables, the table each state reads
         and, for s = 1, the knot slopes and the lookup's buffers, so that
-        each sweep is one pass.  For s = 1 the returned V is one buffer
-        per p, rewritten by every call.
+        each sweep is one pass.  What depends on p is made on the first
+        call with that p.  For s = 1 the returned V is one buffer per p,
+        rewritten by every call.
         """
         n, m = len(weights), self.grid.s
         scale = cell / self.grid.spacing
@@ -705,18 +732,17 @@ class SlabInterpolants:
             slopes = lip_interp.knot_slopes(values)
         else:
             values, slopes = self.knots
-        # a lookup per number p of states per row; shared tables also see
-        # the seeds, p = 1
+        # a lookup and its output per number p of states per row
         lookups = {}
-        for p in {self.q} if self.per_cell else {1, self.q}:
-            starts = self._table_of_state(n, p, first, stride)
-            if starts is None:
-                starts = np.zeros(n * p, dtype=np.intp)
-            out = np.empty((n * p,) + values.shape[1:])
-            lookups[p] = lip_interp.KnotLookup(self.grid, values, slopes, starts), out
 
         def sweep(Z):
             p = Z.shape[1]
+            if p not in lookups:
+                starts = self._table_of_state(n, p, first, stride)
+                if starts is None:
+                    starts = np.zeros(n * p, dtype=np.intp)
+                out = np.empty((n * p,) + values.shape[1:])
+                lookups[p] = lip_interp.KnotLookup(self.grid, values, slopes, starts), out
             lookup, out = lookups[p]
             lookup(Z.reshape(-1), out)
             if first:
@@ -742,6 +768,10 @@ class AffineSlabNet(SlabNet):
         self.unit = interpolants.grid.spacing
         # one fused evaluation covers all q states of a row
         self.row_floats = self.q * interpolants.point_width
+
+    def block_rows(self):
+        # and at least MIN_STATES quadrature states per block
+        return max(super().block_rows(), -(-MIN_STATES // self.q))
 
     @classmethod
     def chain(cls, conv, intervals, sched, eval_box):
@@ -840,20 +870,23 @@ class GeneralSlabNet(SlabNet):
 
     def _sweep_plan(self, y):
         # sweeps run in x; the increments carry the cell length
-        n, q, m = len(y), self.q, self.conv.m
+        n, m = len(y), self.conv.m
         if self._shared:
-            ys = {1: y, q: np.repeat(y, q, axis=0)}
+            ys = {}  # the parameters of each state, per p
 
             def sweep(Z):
                 p = Z.shape[1]
+                if p not in ys:
+                    ys[p] = np.repeat(y, p, axis=0)
                 flat = np.hstack([Z.reshape(n * p, m), ys[p]])
                 return self.cell * self._nets[0].eval(flat).reshape(n, p, m)
 
             return sweep
 
         def sweep(Z):
-            V = np.empty((n, q, m))
-            for i in range(q):
+            p = Z.shape[1]
+            V = np.empty((n, p, m))
+            for i in range(p):
                 V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :], y]))
             V *= self.cell
             return V
@@ -925,7 +958,9 @@ class CharNetwork:
         query times of the same n samples, giving (r, n, m).  The
         junction chain runs once per (x, y) batch: slab k sweeps only
         the rows whose latest query time lies in slab k or later, and
-        gates every time set it owns while its sweep state is live.
+        gates every time set it owns while its sweep state is live.  It
+        passes on the junctions of the rows with a later time; a row
+        whose latest time it owns sweeps only the cells up to that time.
         Queries outside [0, T_hat] x domain x [-1, 1]^d_y raise
         ``ValueError``: the certificate does not cover them.
         """
@@ -943,14 +978,14 @@ class CharNetwork:
         rows = np.arange(n)
         w = x
         for k in range(int(k_last.max(initial=-1)) + 1):
-            live = k_last[rows] >= k
-            rows, w = rows[live], w[live]
             mask = k_idx[:, rows] == k
+            carry = k_last[rows] > k
             vals, w = self.slabs[k].eval_with_junction(
-                times[:, rows], w, y[rows], mask
+                times[:, rows], w, y[rows], mask, carry
             )
             r_idx, c_idx = np.nonzero(mask)
             out[r_idx, rows[c_idx]] = vals
+            rows = rows[carry]
         return out if t.ndim > 1 else out[0]
 
     def __call__(self, t, x, y):
@@ -1122,6 +1157,11 @@ def lipschitz_certificate(net, n_samples=4000, seed=0):
 # ---------------------------------------------------------------------------
 # solution networks
 
+# A solution evaluation runs its queries in chunks whose backward chain
+# holds at most CHAIN_FEET feet, q_src + 1 per query: the chain and the
+# source lookup each hold several arrays of that many entries.
+CHAIN_FEET = 2**14
+
 
 class SolutionNetwork:
     """u surrogate: data network on backward feet plus source quadrature.
@@ -1148,10 +1188,23 @@ class SolutionNetwork:
             self.sources = lip_interp.TableStack.of(f_nets)
 
     def eval_parts(self, t, x, y):
-        """(initial-datum part, signed-source part before sign)."""
+        """(initial-datum part, signed-source part before sign).
+
+        Runs in chunks of ``CHAIN_FEET // (q_src + 1)`` queries, so memory
+        does not grow with the number of queries; a query's values do not
+        depend on its chunk.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
+        step = max(1, CHAIN_FEET // (self.q_src + 1))
+        chunks = [
+            self._eval_chunk(t[lo : lo + step], x[lo : lo + step], y[lo : lo + step])
+            for lo in range(0, max(len(x), 1), step)
+        ]
+        return tuple(np.concatenate(part) for part in zip(*chunks))
+
+    def _eval_chunk(self, t, x, y):
         n, m = x.shape
         # one backward chain for the query times and every source node
         sigma = np.maximum(t[None, :] - self.xi[:, None], 0.0)

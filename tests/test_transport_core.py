@@ -34,12 +34,12 @@ def cosine_problem_m2(u0_spec=None, f_spec=None):
     return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]], u0=u0, f=f)
 
 
-def affine_m1_dy4_problem():
-    """The problem of configs/affine_m1_dy4.json."""
+def config_problem(stem):
+    """The problem of configs/<stem>.json."""
     import json
     from pathlib import Path
 
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "affine_m1_dy4.json"
+    cfg = Path(__file__).resolve().parent.parent / "configs" / f"{stem}.json"
     return tc.problem_from_dict(json.loads(cfg.read_text())["problem"])
 
 
@@ -125,13 +125,32 @@ def four_chain_lipschitz(net, n_samples, seed):
     return lip_xy, lip_t
 
 
+def at_times(slab, t, w, y):
+    """Slab values at query times ``t`` (n,) from seeds ``w`` (n, m).
+
+    No row carries on, so each sweeps only the cells up to its time.
+    """
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    n = w.shape[0]
+    ones, zeros = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    return slab.eval_with_junction(t, w, y, ones, zeros)[0]
+
+
+def junction(slab, w, y):
+    """Seeds of the next slab: the slab's values at its right end."""
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    n = w.shape[0]
+    ones, zeros = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    return slab.eval_with_junction(np.zeros(n), w, y, zeros, ones)[1]
+
+
 def junction_values(net, x, y):
     """Seeds entering each slab of a char net, shape (K+1, n, m)."""
     w = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     ws = [w]
     for slab in net.slabs:
-        w = slab.junction(w, y)
+        w = junction(slab, w, y)
         ws.append(w)
     return np.stack(ws)
 
@@ -150,6 +169,22 @@ def check_builder(conv, interval, N, box, n_samples=500, seed=0):
         interval[1] - interval[0]
     ) * (conv.L_t or 0.0)
     return {"sampled_error": err, "contract_budget": budget, "ok": err <= budget}
+
+
+def full_sweep_eval(net, t, x, y):
+    """Reference for ``net.eval`` in which every slab carries every row on,
+    so each row sweeps all q cells of all K slabs."""
+    t = np.asarray(t, dtype=float)
+    times = t if t.ndim > 1 else t[None]
+    k_idx = np.clip(
+        np.floor(times / net.grid.slab_length).astype(int), 0, net.grid.K - 1
+    )
+    out = np.empty(times.shape + (x.shape[1],))
+    w, carry = x, np.ones(x.shape[0], dtype=bool)
+    for k, slab in enumerate(net.slabs):
+        mask = k_idx == k
+        out[mask], w = slab.eval_with_junction(times, w, y, mask, carry)
+    return out if t.ndim > 1 else out[0]
 
 
 def naive_slab_eval(slab, t, w, y):
@@ -295,7 +330,7 @@ class TestSlabNet:
         t = rng.uniform(0, 0.5, 20)
         w = rng.uniform(0, 1, (20, 1))
         y = rng.uniform(-1, 1, (20, 1))
-        np.testing.assert_allclose(slab.at_times(t, w, y), w, atol=1e-14)
+        np.testing.assert_allclose(at_times(slab, t, w, y), w, atol=1e-14)
 
     def test_constant_in_x_field_quadrature_exact(self, rng):
         # constant components: only the implantation term remains, and the
@@ -309,7 +344,7 @@ class TestSlabNet:
         y = rng.uniform(-1, 1, (50, 1))
         expect = w + t[:, None] * y
         bound = conv.omega1 * 0.5 * slab.delta
-        assert np.abs(slab.at_times(t, w, y) - expect).max() <= max(bound, 1e-12)
+        assert np.abs(at_times(slab, t, w, y) - expect).max() <= max(bound, 1e-12)
 
     def test_one_step_error_vs_fine_reference(self, rng):
         comp = catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0})
@@ -325,7 +360,7 @@ class TestSlabNet:
         y = rng.uniform(-1, 1, (n, 1))
         t = rng.uniform(interval[0], interval[1], n)
         phi = tc.picard_numeric(field, interval, w, y, 1, time_grid=4096)
-        assert np.abs(slab.at_times(t, w, y) - phi(t)).max() <= tau
+        assert np.abs(at_times(slab, t, w, y) - phi(t)).max() <= tau
 
     def test_one_step_bound_formula(self):
         prob = cosine_problem(d_y=2)
@@ -343,7 +378,7 @@ class TestSlabNet:
         w = rng.uniform(0, 1, (len(t), 1))
         y = rng.uniform(-1, 1, (len(t), 2))
         np.testing.assert_allclose(
-            slab.at_times(t, w, y), naive_slab_eval(slab, t, w, y), atol=1e-12
+            at_times(slab, t, w, y), naive_slab_eval(slab, t, w, y), atol=1e-12
         )
 
     @pytest.mark.parametrize("general", [False, True], ids=["affine", "general"])
@@ -444,7 +479,7 @@ class TestFusedSweep:
         w = rng.uniform(prob.eval_box[:, 0], prob.eval_box[:, 1], (n, prob.m))
         y = rng.uniform(-1, 1, (n, prob.d_y))
         np.testing.assert_allclose(
-            slab.at_times(t, w, y), naive_slab_eval(slab, t, w, y), rtol=0, atol=1e-12
+            at_times(slab, t, w, y), naive_slab_eval(slab, t, w, y), rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -466,9 +501,12 @@ class TestFusedSweep:
         prob = make_problem()
         net = tc.build_char_net(prob, eps)
         slab = net.slabs[0]
-        step = int(tc.BLOCK_BYTES // (8 * slab.row_floats))
+        step = slab.block_rows()
         n = 2 * step + 3  # three row blocks in slab 0, the last one partial
         t, x, y = prob.sample_inputs(n, seed=21)
+        # rows that end in slab 0 at different cells: the first block
+        # sweeps further than most of its rows read
+        t[:step] = np.linspace(*net.grid.slab(0), step, endpoint=False)
         got = net.eval(t, x, y)
         for r in range(n):
             one = slice(r, r + 1)
@@ -613,7 +651,7 @@ class TestFusedSweep:
                 V = plan(Z).copy()
                 S = np.cumsum(V, axis=1)
                 Z = u[:, None, :] + (S - 0.5 * V)
-            got_V, got_S = slab._forward(u, y)
+            got_V, got_S = slab._forward(u, y, slab.q)
             np.testing.assert_array_equal(got_V, V)
             np.testing.assert_array_equal(got_S, S)
 
@@ -642,23 +680,24 @@ class TestFusedSweep:
         slab._sweep_plan = recording
         n = 5
         w = rng.uniform(0, 1, (n, 1))
-        slab._forward(slab._states(w), rng.uniform(-1, 1, (n, prob.d_y)))
+        slab._forward(slab._states(w), rng.uniform(-1, 1, (n, prob.d_y)), slab.q)
         assert states == [1 if shared else slab.q] + [slab.q] * (slab.mu - 1)
 
     def test_eval_memory_bounded(self):
-        assert_eval_memory_bounded(affine_m1_dy4_problem(), 0.1, (1000, 8000))
+        assert_eval_memory_bounded(config_problem("affine_m1_dy4"), 0.1, (1000, 8000))
 
     def test_eval_memory_bounded_m2(self):
         assert_eval_memory_bounded(cosine_problem_m2(), 0.4, (500, 4000))
 
 
-def assert_eval_memory_bounded(prob, eps, sizes):
+def assert_eval_memory_bounded(prob, eps, sizes, build=tc.build_char_net):
     """Peak traced memory of an eval barely grows from n = sizes[0] to
     sizes[1]: unbounded row blocks would hold sweep temporaries of
-    (rows, q, point width) floats, tens of MB at the larger size."""
+    (rows, q, point width) floats, tens of MB at the larger size, and a
+    solution net's unchunked backward chain q_src + 1 feet per query."""
     import tracemalloc
 
-    net = tc.build_char_net(prob, eps)
+    net = build(prob, eps)
     peaks = []
     for n in sizes:
         t, x, y = prob.sample_inputs(n, seed=3)
@@ -669,6 +708,125 @@ def assert_eval_memory_bounded(prob, eps, sizes):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 4 * 2**20
+
+
+class TestCausalTruncation:
+    """A row sweeps only the cells that its gated times read."""
+
+    @pytest.mark.parametrize(
+        "make_problem, eps",
+        [
+            (lambda: cosine_problem(d_y=2), 0.1),
+            (cosine_problem_m2, 0.4),
+            (time_dependent_problem, 0.4),
+            (
+                lambda: tc.TransportProblem(
+                    TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]]
+                ),
+                0.2,
+            ),
+            (
+                lambda: tc.TransportProblem(
+                    TestGeneralConvection.make_general(L_t=0.5), 1.0, [[0.0, 1.0]]
+                ),
+                0.4,
+            ),
+        ],
+        ids=["s1_shared", "s2_shared", "s1_per_cell", "general_shared", "general_per_cell"],
+    )
+    def test_matches_full_sweeps(self, rng, make_problem, eps):
+        prob = make_problem()
+        net = tc.build_char_net(prob, eps)
+        assert net.grid.K >= 2
+        # 0, T_hat, the junctions, cell boundaries of every slab, and random
+        edges = [edge_times(slab.interval, slab.q)[:5] for slab in net.slabs]
+        special = np.concatenate([[0.0, prob.T_hat], net.grid.junctions(), *edges])
+        t = np.concatenate([special, rng.uniform(0.0, prob.T_hat, 20)])
+        n = len(t)
+        x = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
+        y = rng.uniform(-1, 1, (n, prob.d_y))
+        np.testing.assert_array_equal(net.eval(t, x, y), full_sweep_eval(net, t, x, y))
+        times = np.stack([t, rng.permutation(t), rng.uniform(0.0, prob.T_hat, n)])
+        np.testing.assert_array_equal(
+            net.eval(times, x, y), full_sweep_eval(net, times, x, y)
+        )
+
+    @pytest.mark.parametrize(
+        "make_problem, tau",
+        [
+            (lambda: cosine_problem(d_y=2), 0.02),
+            (cosine_problem_m2, 0.05),
+            (time_dependent_problem, 0.05),
+        ],
+        ids=["s1_shared", "s2_shared", "s1_per_cell"],
+    )
+    def test_sweeps_stop_at_last_gated_cell(self, rng, make_problem, tau):
+        prob = make_problem()
+        grid = tc.macro_grid(1.0, prob.convection.norm)
+        slab = tc.build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
+        (lo, hi), q = slab.interval, slab.q
+        n, step = 60, 7  # blocks of 7 rows, the last one partial
+        times = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (2, n))
+        edges = edge_times(slab.interval, q)
+        times[0, : len(edges)] = edges
+        mask = rng.uniform(size=(2, n)) < 0.6
+        carry = rng.uniform(size=n) < 0.3
+        w = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
+        y = rng.uniform(-1, 1, (n, prob.d_y))
+        # J, the last cell a row's gated times read, and the cells it needs
+        last = np.where(mask, tc.ramp_cell(times, lo, slab.cell, q)[0], -1).max(axis=0)
+        need = np.where(carry, q, last + 1)
+        assert (need == 0).any() and (need == q).any()
+        assert np.count_nonzero((need > 0) & (need < q)) > 2 * step
+
+        row_of = {tuple(u): r for r, u in enumerate(slab._states(w))}
+        forward, calls = slab._forward, []
+
+        def recording(u, y, p):
+            calls.append(([row_of[tuple(s)] for s in u], p))
+            return forward(u, y, p)
+
+        slab._forward = recording
+        slab.block_rows = lambda: step
+        got = slab.eval_with_junction(times, w, y, mask, carry)
+        # the rows that read a cell are swept once, in blocks ordered by
+        # need, each sweeping the largest need among its rows
+        swept = [r for rows, _ in calls for r in rows]
+        assert sorted(swept) == list(np.flatnonzero(need > 0))
+        assert [len(rows) for rows, _ in calls[:-1]] == [step] * (len(calls) - 1)
+        assert [p for _, p in calls] == [need[rows].max() for rows, _ in calls]
+        for (a, _), (b, _) in zip(calls, calls[1:]):
+            assert need[a].max() <= need[b].min()
+
+        # a row alone in its block: a terminal row sweeps J + 1 cells, a
+        # carried row all q, and its values are those of the shared block
+        calls.clear()
+        slab.block_rows = lambda: 1
+        alone = slab.eval_with_junction(times, w, y, mask, carry)
+        for (row,), p in calls:
+            assert p == (q if carry[row] else last[row] + 1)
+        for a, b in zip(got, alone):
+            np.testing.assert_array_equal(a, b)
+
+    def test_block_rows(self):
+        # an m >= 2 affine block holds at least MIN_STATES quadrature
+        # states; the m = 1 slabs of the ladder and the solution configs,
+        # and general slabs, keep the bytes rule
+        def bytes_rule(slab):
+            return max(1, int(tc.BLOCK_BYTES // (8 * slab.row_floats)))
+
+        for eps in (0.4, 0.2):
+            slab = tc.build_char_net(cosine_problem_m2(), eps).slabs[0]
+            floor = -(-tc.MIN_STATES // slab.q)
+            assert slab.block_rows() == floor > bytes_rule(slab)
+        ladder = tc.build_char_net(config_problem("affine_m1_dy4"), 0.05).slabs[0]
+        solution = tc.build_solution_net(config_problem("solution_affine"), 0.1)
+        back = solution.back_net.slabs[0]
+        assert [ladder.block_rows(), back.block_rows()] == [20, 6]
+        assert [bytes_rule(ladder), bytes_rule(back)] == [20, 6]
+        prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
+        general = tc.build_char_net(prob, 0.2).slabs[0]
+        assert general.block_rows() == bytes_rule(general) < -(-tc.MIN_STATES // general.q)
 
 
 class TestRhoGateSize:
@@ -728,7 +886,7 @@ class TestCharNetwork:
         seeds = junction_values(net, x, y)
         for k in range(1, net.grid.K):
             lo = net.grid.slab(k)[0]
-            vals = net.slabs[k].at_times(np.full(50, lo), seeds[k], y)
+            vals = at_times(net.slabs[k], np.full(50, lo), seeds[k], y)
             np.testing.assert_array_equal(vals, seeds[k])
 
     @pytest.mark.parametrize("kind", ["char", "solution"])
@@ -946,7 +1104,7 @@ class TestGeneralConvection:
         n = 200
         w = rng.uniform(0, 1, (n, 1))
         y = rng.uniform(-1, 1, (n, 2))
-        slab.at_times(rng.uniform(*grid.slab(0), n), w, y)
+        at_times(slab, rng.uniform(*grid.slab(0), n), w, y)
         assert calls == [n] * (slab.mu * slab.q)
 
     def test_normalization_rejected(self):
@@ -1038,6 +1196,27 @@ class TestSolutionNetwork:
             ref = per_node_eval_parts(net, t, x, y)
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-12)
+
+    def test_eval_memory_bounded(self):
+        # the backward chain holds q_src + 1 feet per query; chunks of
+        # queries keep the peak from growing with n
+        assert_eval_memory_bounded(
+            config_problem("solution_affine"), 0.1, (500, 4000), tc.build_solution_net
+        )
+
+    def test_chunks_match_one_chain(self, monkeypatch):
+        # a query's values do not depend on the chunk it lands in
+        prob = cosine_problem(
+            d_y=2,
+            u0_spec={"kind": "hat", "center": 0.5, "width": 1.0},
+            f_spec={"kind": "ramp-t", "base": 0.5, "x_coeff": 0.25, "t_coeff": 0.25},
+        )
+        net = tc.build_solution_net(prob, 0.2)
+        t, x, y = prob.sample_inputs(50, seed=15)
+        whole = net.eval_parts(t, x, y)
+        monkeypatch.setattr(tc, "CHAIN_FEET", 7 * (net.q_src + 1))
+        for a, b in zip(net.eval_parts(t, x, y), whole):
+            np.testing.assert_array_equal(a, b)
 
     def test_report_carries_budget(self):
         comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
