@@ -258,25 +258,30 @@ def square_values(x, n):
 
 
 def product_values(v, n):
-    """Elementwise values of :func:`product_net` over the last axis of ``v``.
+    """Elementwise values of :func:`product_net` over the factors ``v``.
 
-    ``v`` (..., s) are the factors; ``n`` is the sawtooth depth
+    ``v`` is a sequence of the s factors, arrays that broadcast together
+    (the rows of an (s, ...) array are one); ``n`` is the sawtooth depth
     :func:`product_depth_param` picks.  The twin of the net's layers:
     clamp to [0, 1], then a pairwise tree of products
     S((a + b) / 2) - S(|a - b| / 2) with S = :func:`square_values`, an
     odd last factor passed through to the next level.  A zero factor
     makes the product exactly zero, because both square arguments of
-    its pair coincide.
+    its pair coincide.  Factors that vary along different axes give the
+    outer product: each pair is formed once per combination of its two
+    factors, and every element sees the same operations.
     """
-    v = np.minimum(np.maximum(v, 0.0), 1.0)
-    while v.shape[-1] > 1:
-        a, b = v[..., 0:-1:2], v[..., 1::2]
-        prod = square_values((a + b) * 0.5, n)
-        prod -= square_values(np.abs(a - b) * 0.5, n)
-        if v.shape[-1] % 2:
-            prod = np.concatenate([prod, v[..., -1:]], axis=-1)
-        v = prod
-    return v[..., 0]
+    v = [np.minimum(np.maximum(f, 0.0), 1.0) for f in v]
+    while len(v) > 1:
+        level = []
+        for a, b in zip(v[0::2], v[1::2]):
+            prod = square_values((a + b) * 0.5, n)
+            prod -= square_values(np.abs(a - b) * 0.5, n)
+            level.append(prod)
+        if len(v) % 2:
+            level.append(v[-1])
+        v = level
+    return v[0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +506,22 @@ class KnotLookup:
 
 
 class TableStack:
-    """L tables (L,) + ``net.table.shape`` + trailing of nets with
-    ``net``'s grid and sawtooth depth, for s = 1 with their knot slopes.
+    """L tables (L,) + ``net.table.shape`` of nets with ``net``'s grid and
+    sawtooth depth.
 
+    The tables are held entry-major, as one row (1, L * table size) of
+    the L tables one after another, for s = 1 with its knot slopes.
     Called with points ``u`` (p, s) in grid units and table indices
-    ``which`` (p,), it gives point r's hat sum in table ``which[r]``.
+    ``which`` (p,), it gives point r's hat sum in table ``which[r]``: a
+    :class:`KnotLookup` for s = 1, :meth:`InterpolantNet.weighted_sum`
+    for s >= 2.
     """
 
     def __init__(self, net, tables, slopes=None):
         self.net = net
-        self.tables = tables
+        self.values = tables.reshape(1, -1)
         if net.s == 1:
-            self.values = tables.reshape((-1,) + tables.shape[2:])
-            self.slopes = knot_slopes(self.values) if slopes is None else slopes
+            self.slopes = knot_slopes(self.values[0]) if slopes is None else slopes
 
     @classmethod
     def of(cls, nets):
@@ -525,10 +533,10 @@ class TableStack:
     def __call__(self, u, which):
         net = self.net
         if net.s > 1:
-            return net.weighted_sum(u, self.tables, which)
-        starts = which * self.tables.shape[1]
-        out = np.empty((len(u),) + self.values.shape[1:])
-        return KnotLookup(net.grid, self.values, self.slopes, starts)(u[:, 0], out)
+            return net.weighted_sum(np.ascontiguousarray(u.T), self.values, which)[0]
+        starts = which * net.table.size
+        out = np.empty(len(u))
+        return KnotLookup(net.grid, self.values[0], self.slopes, starts)(u[:, 0], out)
 
 
 class InterpolantNet:
@@ -563,13 +571,16 @@ class InterpolantNet:
             if delta_inner is None:
                 raise ValueError("s >= 2 interpolants need delta_inner")
             self.sawtooth_depth = product_depth_param(grid.s, delta_inner)
-            # a cell's low and high node are cell + steps; its corner c
-            # takes node bits[c, j] on axis j; offsets[j] steps axis j of
-            # a C-order table
-            self._steps = np.array([[0.0], [1.0]])
-            self._bits = np.array(list(np.ndindex(*(2,) * grid.s)), dtype=np.intp)
-            self._axes = np.arange(grid.s)
-            self._offsets = (grid.q + 1) ** self._axes[::-1]
+            # a cell's low and high node on each axis are cell + steps;
+            # offsets[j] steps axis j of a C-order table; corner
+            # (b_0, ..., b_{s-1}) of a cell is entry (b_0, ..., b_{s-1}) of
+            # a (2,) * s array, to which axis j's two nodes broadcast
+            # along axis j
+            self._steps = np.array([0.0, 1.0])[:, None, None]
+            self._offsets = (grid.q + 1) ** np.arange(grid.s)[::-1, None]
+            self._corner_axes = [
+                tuple(2 if k == j else 1 for k in range(grid.s)) for j in range(grid.s)
+            ]
 
     @property
     def in_dim(self):
@@ -582,10 +593,11 @@ class InterpolantNet:
     def point_floats(self, entries=1):
         """Floats per point of the largest temporary of one evaluation.
 
-        ``entries`` is the number of values each table entry holds (the
-        product of the trailing axes).  For s >= 2 that temporary has one
-        row per cell corner: the (2^s, s) hat factors or the 2^s gathered
-        entries; for s = 1 it is one entry per point.
+        ``entries`` is the number of values each table entry holds, E of
+        :meth:`weighted_sum`.  For s = 1 that temporary is one entry per
+        point.  For s >= 2 the largest are the corners' gathered entries,
+        E * 2^s per point, and the product tree's corner arrays, 2^s per
+        point; the count, 2^s * max(s, entries), bounds both.
         """
         if self.s == 1:
             return entries
@@ -603,44 +615,51 @@ class InterpolantNet:
         return out[0] if single else out
 
     def weighted_sum(self, u, tables, lead=None):
-        """Hat sums sum_node tables[lead, node] * hat_node(u), s >= 2.
+        """Hat sums sum_node tables[e, lead * table size + node] * hat_node(u),
+        s >= 2.
 
-        ``u`` (n, s) are points in grid units of this net's grid
-        (:meth:`GridSpec.to_grid`).  ``tables`` has shape (L,) +
-        ``table.shape`` + trailing axes: L coefficient tables laid out
-        like :attr:`table`, whose entries may be blocks of values, one
-        per interpolant sharing this grid and ``sawtooth_depth``.  Point
-        r reads table ``lead[r]`` (table 0 if ``lead`` is None).  Returns
-        (n,) + trailing axes.
+        ``u`` (s, n) are n points in grid units of this net's grid
+        (:meth:`GridSpec.to_grid`), axis-major.  ``tables`` (E, L *
+        table size) holds L coefficient tables laid out like
+        :attr:`table`, one after another, entry-major: row e is entry e
+        of every node of every table, one per interpolant sharing this
+        grid and ``sawtooth_depth``.  Point r reads table ``lead[r]``
+        (table 0 if ``lead`` is None).  Returns (E, n).
 
         The hats active at a point are those of its cell's 2^s corners,
-        all evaluated in one pass: the per-axis hat factors 1 - |u - node|
-        of the cell's two nodes, zero for a node off the grid, then one
-        :func:`product_values` over the corners' factors (the template's
-        closed form, so a zero factor gives an exact zero), one gather of
-        the corners' entries (at node indices clipped to the grid) and
-        one contraction.  s = 1 nets are looked up by :class:`KnotLookup`
-        instead.
+        all evaluated in one pass, each array running along the points:
+        the hat factors 1 - |u - node| of each axis's low and high node,
+        zero for a node off the grid, (2, s, n); one
+        :func:`product_values` over the axes' factors, which broadcast to
+        the corners' hats (2^s, n) (the template's closed form, so a zero
+        factor gives an exact zero); the corners' table indices (2^s, n)
+        at node indices clipped to the grid; one gather (E, 2^s, n); and
+        the corners' products summed in corner order 0, ..., 2^s - 1.
+        s = 1 nets are looked up by :class:`KnotLookup` instead.
         """
-        n, s = u.shape
+        s, n = u.shape
         cell = np.floor(u)
-        # (n, 2, s): the hat factors, 1 - frac and frac, and the nodes of
-        # the low and the high node
-        factor = np.empty((n, 2, s))
-        np.subtract(u, cell, out=factor[:, 1])
-        np.subtract(1.0, factor[:, 1], out=factor[:, 0])
-        node = cell[:, None, :] + self._steps
+        factor = np.empty((2, s, n))
+        np.subtract(u, cell, out=factor[1])
+        np.subtract(1.0, factor[1], out=factor[0])
+        node = cell + self._steps
         index = np.minimum(np.maximum(node, 0.0), self.grid.q)
         factor *= index == node
         index = index.astype(np.intp) * self._offsets
-        # (n, 2^s): the corners' hat values and table indices
-        hats = product_values(factor[:, self._bits, self._axes], self.sawtooth_depth)
-        index = index[:, self._bits, self._axes].sum(axis=-1)
+        # axis j's two nodes broadcast along axis j of the corners
+        along = [a + (n,) for a in self._corner_axes]
+        hats = product_values(
+            [factor[:, j].reshape(along[j]) for j in range(s)], self.sawtooth_depth
+        ).reshape(2**s, n)
+        corner = sum(index[:, j].reshape(along[j]) for j in range(s)).reshape(2**s, n)
         if lead is not None:
-            index += (lead * self.table.size)[:, None]
-        trailing = tables.shape[s + 1 :]
-        coeff = tables.reshape((-1,) + trailing).take(index, axis=0)
-        return np.einsum("nc,nc...->n...", hats, coeff)
+            corner += lead * self.table.size
+        coeff = tables.take(corner, axis=1)
+        coeff *= hats
+        out = np.zeros((len(tables), n))
+        for c in range(2**s):
+            out += coeff[:, c]
+        return out
 
     # -- exact structural accounting -------------------------------------
 

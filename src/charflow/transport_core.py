@@ -401,10 +401,10 @@ def _field_on_grid(field, xs, Z, y):
 # made a few times per sweep, not in each of the q evaluations.
 #
 # An affine block also holds at least MIN_STATES quadrature states.  An
-# m >= 2 sweep is some 30 ufunc calls per pass, and at the few rows the
+# m = 2 sweep is some 60 numpy calls per pass, and at the few rows the
 # bytes rule allows it (6 rows of q = 76 states on a 2-D field) their
 # call overhead outweighs the arithmetic: 27 rows of the same field
-# evaluate 1.5x faster.  On the m = 1 slabs measured the bytes rule
+# evaluate 2x faster.  On the m = 1 slabs measured the bytes rule
 # gives more rows than the floor.  Neither bound depends on the number
 # of rows evaluated, so memory stays bounded.
 BLOCK_BYTES = 64 * 1024
@@ -598,12 +598,17 @@ class SlabInterpolants:
     subinterval i.  All share one grid on the evaluation box, whose units
     the sweep states keep, so one sweep visits the active hats once for
     every interpolant.  Components of one sawtooth depth, which is all
-    a lookup reads of a net besides the grid, form a group; its
-    coefficient tables are stacked to shape
-    (subintervals,) + table shape + (m, group size), or to
-    (group size,) + table shape + (m,) for a group that is contracted
-    with the row weights before the lookup.  :meth:`plan` makes the
-    sweep of one row block.
+    a lookup reads of a net besides the grid, form a group of k
+    components, whose coefficient tables are stacked once, here.  For
+    m >= 2 they are entry-major, as
+    :meth:`lip_interp.InterpolantNet.weighted_sum` reads them: shape
+    (k * m, L * table size), row j * m + c holding the tables of output c
+    of the group's component j over the L subintervals, one after
+    another; or (k, m, table size) for a group that is contracted with
+    the row weights before the lookup.  For m = 1 a :class:`KnotLookup`
+    reads them as knot rows: (L, table size, 1, k), or (k, table size,
+    1) for a contracted group.  :meth:`plan` makes the sweep of one
+    row block.
     """
 
     def __init__(self, conv, subintervals, eval_box, delta, q):
@@ -632,30 +637,30 @@ class SlabInterpolants:
         by_depth = {}
         for j, per_j in enumerate(self.nets):
             by_depth.setdefault(per_j[0][0].sawtooth_depth, []).append(j)
-        m, s = conv.m, self.grid.s
+        m, s, L = conv.m, self.grid.s, len(subintervals)
         self.groups = []
         self.point_width = float(m)
         for js in by_depth.values():
             net = self.nets[js[0]][0][0]
+            # (k, m, L) + table shape
             tables = np.array(
-                [
-                    [[self.nets[j][i][c].table for j in js] for c in range(m)]
-                    for i in range(len(subintervals))
-                ]
+                [[[self.nets[j][i][c].table for i in range(L)] for c in range(m)] for j in js]
             )
-            tables = np.ascontiguousarray(np.moveaxis(tables, (1, 2), (-2, -1)))
             # A shared table is contracted with the row weights before the
             # lookup when a row's combined table is smaller than the
             # coefficients its q states would gather at the 2^s corners.
-            per_table = tables[0].size // len(js)
-            first = len(subintervals) == 1 and per_table < 2**s * q * m
-            if first:
-                tables = np.ascontiguousarray(np.moveaxis(tables[0], -1, 0))
-            self.groups.append((net, tables, js, first))
-            if s == 1 and not first:
+            per_table = m * net.table.size
+            first = L == 1 and per_table < 2**s * q * m
+            if s > 1:
+                tables = tables.reshape((len(js), m, -1) if first else (len(js) * m, -1))
+            elif first:
+                tables = tables.reshape(len(js), -1, 1)
+            else:
                 # knot rows of all subintervals, with their slopes
-                values = tables.reshape(-1, len(js))
+                values = np.ascontiguousarray(tables.reshape(len(js), -1).T)
                 self.knots = values, lip_interp.knot_slopes(values)
+                tables = values.reshape(L, -1, 1, len(js))
+            self.groups.append((net, tables, js, first))
             # a contracted group's per-row table counts per state too
             entries = m if first else m * len(js)
             self.point_width = max(
@@ -681,6 +686,17 @@ class SlabInterpolants:
         each sweep is one pass.  What depends on p is made on the first
         call with that p.  For s = 1 the returned V is one buffer per p,
         rewritten by every call.
+
+        For m >= 2 a sweep transposes the states once, to (m, n p), so
+        that every array of the lookup runs along the states.  A
+        contracted group's lookup reads each state's row table, made here
+        by one einsum in entry-major order, (m, n * table size), and gives
+        the increments.  Any other group's lookup gives the k * m values
+        (k, m, n, p) of its k components' interpolants, read from the
+        state's cell's table if the tables are per cell; the row weights
+        (k, m, n, 1) then multiply them and are summed over j in the
+        order of j, for all output axes at once.  The groups' sums
+        (m, n, p) are returned as a view (n, p, m).
         """
         n, m = len(weights), self.grid.s
         scale = cell / self.grid.spacing
@@ -690,22 +706,27 @@ class SlabInterpolants:
         for net, tables, js, first in self.groups:
             w = weights[:, None, js] * scale[:, None]
             if first:
-                steps.append((net, np.einsum("rak,k...a->r...a", w, tables), None))
+                per_row = np.einsum("rak,kat->art", w, tables).reshape(m, -1)
+                steps.append((net, per_row, None))
             else:
-                steps.append((net, tables, w))
+                steps.append((net, tables, np.ascontiguousarray(w.T)[..., None]))
 
         def sweep(Z):
             p = Z.shape[1]
-            u = Z.reshape(n * p, m)
+            u = np.ascontiguousarray(Z.reshape(n * p, m).T)
             V = None
             for net, tables, w in steps:
                 lead = self._table_of_state(n, p, w is None)
-                vals = net.weighted_sum(u, tables, lead)
-                if w is not None:
-                    vals = np.einsum("npak,nak->npa", vals.reshape(n, p, m, -1), w)
-                vals = vals.reshape(n, p, m)
+                vals = net.weighted_sum(u, tables, lead).reshape(-1, m, n, p)
+                if w is None:
+                    vals = vals[0]
+                else:
+                    weighted = np.zeros((m, n, p))
+                    for wj, vj in zip(w, vals):
+                        weighted += vj * wj
+                    vals = weighted
                 V = vals if V is None else V + vals
-            return V
+            return V.transpose(1, 2, 0)
 
         return sweep
 

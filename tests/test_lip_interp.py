@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,7 +130,7 @@ class TestClosedForm:
     def test_mult2(self, n, rng):
         uv = closed_form_points(rng, n, 2)
         np.testing.assert_allclose(
-            li.product_values(uv, n), li.mult2_net(n).eval(uv)[:, 0], rtol=0, atol=1e-12
+            li.product_values(uv.T, n), li.mult2_net(n).eval(uv)[:, 0], rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5])
@@ -136,14 +138,14 @@ class TestClosedForm:
     def test_product_values(self, s, delta, rng):
         n = li.product_depth_param(s, delta)
         v = closed_form_points(rng, 6, s)
-        got = li.product_values(v, n)
+        got = li.product_values(v.T, n)
         np.testing.assert_allclose(got, li.product_net(s, delta).eval(v)[:, 0], rtol=0, atol=1e-12)
         # the zero faces give a literal zero, the net only rounding dust
         assert np.all(got[np.any(v == 0.0, axis=1)] == 0.0)
         # the net clamps its inputs to [0, 1] first
         wide = rng.uniform(-0.5, 1.5, (300, s))
         np.testing.assert_allclose(
-            li.product_values(wide, n), li.product_net(s, delta).eval(wide)[:, 0],
+            li.product_values(wide.T, n), li.product_net(s, delta).eval(wide)[:, 0],
             rtol=0, atol=1e-12,
         )
 
@@ -314,6 +316,63 @@ def template_walk(net, u, tables, lead=None):
     return out
 
 
+def row_major_weighted_sum(net, u, tables, lead=None):
+    """Reference for InterpolantNet.weighted_sum in the row-major layout:
+    points ``u`` (n, s), tables (L,) + table shape + trailing, a result
+    (n,) + trailing, and every array with its short corner and axis
+    dimensions innermost.  The corners' products are summed in corner
+    order, as the lookup documents."""
+    n, s = u.shape
+    q = net.grid.q
+    bits = np.array(list(np.ndindex(*(2,) * s)), dtype=np.intp)
+    axes = np.arange(s)
+    offsets = (q + 1) ** axes[::-1]
+    cell = np.floor(u)
+    # (n, 2, s): the hat factors, 1 - frac and frac, and the nodes of
+    # the low and the high node
+    factor = np.empty((n, 2, s))
+    np.subtract(u, cell, out=factor[:, 1])
+    np.subtract(1.0, factor[:, 1], out=factor[:, 0])
+    node = cell[:, None, :] + np.array([[0.0], [1.0]])
+    index = np.minimum(np.maximum(node, 0.0), q)
+    factor *= index == node
+    index = index.astype(np.intp) * offsets
+    # (n, 2^s): the corners' hat values and table indices
+    hats = li.product_values(np.moveaxis(factor[:, bits, axes], -1, 0), net.sawtooth_depth)
+    index = index[:, bits, axes].sum(axis=-1)
+    if lead is not None:
+        index += (lead * net.table.size)[:, None]
+    trailing = tables.shape[s + 1 :]
+    coeff = tables.reshape((-1,) + trailing).take(index, axis=0)
+    hats = hats.reshape(hats.shape + (1,) * len(trailing))
+    out = np.zeros((n,) + trailing)
+    for c in range(2**s):
+        out += hats[:, c] * coeff[:, c]
+    return out
+
+
+def entry_major_weighted_sum(net, u, tables, lead=None):
+    """InterpolantNet.weighted_sum on the row-major arguments of
+    :func:`row_major_weighted_sum`, with the result in its layout."""
+    trailing = tables.shape[net.s + 1 :]
+    entries = np.ascontiguousarray(tables.reshape(-1, math.prod(trailing)).T)
+    out = net.weighted_sum(np.ascontiguousarray(u.T), entries, lead)
+    return out.T.reshape((len(u),) + trailing)
+
+
+def weighted_sum_points(rng, s, q):
+    """Points in grid units: inside cells, on cell faces, on nodes, on the
+    grid boundary, on the boundary hat ramps, and far beyond them last."""
+    inside = rng.uniform(0, q, (300, s))
+    faces = inside.copy()
+    faces[:100, 0] = np.round(faces[:100, 0])  # on a cell face
+    faces[100:200] = np.round(faces[100:200])  # on a node
+    faces[200:, -1] = rng.choice([0.0, q], 100)  # on the grid boundary
+    ramps = rng.uniform(-1.5, q + 1.5, (300, s))  # the boundary hat ramps
+    far = rng.choice([-1.0, 1.0], (50, s)) * rng.uniform(q + 1, 1e6, (50, s))
+    return np.concatenate([inside, faces, ramps, far])
+
+
 class TestWeightedSum:
     @pytest.mark.parametrize("s,q,delta", [(2, 6, 1e-3), (3, 3, 1e-2), (4, 2, 1e-7)])
     @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)], ids=["one", "contracted", "weighted_after"])
@@ -322,23 +381,33 @@ class TestWeightedSum:
             li.GridSpec(s, q), rng.standard_normal((q + 1,) * s), delta_inner=delta
         )
         tables = rng.standard_normal((3,) + (q + 1,) * s + trailing)
-        inside = rng.uniform(0, q, (300, s))
-        faces = inside.copy()
-        faces[:100, 0] = np.round(faces[:100, 0])  # on a cell face
-        faces[100:200] = np.round(faces[100:200])  # on a node
-        faces[200:, -1] = rng.choice([0.0, q], 100)  # on the grid boundary
-        ramps = rng.uniform(-1.5, q + 1.5, (300, s))  # the boundary hat ramps
-        far = rng.choice([-1.0, 1.0], (50, s)) * rng.uniform(q + 1, 1e6, (50, s))
-        u = np.concatenate([inside, faces, ramps, far])
+        u = weighted_sum_points(rng, s, q)
         lead = rng.integers(0, 3, len(u))
         for which in (None, lead):
-            got = net.weighted_sum(u, tables, which)
+            got = entry_major_weighted_sum(net, u, tables, which)
             assert got.shape == (len(u),) + trailing
             np.testing.assert_allclose(
                 got, template_walk(net, u, tables, which), rtol=0, atol=1e-12
             )
             # past the boundary hat ramps every corner is off the grid
             assert np.all(got[-50:] == 0.0)
+
+    @pytest.mark.parametrize("s,q,delta", [(2, 6, 1e-3), (3, 3, 1e-2), (4, 2, 1e-7)])
+    @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)], ids=["one", "contracted", "weighted_after"])
+    def test_matches_row_major_reference(self, s, q, delta, trailing, rng):
+        # the axis-major lookup makes every element's float operations of
+        # the row-major one, in the same order: equal bit for bit
+        net = li.InterpolantNet(
+            li.GridSpec(s, q), rng.standard_normal((q + 1,) * s), delta_inner=delta
+        )
+        tables = rng.standard_normal((3,) + (q + 1,) * s + trailing)
+        u = weighted_sum_points(rng, s, q)
+        lead = rng.integers(0, 3, len(u))
+        for which in (None, lead):
+            np.testing.assert_array_equal(
+                entry_major_weighted_sum(net, u, tables, which),
+                row_major_weighted_sum(net, u, tables, which),
+            )
 
 
 class TestTemplateCounts:

@@ -34,6 +34,19 @@ def cosine_problem_m2(u0_spec=None, f_spec=None):
     return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]], u0=u0, f=f)
 
 
+def cosine_problem_m3():
+    """m = 3: eight cell corners, and an odd last factor that the product
+    tree passes through a level."""
+    comps = [
+        catalog.make_component(
+            {"kind": "cosine", "amp": 1.0, "freq": 0.2, "phase": 0.7 * j}, m=3
+        )
+        for j in range(2)
+    ]
+    conv = tc.AffineConvection(3, 2, [0.5, 0.5], comps)
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0]] * 3)
+
+
 def config_problem(stem):
     """The problem of configs/<stem>.json."""
     import json
@@ -54,6 +67,20 @@ def time_dependent_problem():
     ]
     conv = tc.AffineConvection(1, 2, [0.5, 0.5], comps)
     return tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
+
+
+def time_dependent_problem_m2():
+    """m = 2 affine field that moves in t: per-cell tables, each state
+    reading its cell's table."""
+    comps = [
+        catalog.FieldComponent(
+            lambda t, x, ph=ph: np.cos(0.2 * x + ph + 0.2 * np.asarray(t)[:, None]),
+            m=2, sup=1.0, lip_x=0.2, lip_t=0.2, time_independent=False,
+        )
+        for ph in (0.0, 0.7)
+    ]
+    conv = tc.AffineConvection(2, 2, [0.5, 0.5], comps)
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def constant_problem_m2():
@@ -464,8 +491,10 @@ class TestFusedSweep:
             (cosine_problem_m2, 0.2, False),
             (time_dependent_problem, 0.1, False),
             (constant_problem_m2, 0.2, True),
+            (cosine_problem_m3, 0.2, False),
+            (time_dependent_problem_m2, 0.2, False),
         ],
-        ids=["s2_shared", "s1_per_cell", "s2_one_cell"],
+        ids=["s2_shared", "s1_per_cell", "s2_one_cell", "s3_shared", "s2_per_cell"],
     )
     def test_naive_reference_agreement(self, rng, make_problem, tau, contract_first):
         prob = make_problem()
@@ -494,8 +523,10 @@ class TestFusedSweep:
                 ),
                 0.2,
             ),
+            (cosine_problem_m3, 0.6),
+            (time_dependent_problem_m2, 0.6),
         ],
-        ids=["s1_shared", "s2_shared", "s1_per_cell", "general_shared"],
+        ids=["s1_shared", "s2_shared", "s1_per_cell", "general_shared", "s3_shared", "s2_per_cell"],
     )
     def test_rows_independent_of_blocks(self, make_problem, eps):
         prob = make_problem()
@@ -622,9 +653,11 @@ class TestFusedSweep:
                 ),
                 0.1,
             ),
+            (cosine_problem_m3, 0.2),
         ],
         ids=[
-            "s1_contracted", "s1_shared_table", "s2_shared", "s2_contracted", "general_shared"
+            "s1_contracted", "s1_shared_table", "s2_shared", "s2_contracted", "general_shared",
+            "s3_shared",
         ],
     )
     def test_seed_sweep_matches_q_copies(self, rng, make_problem, tau):
@@ -731,8 +764,13 @@ class TestCausalTruncation:
                 ),
                 0.4,
             ),
+            (cosine_problem_m3, 0.4),
+            (time_dependent_problem_m2, 0.6),
         ],
-        ids=["s1_shared", "s2_shared", "s1_per_cell", "general_shared", "general_per_cell"],
+        ids=[
+            "s1_shared", "s2_shared", "s1_per_cell", "general_shared", "general_per_cell",
+            "s3_shared", "s2_per_cell",
+        ],
     )
     def test_matches_full_sweeps(self, rng, make_problem, eps):
         prob = make_problem()
