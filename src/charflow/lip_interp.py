@@ -443,12 +443,12 @@ class GridTooCoarse(ValueError):
 # Lipschitz-stable interpolant networks
 
 
-def knot_slopes(values):
-    """Differences values[l + 1] - values[l] along axis 0.
+def knot_slopes(values, out=None):
+    """Differences values[l + 1] - values[l] along axis 0, in ``out`` if given.
 
     The last entry, which no lookup reads, is zero.
     """
-    slopes = np.empty_like(values)
+    slopes = np.empty_like(values) if out is None else out
     np.subtract(values[1:], values[:-1], out=slopes[:-1])
     slopes[-1] = 0.0
     return slopes
@@ -462,7 +462,8 @@ class KnotLookup:
     of values, one per interpolant; ``slopes`` are their
     :func:`knot_slopes`.  Point r reads the table that starts at
     ``starts[r]``.  Everything but the points is fixed here, so a call
-    is one in-place pass over work buffers made once.
+    is one in-place pass over work buffers made once.  A call may pass
+    fewer points than ``starts`` holds: its points are the first ones.
     """
 
     def __init__(self, grid, values, slopes, starts):
@@ -479,12 +480,13 @@ class KnotLookup:
         self.base = np.empty((p,) + values.shape[1:])
 
     def __call__(self, x, out):
-        """Hat sums at the points ``x`` (p,) in grid units, into ``out``.
+        """Hat sums at the points ``x`` (k,) in grid units, into ``out``.
 
         The two cell ends are the only active hats, with exact weights:
         out = values[l] + slopes[l] * (u - cell) at grid coordinate u.
         """
-        u, cell, index = self.u, self.cell, self.index
+        k = len(x)
+        u, cell, index = self.u[:k], self.cell[:k], self.index[:k]
         # clipping to the ghost knots gives literal zeros beyond them: the
         # top state q + 1 reads its table's last entry, whose value and
         # slope are both zero
@@ -492,16 +494,17 @@ class KnotLookup:
         np.minimum(u, self.top, out=u)
         np.floor(u, out=cell)
         np.copyto(index, cell, casting="unsafe")
-        index += self.origin
+        index += self.origin[:k]
         u -= cell
         # The clip puts every index in its point's own table, so
         # mode="clip" never changes a read: it only lets take write into
         # out without a buffered copy.  A NaN point escapes the clip; its
         # cast warns and its value comes out NaN.
         self.slopes.take(index, axis=0, out=out, mode="clip")
-        out *= self.frac
-        self.values.take(index, axis=0, out=self.base, mode="clip")
-        out += self.base
+        out *= self.frac[:k]
+        base = self.base[:k]
+        self.values.take(index, axis=0, out=base, mode="clip")
+        out += base
         return out
 
 

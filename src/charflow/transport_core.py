@@ -392,23 +392,63 @@ def _field_on_grid(field, xs, Z, y):
 
 
 # Row blocks keep the largest temporary of one network evaluation in a
-# sweep, rows * row_floats floats, at half of glibc's default 128 KB
-# mmap and trim thresholds.  An evaluation holds several temporaries of
-# that size at once; past the thresholds freed blocks go back to the
-# kernel, and the page faults of touching them again cost more than the
-# sweep arithmetic.  A per-cell general slab evaluates its q cell nets
-# one at a time, so only its sweep state (rows, q, m) is larger; that is
-# made a few times per sweep, not in each of the q evaluations.
+# sweep, rows * row_floats floats, within 128 KiB, glibc's default mmap
+# threshold.  On the m = 1 slabs measured that temporary is the rows'
+# contracted knot tables: 41 rows of 392 floats on the ladder's slabs,
+# 128576 bytes, and 12 rows of 1364 on the solution's backward slabs,
+# 130944 bytes, both below the 131072 at which malloc maps a request.
+# A block holds several arrays near that size at once, some 1 MB, which
+# :class:`SweepWork` keeps for the next block, so that malloc does not
+# trim them back to the kernel and fault them in again.  With the
+# cell-major states this measured best: against 64 KiB, 128 KiB ran the
+# ladder rung's evaluation 10% and the solution's 15% faster, and both
+# certificates 22% faster; 256 KiB was no faster on either (README
+# block table) and holds twice the memory.  A per-cell general slab
+# evaluates its q cell nets one at a time, so only its sweep state
+# (m, q, rows) is larger; that is made once per block, not in each of
+# the q evaluations.
 #
 # An affine block also holds at least MIN_STATES quadrature states.  An
 # m = 2 sweep is some 60 numpy calls per pass, and at the few rows the
-# bytes rule allows it (6 rows of q = 76 states on a 2-D field) their
+# bytes rule allows it (13 rows of q = 76 states on a 2-D field) their
 # call overhead outweighs the arithmetic: 27 rows of the same field
 # evaluate 2x faster.  On the m = 1 slabs measured the bytes rule
 # gives more rows than the floor.  Neither bound depends on the number
 # of rows evaluated, so memory stays bounded.
-BLOCK_BYTES = 64 * 1024
+BLOCK_BYTES = 128 * 1024
 MIN_STATES = 2048
+
+
+class SweepWork:
+    """Work memory that the row blocks of one slab evaluation share.
+
+    A block of n rows keeps its sweep states, running sums and lookup
+    buffers here, made for all q cells: in the cell-major layout the
+    arrays of the first p cells are a prefix of them.  So each block
+    reuses the memory of the block before it.  A block's arrays come to
+    some 1 MB; freed at the end of every block, malloc would hand what
+    lies above its 128 KiB trim threshold back to the kernel, and the
+    next block would fault it in again.  A block of another row count
+    (the last, partial one) makes its own and drops the old ones, so
+    one set is kept at a time.
+    """
+
+    def __init__(self):
+        self._kept = {}
+
+    def keep(self, key, n, make):
+        """The object ``make()`` gives for blocks of n rows, kept under ``key``."""
+        if self._kept.get(key, (n,))[0] != n:
+            del self._kept[key]  # before the new one is made
+        if key not in self._kept:
+            self._kept[key] = (n, make())
+        return self._kept[key][1]
+
+    def prefix(self, key, n, size, shape):
+        """The first prod(``shape``) floats of the ``size``-float buffer kept
+        under ``key`` for blocks of n rows, as a C-contiguous array."""
+        buf = self.keep(key, n, lambda: np.empty(size))
+        return buf[: math.prod(shape)].reshape(shape)
 
 
 def _subintervals(conv, interval, q):
@@ -431,6 +471,26 @@ def ramp_cell(t, lo, cell, q):
     s = np.clip((t - lo) / cell, 0.0, q)
     j = np.minimum(s.astype(np.intp), q - 1)
     return j, s - j
+
+
+def running_sums(V, out):
+    """Running sums of ``V`` over its cells, axis -2, into ``out``.
+
+    ``V`` holds rows along its last axis, and ``out`` is
+    np.cumsum(V, axis=-2), bit for bit.  numpy's accumulate loop adds one
+    element per step, so adjacent rows are paired as the real and
+    imaginary parts of one complex128: complex addition adds the parts
+    separately with the rounding of two float additions, so each step
+    adds two rows.  An odd last row is summed on its own.  ``V`` may be
+    a broadcast view; its last axis must be contiguous.
+    """
+    even = V.shape[-1] & ~1
+    if even:
+        lanes = out[..., :even].view(np.complex128)
+        np.cumsum(V[..., :even].view(np.complex128), axis=-2, out=lanes)
+    if even < V.shape[-1]:
+        np.cumsum(V[..., even:], axis=-2, out=out[..., even:])
+    return out
 
 
 def ramp_gate(w, V, S, f, unit=None, out=None):
@@ -456,7 +516,7 @@ class SlabNet:
 
     Structure: quadrature gates in t, spatial networks of the slab
     field, and the exact multilinear gate
-    x + sum_i rho_i(t) * V_i, where the sweep state V (n, q, m) holds
+    x + sum_i rho_i(t) * V_i, where the sweep state V (m, q, n) holds
     the field values at the quadrature states after the last sweep.
     The clamped ramps make that sum a lookup in the running sums of V
     (:func:`ramp_gate`), which gives the sweeps' midpoint states, the values
@@ -464,19 +524,27 @@ class SlabNet:
     V depends on the seeds ``w`` and the parameters ``y`` only, so one
     sweep state answers any number of query times.
 
+    Every sweep state is cell-major, (m, p, n): axis, cell, row, with
+    the n rows of a block innermost.  Each array of a sweep then runs
+    along the rows, the running sums over the cells take two rows per
+    step (:func:`running_sums`), and an m >= 2 lookup reads the states
+    as points (m, p * n) with no transpose.
+
     A slab sweeps in its own units: states u with x = x_0 + ``unit`` * u
     per axis, and increments V that already carry the cell length, so a
     gate adds S_j - (1 - f) V_j to the seed's state with no unit factor.
     ``unit`` is None for slabs that sweep in x itself.  Subclasses build
     the spatial networks and supply ``chain(conv, intervals, sched,
     eval_box)``, which builds the slabs on consecutive intervals,
-    ``_states(w)``, the states of seeds ``w`` (n, m), ``_sweep_plan(y)``,
-    the sweep of one row block with parameters y: a function from states
-    Z (n, p, m), the states of the first p <= q quadrature cells or
-    p = 1 seed per row, to the increments at them, which may return the
-    same buffer on every call with the same p, ``row_floats``, the
-    floats per row of the largest temporary of one network evaluation
-    in a sweep, and ``interpolant_size()``.
+    ``_states(w)``, the states of seeds ``w`` (n, m),
+    ``_sweep_plan(y, work=None)``, the sweep of one row block with
+    parameters y: a function from states Z (m, p, n), the states of the
+    first p <= q quadrature cells or p = 1 seed per row, to the
+    increments at them, (m, p, n) with a contiguous last axis, which may
+    return views of one buffer, kept in the block's :class:`SweepWork`
+    ``work``, on every call, ``row_floats``, the floats per row of the
+    largest temporary of one network evaluation in a sweep, and
+    ``interpolant_size()``.
     """
 
     unit = None
@@ -496,32 +564,36 @@ class SlabNet:
     def _states(self, w):
         return w
 
-    def _forward(self, u, y, p):
+    def _forward(self, u, y, p, work=None):
         """Run mu sweeps over the first p cells from seed states ``u`` (n, m).
 
-        Returns the increments V (n, p, m) at the quadrature states of
+        Returns the increments V (m, p, n) at the quadrature states of
         the last sweep and their running sums S = cumsum(V) over the
-        cells.  The gate is causal, cell i of a sweep reading only cells
-        <= i of the sweep before, so these are the first p cells of a
-        sweep over all q, bit for bit.  The sweep is planned once; the
-        states and running sums are rewritten in place by each sweep.
-        The seeds are constant along the cells, so a slab whose networks
-        do not depend on the cell evaluates its first sweep once per row
-        and broadcasts it.
+        cells (:func:`running_sums`).  The gate is causal, cell i of a
+        sweep reading only cells <= i of the sweep before, so these are
+        the first p cells of a sweep over all q, bit for bit.  The sweep
+        is planned once; the states and running sums are rewritten in
+        place by each sweep.  The seeds (m, 1, n) are constant along the
+        cells, so a slab whose networks do not depend on the cell
+        evaluates its first sweep once per row and broadcasts it.  The
+        states, the running sums and the plan's buffers are taken from
+        ``work`` (:class:`SweepWork`), which the blocks of one
+        evaluation share; V and S are views of them.
         """
-        sweep = self._sweep_plan(y)
-        seeds = u[:, None, :]
-        Z = np.empty((len(u), p, u.shape[1]))
+        work = SweepWork() if work is None else work
+        sweep = self._sweep_plan(y, work=work)
+        n, m = u.shape
+        seeds = np.ascontiguousarray(u.T)[:, None, :]
+        Z, S = (work.prefix(key, n, m * self.q * n, (m, p, n)) for key in "ZS")
         if self._shared:
             V = np.broadcast_to(sweep(seeds), Z.shape)
         else:
             Z[...] = seeds
             V = sweep(Z)
-        S = np.empty_like(Z)
         for k in range(self.mu):
             if k:
                 V = sweep(Z)
-            np.cumsum(V, axis=1, out=S)
+            running_sums(V, S)
             if k < self.mu - 1:
                 ramp_gate(seeds, V, S, 0.5, out=Z)
         return V, S
@@ -548,7 +620,9 @@ class SlabNet:
         run in blocks of :meth:`block_rows` rows, each sweeping the
         largest need among its rows, so memory does not grow with n.
         A row's values depend neither on the other rows of its block nor
-        on how many cells its block sweeps.
+        on how many cells its block sweeps.  The gated entries and the
+        junctions are gathered from the block's (m, p, n) sweep state as
+        (entries, m) views.
         """
         w = np.atleast_2d(np.asarray(w, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -566,21 +640,24 @@ class SlabNet:
         gated = np.empty(times.shape + (w.shape[1],))
         w_next = np.empty_like(w)
         step = self.block_rows()
+        work = SweepWork()
         for lo in range(0, len(order), step):
             rows = order[lo : lo + step]
             p = need[rows[-1]]
             wb = w[rows]
-            V, S = self._forward(self._states(wb), y[rows], p)
+            V, S = self._forward(self._states(wb), y[rows], p, work)
             # the block's gated entries, all time sets together; a time
             # clamped to the slab gives the seeds below it and the
             # junction value above it
             r, c = np.nonzero(mask[:, rows])
             cols = rows[c]
             j, f = ramp_cell(times[r, cols], lo_t, self.cell, self.q)
-            gated[r, cols] = ramp_gate(wb[c], V[c, j], S[c, j], f[:, None], self.unit)
+            gated[r, cols] = ramp_gate(
+                wb[c], V[:, j, c].T, S[:, j, c].T, f[:, None], self.unit
+            )
             # a block holding a carried row sweeps all q cells
             c = carry[rows]
-            w_next[rows[c]] = ramp_gate(wb[c], V[c, -1], S[c, -1], 1.0, self.unit)
+            w_next[rows[c]] = ramp_gate(wb[c], V[:, -1, c].T, S[:, -1, c].T, 1.0, self.unit)
         return gated[mask], w_next[carry]
 
     def size(self):
@@ -617,20 +694,21 @@ class SlabInterpolants:
         self.grid = lip_interp.GridSpec(
             conv.m, _grid_cells(conv.Lam, eval_box, delta), box=eval_box
         )
+        nodes = self.grid.nodes()
         self.nets = []
+        self.size = 0
         for comp in conv.components:
             per_j = []
             for sub in subintervals:
-                avg = comp.slab_average(sub)
+                # one average on the nodes gives all m output columns
+                avg = comp.slab_average(sub)(nodes)
                 comp_nets = []
                 for c in range(conv.m):
-                    sf = lip_interp.SampledFunction.from_function(
-                        lambda pts, cc=c, a=avg: a(pts)[:, cc],
-                        self.grid,
-                        lip_bound=comp.lip_x,
-                        sup_bound=comp.sup,
+                    sf = lip_interp.SampledFunction(
+                        self.grid, avg[:, c], lip_bound=comp.lip_x, sup_bound=comp.sup
                     )
-                    net, _ = lip_interp.lip_stable_net(sf, min(delta, 0.5))
+                    net, report = lip_interp.lip_stable_net(sf, min(delta, 0.5))
+                    self.size += report["size"]
                     comp_nets.append(net)
                 per_j.append(comp_nets)
             self.nets.append(per_j)
@@ -667,41 +745,44 @@ class SlabInterpolants:
                 self.point_width, net.point_floats(entries), per_table / q if first else 0
             )
         every = [net for per_j in self.nets for per_i in per_j for net in per_i]
-        self.size = sum(net.size() for net in every)
         self.depth = max(net.depth() for net in every)
 
-    def plan(self, weights, cell):
-        """The sweep of one row block: states Z (n, p, m) -> V (n, p, m).
+    def plan(self, weights, cell, work=None):
+        """The sweep of one row block: states Z (m, p, n) -> V (m, p, n).
 
         Z holds the states of the first p <= q quadrature cells of each
-        row, or p = 1 seed per row if the interpolants are shared by all
-        cells, in grid units
-        (:meth:`lip_interp.GridSpec.to_grid`).  V[:, i] = sum_j
-        weights[:, j] * N_{j,i}(Z[:, i]) * cell / spacing for row weights
-        ``weights`` (n, d_y): the increments of cells of length ``cell``
-        in grid units.  What does not depend on the states is made here,
-        once per row block: the weights with the cell length folded in,
-        a contracted group's per-row tables, the table each state reads
+        of the n rows, or p = 1 seed per row if the interpolants are
+        shared by all cells, in grid units
+        (:meth:`lip_interp.GridSpec.to_grid`), cell-major as
+        :class:`SlabNet` keeps them.  V[:, i, r] = sum_j weights[r, j] *
+        N_{j,i}(Z[:, i, r]) * cell / spacing for row weights ``weights``
+        (n, d_y): the increments of cells of length ``cell`` in grid
+        units.  What does not depend on the states is made here, once per
+        row block: the weights with the cell length folded in, a
+        contracted group's per-row tables, the table each state reads
         and, for s = 1, the knot slopes and the lookup's buffers, so that
-        each sweep is one pass.  What depends on p is made on the first
-        call with that p.  For s = 1 the returned V is one buffer per p,
-        rewritten by every call.
+        each sweep is one pass.  For s = 1 the per-row tables, the lookup
+        and V are kept in ``work`` (:class:`SweepWork`, made here if
+        None) per row count, for all q cells, so the blocks of one
+        evaluation reuse them; V is a view of one buffer, rewritten by
+        every call.
 
-        For m >= 2 a sweep transposes the states once, to (m, n p), so
-        that every array of the lookup runs along the states.  A
-        contracted group's lookup reads each state's row table, made here
-        by one einsum in entry-major order, (m, n * table size), and gives
-        the increments.  Any other group's lookup gives the k * m values
-        (k, m, n, p) of its k components' interpolants, read from the
-        state's cell's table if the tables are per cell; the row weights
-        (k, m, n, 1) then multiply them and are summed over j in the
-        order of j, for all output axes at once.  The groups' sums
-        (m, n, p) are returned as a view (n, p, m).
+        For m >= 2 a sweep reads the states as the points (m, p * n) of
+        the lookup, with no copy, so that every array of the lookup runs
+        along the states.  A contracted group's lookup reads each state's
+        row table, made here by one einsum in entry-major order,
+        (m, n * table size), and gives the increments.  Any other
+        group's lookup gives the k * m values (k, m, p, n) of its k
+        components' interpolants, read from the state's cell's table if
+        the tables are per cell; the row weights (k, m, 1, n) then
+        multiply them and are summed over j in the order of j, for all
+        output axes at once.  The groups' sums are V, already in state
+        order.
         """
         n, m = len(weights), self.grid.s
         scale = cell / self.grid.spacing
         if m == 1:
-            return self._knot_plan(weights * scale[0])
+            return self._knot_plan(weights * scale[0], SweepWork() if work is None else work)
         steps = []
         for net, tables, js, first in self.groups:
             w = weights[:, None, js] * scale[:, None]
@@ -709,66 +790,80 @@ class SlabInterpolants:
                 per_row = np.einsum("rak,kat->art", w, tables).reshape(m, -1)
                 steps.append((net, per_row, None))
             else:
-                steps.append((net, tables, np.ascontiguousarray(w.T)[..., None]))
+                w = np.ascontiguousarray(w.transpose(2, 1, 0))[:, :, None, :]
+                steps.append((net, tables, w))
 
         def sweep(Z):
             p = Z.shape[1]
-            u = np.ascontiguousarray(Z.reshape(n * p, m).T)
+            u = Z.reshape(m, p * n)
             V = None
             for net, tables, w in steps:
                 lead = self._table_of_state(n, p, w is None)
-                vals = net.weighted_sum(u, tables, lead).reshape(-1, m, n, p)
+                vals = net.weighted_sum(u, tables, lead).reshape(-1, m, p, n)
                 if w is None:
                     vals = vals[0]
                 else:
-                    weighted = np.zeros((m, n, p))
+                    weighted = np.zeros((m, p, n))
                     for wj, vj in zip(w, vals):
                         weighted += vj * wj
                     vals = weighted
                 V = vals if V is None else V + vals
-            return V.transpose(1, 2, 0)
+            return V
 
         return sweep
 
     def _table_of_state(self, n, p, per_row, stride=1):
-        """Table read by each of the p states of n rows, row-major.
+        """Table read by each of the p states of n rows, cell-major:
+        state i * n + r is cell i of row r.
 
         The row's own table for a contracted group, the state's cell's
         table for per-cell tables, else None: every state reads table 0.
         Tables are numbered in steps of ``stride``.
         """
         if per_row:
-            return np.repeat(np.arange(n) * stride, p)
+            return np.tile(np.arange(n) * stride, p)
         if self.per_cell:
-            return np.tile(np.arange(p) * stride, n)
+            return np.repeat(np.arange(p) * stride, n)
         return None
 
-    def _knot_plan(self, weights):
-        """:meth:`plan` for s = 1: one group, looked up by a KnotLookup."""
+    def _knot_plan(self, weights, work):
+        """:meth:`plan` for s = 1: one group, looked up by a KnotLookup.
+
+        The states (1, p, n) are the lookup's points in cell-major
+        order, so the p cells' table starts are a prefix of the q
+        cells', and one lookup per row count n, kept in ``work``, serves
+        every p.  A contracted group's lookup gives V, with the rows'
+        tables rewritten in place for each block; any other group's
+        gives the k values of each state, (p, n, 1, k), which one einsum
+        contracts with the row weights into V.
+        """
         ((_, tables, js, first),) = self.groups
-        n, stride = len(weights), self.grid.q + 3
+        n, q, stride = len(weights), self.q, self.grid.q + 3
         w = weights[:, js]
         if first:
-            values = np.einsum("rk,k...->r...", w, tables).reshape(-1)
-            slopes = lip_interp.knot_slopes(values)
+            rows = work.keep("tables", n, lambda: np.empty((n,) + tables.shape[1:]))
+            values = np.einsum("rk,k...->r...", w, tables, out=rows).reshape(-1)
+            slopes = work.keep("slopes", n, lambda: np.empty_like(values))
+            lip_interp.knot_slopes(values, out=slopes)
         else:
             values, slopes = self.knots
-        # a lookup and its output per number p of states per row
-        lookups = {}
+
+        def make_lookup():
+            starts = self._table_of_state(n, q, first, stride)
+            if starts is None:
+                starts = np.zeros(q * n, dtype=np.intp)
+            out = np.empty((q * n,) + values.shape[1:])
+            return lip_interp.KnotLookup(self.grid, values, slopes, starts), out
+
+        lookup, out = work.keep("lookup", n, make_lookup)
 
         def sweep(Z):
             p = Z.shape[1]
-            if p not in lookups:
-                starts = self._table_of_state(n, p, first, stride)
-                if starts is None:
-                    starts = np.zeros(n * p, dtype=np.intp)
-                out = np.empty((n * p,) + values.shape[1:])
-                lookups[p] = lip_interp.KnotLookup(self.grid, values, slopes, starts), out
-            lookup, out = lookups[p]
-            lookup(Z.reshape(-1), out)
+            vals = lookup(Z.reshape(-1), out[: p * n])
             if first:
-                return out.reshape(n, p, 1)
-            return np.einsum("npak,nk->npa", out.reshape(n, p, 1, -1), w)
+                return vals.reshape(1, p, n)
+            V = work.prefix("V", n, q * n, (1, p, n))
+            return np.einsum("pnak,nk->apn", vals.reshape(p, n, 1, -1), w, out=V)
 
         return sweep
 
@@ -826,8 +921,8 @@ class AffineSlabNet(SlabNet):
     def _states(self, w):
         return self.interpolants.grid.to_grid(w)
 
-    def _sweep_plan(self, y):
-        return self.interpolants.plan(self.conv.omega * y, self.cell)
+    def _sweep_plan(self, y, work=None):
+        return self.interpolants.plan(self.conv.omega * y, self.cell, work)
 
     def interpolant_size(self):
         # a shared set of interpolants stands for q identical copies
@@ -889,8 +984,11 @@ class GeneralSlabNet(SlabNet):
         delta = tau / (2.0 * conv.a_norm)
         return q, delta, n_budget, conv.L
 
-    def _sweep_plan(self, y):
-        # sweeps run in x; the increments carry the cell length
+    def _sweep_plan(self, y, work=None):
+        # sweeps run in x; the increments carry the cell length.  An
+        # implanted net takes its points as rows (points, m + d_y) and
+        # gives rows (points, m), so the states enter and the increments
+        # leave it point-major, in cell-major point order.
         n, m = len(y), self.conv.m
         if self._shared:
             ys = {}  # the parameters of each state, per p
@@ -898,17 +996,18 @@ class GeneralSlabNet(SlabNet):
             def sweep(Z):
                 p = Z.shape[1]
                 if p not in ys:
-                    ys[p] = np.repeat(y, p, axis=0)
-                flat = np.hstack([Z.reshape(n * p, m), ys[p]])
-                return self.cell * self._nets[0].eval(flat).reshape(n, p, m)
+                    ys[p] = np.tile(y, (p, 1))
+                flat = np.hstack([Z.reshape(m, p * n).T, ys[p]])
+                V = self.cell * self._nets[0].eval(flat)
+                return np.ascontiguousarray(V.T).reshape(m, p, n)
 
             return sweep
 
         def sweep(Z):
             p = Z.shape[1]
-            V = np.empty((n, p, m))
+            V = np.empty((m, p, n))
             for i in range(p):
-                V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :], y]))
+                V[:, i, :] = self._nets[i].eval(np.hstack([Z[:, i, :].T, y])).T
             V *= self.cell
             return V
 
@@ -1194,11 +1293,15 @@ class SolutionNetwork:
     against the solution oracle.
     """
 
-    def __init__(self, problem, back_net, u0_net, f_nets, q_src, source_sign, report):
+    def __init__(
+        self, problem, back_net, u0_net, f_nets, q_src, source_sign, report, data_size
+    ):
         self.problem = problem
         self.back_net = back_net
         self.u0_net = u0_net
         self.f_nets = f_nets
+        # the summed sizes of the data nets, counted once at build
+        self.data_size = data_size
         self.q_src = q_src
         self.source_sign = source_sign
         self.report = report
@@ -1239,7 +1342,7 @@ class SolutionNetwork:
         q = self.q_src
         u = self.sources.net.grid.to_grid(feet[1:].reshape(-1, m))
         V = self.sources(u, np.repeat(np.arange(q), n)).reshape(q, n)
-        S = np.cumsum(V, axis=0)
+        S = running_sums(V, np.empty_like(V))
         j, f = ramp_cell(t, 0.0, self.cell, q)
         cols = np.arange(n)
         return u0_part, ramp_gate(0.0, V[j, cols], S[j, cols], f, self.cell)
@@ -1254,12 +1357,7 @@ class SolutionNetwork:
     def size(self):
         # data net + backward net, plus one backward-net copy per source
         # node, plus the source quadrature gate and trilinear coupling
-        back_size = self.back_net.size()
-        total = back_size
-        if self.u0_net is not None:
-            total += self.u0_net.size()
-        for f_net in self.f_nets:
-            total += f_net.size() + back_size
+        total = self.data_size + (1 + len(self.f_nets)) * self.back_net.size()
         if self.f_nets:
             total += _rho_gate_size((0.0, self.problem.T_hat), self.q_src) + 1
         return total
@@ -1274,7 +1372,7 @@ class SolutionNetwork:
 
 
 def _datum_net(problem, datum, tol, is_source=False, at_time=None):
-    """Interpolant network of a datum on the evaluation box."""
+    """Interpolant network of a datum on the evaluation box, and its size."""
     q_grid = _grid_cells(datum.lip_x, problem.eval_box, tol)
     grid = lip_interp.GridSpec(problem.m, q_grid, box=problem.eval_box)
     if is_source:
@@ -1284,8 +1382,8 @@ def _datum_net(problem, datum, tol, is_source=False, at_time=None):
     sf = lip_interp.SampledFunction.from_function(
         fn, grid, lip_bound=datum.lip_x, sup_bound=datum.sup
     )
-    net, _ = lip_interp.lip_stable_net(sf, tol)
-    return net
+    net, report = lip_interp.lip_stable_net(sf, tol)
+    return net, report["size"]
 
 
 def build_solution_net(problem, eps, source_sign=1.0):
@@ -1307,8 +1405,8 @@ def build_solution_net(problem, eps, source_sign=1.0):
             "time-dependent convection needs per-anchor builds"
         )
     back = build_char_net(problem, eps_t, direction="backward")
-    u0_net = (
-        _datum_net(problem, problem.u0, eps_t) if problem.u0 is not None else None
+    u0_net, data_size = (
+        _datum_net(problem, problem.u0, eps_t) if problem.u0 is not None else (None, 0)
     )
     f_nets = []
     q_src = 0
@@ -1317,10 +1415,10 @@ def build_solution_net(problem, eps, source_sign=1.0):
         if q_src > Q_CEILING:
             raise ResourceCeiling("source quadrature too fine", q_src)
         xi = (np.arange(q_src) + 0.5) * T / q_src
-        f_nets = [
-            _datum_net(problem, problem.f, eps_t, is_source=True, at_time=node)
-            for node in xi
-        ]
+        for node in xi:
+            f_net, size = _datum_net(problem, problem.f, eps_t, is_source=True, at_time=node)
+            f_nets.append(f_net)
+            data_size += size
 
     # executable error budget
     lip_u0 = problem.u0.lip_x if problem.u0 is not None else 0.0
@@ -1344,7 +1442,9 @@ def build_solution_net(problem, eps, source_sign=1.0):
         "char_report": back.report,
         "source_sign": source_sign,
     }
-    net = SolutionNetwork(problem, back, u0_net, f_nets, q_src, source_sign, report)
+    net = SolutionNetwork(
+        problem, back, u0_net, f_nets, q_src, source_sign, report, data_size
+    )
     report["size"] = net.size()
     report["depth"] = net.depth()
     report["predicted"] = predicted_complexity(problem, eps, "solution")

@@ -461,12 +461,13 @@ class TestSlabNet:
         prob = cosine_problem(d_y=1)
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(0), tau=0.01)
-        # in the slab's sweep units, as the sweeps run
-        u = slab._states(rng.uniform(0, 1, (30, 1)))[:, None, :]
+        # in the slab's sweep units and cell-major (m, q, n) layout, as
+        # the sweeps run
+        u = slab._states(rng.uniform(0, 1, (30, 1))).T[:, None, :]
         y = rng.uniform(-1, 1, (30, 1))
         q = slab.q
         za, zb = (
-            slab._states(rng.uniform(-0.5, 1.5, (30 * q, 1))).reshape(30, q, 1)
+            slab._states(rng.uniform(-0.5, 1.5, (30 * q, 1))).reshape(30, q).T[None]
             for _ in range(2)
         )
 
@@ -476,9 +477,69 @@ class TestSlabNet:
             V = plan(Z)
             return u + (np.cumsum(V, axis=1) - 0.5 * V)
 
-        num = np.abs(sweep(za) - sweep(zb)).max(axis=(1, 2))
-        den = np.abs(za - zb).max(axis=(1, 2))
+        num = np.abs(sweep(za) - sweep(zb)).max(axis=(0, 1))
+        den = np.abs(za - zb).max(axis=(0, 1))
         assert (num / den).max() <= 0.5 + 1e-9
+
+
+def assert_bits_equal(a, b):
+    """Equal bit patterns: tells -0 from +0 and compares NaN payloads."""
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+class TestRunningSums:
+    """running_sums pairs two rows per complex lane; each row's sums are
+    np.cumsum's, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 50, 8), (2, 30, 7), (1, 9, 1), (3, 1, 5), (40, 6)])
+    def test_matches_cumsum(self, rng, shape):
+        # even and odd row counts, one row, one cell, and the (cells, rows)
+        # source sums of a solution net
+        V = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        assert_bits_equal(tc.running_sums(V, np.empty_like(V)), np.cumsum(V, axis=-2))
+
+    def test_special_values(self, rng):
+        V = rng.standard_normal((2, 40, 9))
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        V.flat[rng.choice(V.size, 200, replace=False)] = rng.choice(special, 200)
+        V[:, :, 3] = -0.0  # a row of negative zeros keeps its sign
+        V[0, :, 8] = np.inf  # the odd last row
+        V[1, 0, 8] = np.nan
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = tc.running_sums(V, np.empty_like(V))
+            want = np.cumsum(V, axis=1)
+        assert_bits_equal(got, want)
+        assert np.all(np.signbit(got[:, :, 3]))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_broadcast_first_sweep(self, rng, n):
+        # a shared slab's first sweep looks up one seed per row and
+        # broadcasts it along the cells: the lanes read that view as it is
+        prob = cosine_problem(d_y=2)
+        slab = tc.build_slab_net(prob, (0.0, 0.5), tau=0.05)
+        assert slab._shared
+        u = slab._states(rng.uniform(0, 1, (n, 1)))
+        plan = slab._sweep_plan(rng.uniform(-1, 1, (n, prob.d_y)))
+        V = np.broadcast_to(plan(u.T[:, None, :]), (1, slab.q, n))
+        assert V.strides[1] == 0
+        assert_bits_equal(tc.running_sums(V, np.empty(V.shape)), np.cumsum(V, axis=1))
+
+    @pytest.mark.parametrize(
+        "make_problem, tau", [(lambda: cosine_problem(d_y=3), 0.05), (cosine_problem_m2, 0.2)],
+        ids=["s1", "s2"],
+    )
+    def test_forward_odd_rows(self, rng, make_problem, tau):
+        # an odd row count: the last row's sums are its own cumsum
+        prob = make_problem()
+        slab = tc.build_slab_net(prob, (0.0, 0.25), tau=tau, mu=2)
+        n = 7
+        w = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
+        V, S = slab._forward(slab._states(w), rng.uniform(-1, 1, (n, prob.d_y)), slab.q)
+        assert V.shape == (prob.m, slab.q, n)
+        assert_bits_equal(S, np.cumsum(V, axis=1))
 
 
 class TestFusedSweep:
@@ -544,6 +605,11 @@ class TestFusedSweep:
             np.testing.assert_array_equal(got[one], net.eval(t[one], x[one], y[one]))
         rev = slice(None, None, -1)
         np.testing.assert_array_equal(got[rev], net.eval(t[rev], x[rev], y[rev]))
+        # blocks of an odd number of rows, whose last row takes its own
+        # running sums
+        for s in net.slabs:
+            s.block_rows = lambda: 5
+        np.testing.assert_array_equal(got, net.eval(t, x, y))
 
     def test_zero_beyond_ghost_knots(self):
         # the ghost knots at -h and 1+h end the boundary hat ramps: states
@@ -620,8 +686,9 @@ class TestFusedSweep:
             ref = np.einsum("nqmk,nk->nqm", vals[:, :, None, :], w)[..., 0]
 
         plan = interp.plan(weights, slab.cell)
-        plan(rng.uniform(0, qg, Z.shape))  # the buffers keep nothing between sweeps
-        got = plan(Z)[..., 0]
+        states = Z.transpose(2, 1, 0)  # cell-major (m, q, n), as the sweeps run
+        plan(rng.uniform(0, qg, states.shape))  # the buffers keep nothing between sweeps
+        got = plan(states)[0].T
         np.testing.assert_array_equal(got, ref)
         assert got[-1, -1] == 0.0
 
@@ -672,18 +739,19 @@ class TestFusedSweep:
         y = rng.uniform(-1, 1, (n, prob.d_y))
         u = slab._states(w)
         plan = slab._sweep_plan(y)
-        seeds = plan(u[:, None, :]).copy()
-        copies = plan(np.repeat(u[:, None, :], slab.q, axis=1))
-        assert seeds.shape == (n, 1, prob.m)
+        seed_states = u.T[:, None, :]  # cell-major (m, 1, n)
+        seeds = plan(seed_states).copy()
+        copies = plan(np.repeat(seed_states, slab.q, axis=1))
+        assert seeds.shape == (prob.m, 1, n)
         np.testing.assert_array_equal(np.broadcast_to(seeds, copies.shape), copies)
 
         # the whole forward pass against one that sweeps q copies first
         for slab.mu in (1, 3):
-            Z = np.repeat(u[:, None, :], slab.q, axis=1)
+            Z = np.repeat(seed_states, slab.q, axis=1)
             for k in range(slab.mu):
                 V = plan(Z).copy()
                 S = np.cumsum(V, axis=1)
-                Z = u[:, None, :] + (S - 0.5 * V)
+                Z = seed_states + (S - 0.5 * V)
             got_V, got_S = slab._forward(u, y, slab.q)
             np.testing.assert_array_equal(got_V, V)
             np.testing.assert_array_equal(got_S, S)
@@ -706,8 +774,8 @@ class TestFusedSweep:
         plan_of = slab._sweep_plan
         states = []
 
-        def recording(y):
-            sweep = plan_of(y)
+        def recording(y, work=None):
+            sweep = plan_of(y, work)
             return lambda Z: states.append(Z.shape[1]) or sweep(Z)
 
         slab._sweep_plan = recording
@@ -788,6 +856,12 @@ class TestCausalTruncation:
         np.testing.assert_array_equal(
             net.eval(times, x, y), full_sweep_eval(net, times, x, y)
         )
+        # blocks of an odd number of rows, whose last row takes its own
+        # running sums
+        want = full_sweep_eval(net, times, x, y)
+        for slab in net.slabs:
+            slab.block_rows = lambda: 5
+        np.testing.assert_array_equal(net.eval(times, x, y), want)
 
     @pytest.mark.parametrize(
         "make_problem, tau",
@@ -820,9 +894,9 @@ class TestCausalTruncation:
         row_of = {tuple(u): r for r, u in enumerate(slab._states(w))}
         forward, calls = slab._forward, []
 
-        def recording(u, y, p):
+        def recording(u, y, p, work=None):
             calls.append(([row_of[tuple(s)] for s in u], p))
-            return forward(u, y, p)
+            return forward(u, y, p, work)
 
         slab._forward = recording
         slab.block_rows = lambda: step
@@ -846,7 +920,7 @@ class TestCausalTruncation:
         for a, b in zip(got, alone):
             np.testing.assert_array_equal(a, b)
 
-    def test_block_rows(self):
+    def test_block_rows(self, monkeypatch):
         # an m >= 2 affine block holds at least MIN_STATES quadrature
         # states; the m = 1 slabs of the ladder and the solution configs,
         # and general slabs, keep the bytes rule
@@ -860,11 +934,66 @@ class TestCausalTruncation:
         ladder = tc.build_char_net(config_problem("affine_m1_dy4"), 0.05).slabs[0]
         solution = tc.build_solution_net(config_problem("solution_affine"), 0.1)
         back = solution.back_net.slabs[0]
-        assert [ladder.block_rows(), back.block_rows()] == [20, 6]
-        assert [bytes_rule(ladder), bytes_rule(back)] == [20, 6]
+        assert [ladder.block_rows(), back.block_rows()] == [41, 12]
+        assert [bytes_rule(ladder), bytes_rule(back)] == [41, 12]
         prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
         general = tc.build_char_net(prob, 0.2).slabs[0]
+        # a floor eight times higher would give it more rows; it has none
+        monkeypatch.setattr(tc, "MIN_STATES", 8 * tc.MIN_STATES)
         assert general.block_rows() == bytes_rule(general) < -(-tc.MIN_STATES // general.q)
+
+
+class TestBuildOnce:
+    """A build samples each slab average and counts each net's size once."""
+
+    def test_slab_average_once_per_output_column(self):
+        import dataclasses
+
+        prob = time_dependent_problem_m2()
+        conv = prob.convection
+        calls = []
+
+        def counting(fn):
+            return lambda t, x: calls.append(1) or fn(t, x)
+
+        comps = [dataclasses.replace(c, fn=counting(c.fn)) for c in conv.components]
+        counted = tc.TransportProblem(
+            tc.AffineConvection(conv.m, conv.d_y, conv.omega, comps), prob.T_hat, prob.domain
+        )
+        net = tc.build_char_net(counted, 0.4)
+        # one average per component and quadrature cell, each a Gauss rule
+        # in time, for all m output columns together
+        q, K = net.sched.q, net.grid.K
+        assert len(calls) == K * q * conv.d_y * catalog.GAUSS_ORDER
+        # the columns of that average are the tables of the m nets
+        interp = net.slabs[0].interpolants
+        for j, comp in enumerate(conv.components):
+            for i, sub in enumerate(net.slabs[0].subintervals):
+                avg = comp.slab_average(sub)
+                for c in range(conv.m):
+                    ref = tc.lip_interp.SampledFunction.from_function(
+                        lambda pts: avg(pts)[:, c], interp.grid, comp.lip_x, comp.sup
+                    )
+                    np.testing.assert_array_equal(interp.nets[j][i][c].coeffs, ref.values)
+
+    def test_size_once_per_net(self, monkeypatch):
+        made, counted = [], []
+        init, size = tc.lip_interp.InterpolantNet.__init__, tc.lip_interp.InterpolantNet.size
+
+        def recording_init(net, *args, **kwargs):
+            made.append(net)
+            init(net, *args, **kwargs)
+
+        def recording_size(net):
+            counted.append(net)
+            return size(net)
+
+        monkeypatch.setattr(tc.lip_interp.InterpolantNet, "__init__", recording_init)
+        monkeypatch.setattr(tc.lip_interp.InterpolantNet, "size", recording_size)
+        net = tc.build_solution_net(config_problem("solution_affine"), 0.1)
+        assert len(made) == 1 + net.q_src + 2  # u0, the sources, two slab components
+        assert sorted(map(id, counted)) == sorted(map(id, made))
+        assert net.report["size"] == 25355372052
 
 
 class TestRhoGateSize:
