@@ -33,9 +33,6 @@ from .comp_calculus import (
     compose_reps,
     gamma_inverse,
     implant,
-    implant_for_accuracy,
-    n_epsilon,
-    near_inverse,
     s_infinity,
     sum_reps,
 )

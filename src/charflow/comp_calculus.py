@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lip_interp
-from .relu_net import ReluNetwork
+from .relu_net import ReluNetwork, difference_quotient
 
 
 # ---------------------------------------------------------------------------
@@ -60,59 +60,6 @@ def gamma_inverse(gf, s):
     if s <= gf.C:
         raise ValueError("exponential growth inverse needs s > C")
     return math.log(s / gf.C) / gf.alpha
-
-
-def n_epsilon(gf, seminorm, eps):
-    """Budget N needed for accuracy eps: ceil(gamma^-1(seminorm/eps))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return int(math.ceil(gamma_inverse(gf, seminorm / eps)))
-
-
-@dataclass(frozen=True)
-class NearInverse:
-    """Near-inverse of phi(s) = b1 * s^zeta * |log2(b2 s)|^beta.
-
-    Calling with r returns
-    b1^(-1/zeta) * zeta^(beta/zeta) * r^(1/zeta) * |log2(b2^zeta r / b1)|^(-beta/zeta);
-    the round trip phi(inverse(r)) stays within a bounded factor of r.
-    """
-
-    b1: float
-    b2: float
-    zeta: float
-    beta: float
-
-    def __post_init__(self):
-        if self.b1 <= 0 or self.b2 <= 0 or self.zeta <= 0:
-            raise ValueError("b1, b2, zeta must be positive")
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
-            raise ValueError("argument must be positive")
-        out = self.b1 ** (-1.0 / self.zeta) * r ** (1.0 / self.zeta)
-        if self.beta != 0.0:
-            logterm = np.abs(np.log2(self.b2**self.zeta * r / self.b1))
-            if np.any(logterm == 0):
-                raise ValueError("argument on the log singularity of the near-inverse")
-            out = (
-                out
-                * self.zeta ** (self.beta / self.zeta)
-                * logterm ** (-self.beta / self.zeta)
-            )
-        return float(out) if out.ndim == 0 else out
-
-    def forward(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.b1 * s**self.zeta
-        if self.beta != 0.0:
-            out = out * np.abs(np.log2(self.b2 * s)) ** self.beta
-        return float(out) if out.ndim == 0 else out
-
-
-def near_inverse(b1, b2, zeta, beta):
-    return NearInverse(b1, b2, zeta, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +454,17 @@ def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
             rep.factors[ell].sup_upper() if np.isfinite(rep.factors[ell].sup_upper()) else 0.0,
         )
         sampled_fac = max(
-            _quotient(stages_a[ell], stages_b[ell], stages_a[ell + 1], stages_b[ell + 1]),
+            difference_quotient(
+                stages_a[ell], stages_b[ell], stages_a[ell + 1], stages_b[ell + 1]
+            ),
             float(np.abs(stages_a[ell + 1]).max()),
         )
         if reg.kind == "lip_full":
             tail_upper = float(np.prod(lips[ell + 1 :])) if ell + 1 < n else 1.0
             sampled_tail = (
-                _quotient(stages_a[ell + 1], stages_b[ell + 1], stages_a[-1], stages_b[-1])
+                difference_quotient(
+                    stages_a[ell + 1], stages_b[ell + 1], stages_a[-1], stages_b[-1]
+                )
                 if ell + 1 < n
                 else 0.0
             )
@@ -524,14 +475,6 @@ def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
             lower = max(lower, min(sampled_fac, fac_lip1))
     return [lower, upper]
 
-
-def _quotient(a_in, b_in, a_out, b_out):
-    num = np.abs(a_out - b_out).max(axis=1)
-    den = np.abs(a_in - b_in).max(axis=1)
-    ok = den > 0
-    if not np.any(ok):
-        return 0.0
-    return float((num[ok] / den[ok]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -707,32 +650,3 @@ def _implant_factor(f, delta, max_grid_nodes):
         net, _ = lip_interp.lip_stable_net(sf, delta)
         nets.append(net)
     return ImplantedFactor(f, nets, delta), delta
-
-
-def implant_for_accuracy(rep_family, gf, norm, seminorm, eps):
-    """Pick the budget from the rate law and implant uniformly.
-
-    ``rep_family(N)`` must return a representation with error at most
-    gamma(N)^-1 * seminorm and composition norm at most ``norm``.  The
-    total certified bound (family error + implant error) is <= eps.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n_budget = n_epsilon(gf, 2.0 * seminorm, eps)
-    rep = rep_family(n_budget)
-    delta = eps / (2.0 * max(norm, 1.0) * max(gamma_inverse(gf, 2.0 * seminorm / eps), 1.0))
-    implanted, implant_err = implant(rep, [delta] * len(rep.factors))
-    family_err = seminorm / gf(n_budget)
-    report = {
-        "N": n_budget,
-        "delta": delta,
-        "family_error": family_err,
-        "implant_error": implant_err,
-        "total_bound": family_err + implant_err,
-        "size": implanted.size(),
-    }
-    if report["total_bound"] > eps * (1 + 1e-9):
-        raise ValueError(
-            f"accuracy target not certifiable: bound {report['total_bound']} > {eps}"
-        )
-    return implanted, report

@@ -33,6 +33,7 @@ from .relu_net import (
     ReluNetwork,
     affine_net,
     compose,
+    difference_quotient,
     parallelize,
     sum_nets,
 )
@@ -490,8 +491,7 @@ class KnotLookup:
         # clipping to the ghost knots gives literal zeros beyond them: the
         # top state q + 1 reads its table's last entry, whose value and
         # slope are both zero
-        np.maximum(x, -1.0, out=u)
-        np.minimum(u, self.top, out=u)
+        np.clip(x, -1.0, self.top, out=u)
         np.floor(u, out=cell)
         np.copyto(index, cell, casting="unsafe")
         index += self.origin[:k]
@@ -816,7 +816,4 @@ def _interpolant_lip(net, box, rng, n=2000):
     d = rng.uniform(-1, 1, size=(n, len(lo)))
     d *= 1e-4 / np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
     b = np.clip(a + d, lo, hi)
-    num = np.abs(net.eval(a) - net.eval(b)).max(axis=1)
-    den = np.abs(a - b).max(axis=1)
-    ok = den > 0
-    return float((num[ok] / den[ok]).max())
+    return difference_quotient(a, b, net.eval(a), net.eval(b))

@@ -343,19 +343,21 @@ def lip_lower_bound(net, box, n_samples, seed):
 
     a = rng.uniform(lo, hi, size=(n_glob, len(lo)))
     b = rng.uniform(lo, hi, size=(n_glob, len(lo)))
-    best = _pair_quotient(net, a, b)
+    best = difference_quotient(a, b, net.eval(a), net.eval(b))
 
     h = 1e-3 * np.min(hi - lo)
     base = rng.uniform(lo, hi, size=(n_loc, len(lo)))
     step = rng.uniform(-1.0, 1.0, size=(n_loc, len(lo)))
     step *= h / np.maximum(np.abs(step).max(axis=1, keepdims=True), 1e-300)
     other = np.clip(base + step, lo, hi)
-    return max(best, _pair_quotient(net, base, other))
+    return max(best, difference_quotient(base, other, net.eval(base), net.eval(other)))
 
 
-def _pair_quotient(net, a, b):
-    num = np.abs(net.eval(a) - net.eval(b)).max(axis=1)
-    den = np.abs(a - b).max(axis=1)
+def difference_quotient(a_in, b_in, a_out, b_out):
+    """Largest |a_out - b_out| / |a_in - b_in| over the rows whose inputs
+    differ, both in the max norm over a row; 0.0 if none differ."""
+    num = np.abs(a_out - b_out).max(axis=1)
+    den = np.abs(a_in - b_in).max(axis=1)
     ok = den > 0
     if not np.any(ok):
         return 0.0

@@ -8,6 +8,14 @@ for a logarithmic number of sweeps, and concatenated across slabs by
 freezing junction values.  Solution surrogates compose the backward
 characteristic network with data networks and a source quadrature.
 
+Each net kind certifies one error budget, a tuple of named terms:
+``AFFINE_TERMS`` (sweep contraction, quadrature, implant) and
+``GENERAL_TERMS`` (the same and the representation) for characteristic
+networks, ``SOLUTION_TERMS`` (u0 foot and net, source net and foot,
+source quadrature) for solutions.  :func:`schedule` solves a list for
+the build parameters, and each build evaluates it at the parameters
+chosen into ``report["ledger"]``.
+
 Built networks are composite evaluators in the generous sense: exact
 multilinear gates (counted 1 each in the dependency-count complexity)
 coupling ReLU subnetworks.  Evaluation computes the same function as
@@ -26,7 +34,7 @@ import numpy as np
 
 from . import catalog, lip_interp
 from .comp_calculus import eval_width, gamma_inverse, implant
-from .relu_net import rho_values
+from .relu_net import difference_quotient, rho_values
 
 E_HALF = math.exp(0.5)
 
@@ -263,19 +271,127 @@ def macro_grid(T_hat, a_norm):
     return MacroGrid(T_hat, a_norm)
 
 
-def eta_tolerance(eps, K):
-    """Per-slab budget such that the junction telescoping sums to eps."""
-    return (E_HALF - 1.0) * eps * math.exp(-K / 2.0)
+# ---------------------------------------------------------------------------
+# error budgets
+#
+# A net kind certifies eps as a sum of named error terms, held in one
+# tuple.  A characteristic term is (name, share of eps, parameter,
+# solve(budget, conv, slab_length), bound(sched, conv)): solve gives the
+# parameter that holds the term's error to its budget, and bound the
+# error at the schedule's parameters.  The sweep contraction, first,
+# errs per slab; the other terms per application of the one-step map,
+# and grow by e^(1/2) within the slab.  A slab's error grows by
+# e^(|I| L) <= e^(1/2) at each later junction, so errors e on K slabs
+# end within e e^(K/2) / (e^(1/2) - 1).  The sweeps and the one-step
+# terms have half of eps each, eta per slab and tau = eta / e^(1/2) per
+# step, and a term of share s gets 2 s of its half's budget.
+#
+# An affine slab quadratures the slab-averaged components and
+# interpolates them to delta, which the weights y_j omega_j carry into
+# |omega|_1 |I| delta.  A general slab quadratures the field itself, at
+# twice the cost, and implants a representation that itself errs by
+# |I| a_norm / gamma(N).  Its shares exceed eps by 1/8, which the ledger
+# check covers: the sweeps' ceiling leaves their term near half its
+# share.
 
 
-def mu_iterations(eta):
-    """Sweeps halving the error to eta: ceil(|log2(1/(2 eta))|), >= 1."""
+def _sweeps(eta, conv, sl):
+    """mu with 2^-mu / 2 <= eta: a seed errs by A |I| <= 1/2, and each
+    sweep contracts the error by |I| L <= 1/2."""
     return max(1, int(math.ceil(abs(math.log2(1.0 / (2.0 * eta))))))
 
 
-def tau_from_eta(eta):
-    """One-step tolerance absorbing the in-slab error accumulation."""
-    return eta / E_HALF
+SWEEP_CONTRACTION = ("sweep contraction", 0.5, "mu", _sweeps, lambda s, conv: 0.5 * 2.0**-s.mu)
+
+AFFINE_TERMS = (
+    SWEEP_CONTRACTION,
+    (
+        "quadrature", 0.25, "q",
+        lambda b, conv, sl: max(1, int(math.ceil(conv.A * sl / b))),
+        lambda s, conv: conv.A * s.slab_length / s.q,
+    ),
+    (
+        "implant", 0.25, "delta",
+        lambda b, conv, sl: b / (sl * conv.omega1) if conv.omega1 > 0 else math.inf,
+        lambda s, conv: conv.omega1 * s.slab_length * s.delta if conv.omega1 > 0 else 0.0,
+    ),
+)
+
+GENERAL_TERMS = (
+    SWEEP_CONTRACTION,
+    (
+        "quadrature", 0.25, "q",
+        lambda b, conv, sl: max(1, int(math.ceil(2.0 * conv.A * sl / b))),
+        lambda s, conv: 2.0 * conv.A * s.slab_length / s.q,
+    ),
+    (
+        "implant", 0.25, "delta",
+        lambda b, conv, sl: b / conv.a_norm,
+        lambda s, conv: conv.a_norm * s.delta,
+    ),
+    (
+        "representation", 0.125, "N",
+        lambda b, conv, sl: int(math.ceil(gamma_inverse(conv.gf, sl * conv.a_norm / b))),
+        lambda s, conv: s.slab_length * conv.a_norm / float(conv.gf(s.N)),
+    ),
+)
+
+
+def _slab_budget(eps, K):
+    """Error per slab that the junction telescoping over K slabs keeps
+    within eps."""
+    return (E_HALF - 1.0) * eps * math.exp(-K / 2.0)
+
+
+def char_ledger(terms, sched, conv):
+    """Each term's error at the schedule's parameters, carried to the
+    net's output: name -> float."""
+    carry = math.exp(sched.K / 2.0) / (E_HALF - 1.0)
+    (name, _, _, _, bound), *steps = terms
+    ledger = {name: bound(sched, conv) * carry}
+    for name, _, _, _, bound in steps:
+        ledger[name] = bound(sched, conv) * E_HALF * carry
+    return ledger
+
+
+# The solution's terms at the flow and data accuracy e = eps_tilde and q
+# source nodes: (name, solve(e, problem), bound(e, q, problem)).  A
+# backward foot off by e moves a datum by its Lipschitz constant times
+# e, and a data net errs by e; the source adds both over [0, T].
+# eps_tilde = eps / (7 T M) gives foot and net a seventh of eps each, and
+# the source quadrature, solved for q from eps_tilde, the other three.
+
+
+def _source_quadrature_error(e, q, p):
+    """Midpoint rule on q nodes for the source along the backward flow,
+    whose integrand is l_g-Lipschitz in time, plus the feet's drift."""
+    if p.f is None:
+        return 0.0
+    T, A = p.T_hat, p.convection.A
+    l_g = p.f.lip_t + p.f.lip_x * (A + 1.0)
+    return T**2 * l_g / (2.0 * q) + p.f.lip_x * A * (T / q) ** 2 / 2.0
+
+
+SOLUTION_TERMS = (
+    ("u0 foot + net", None, lambda e, q, p: p.u0.lip_x * e + e if p.u0 is not None else 0.0),
+    (
+        "source net + foot", None,
+        lambda e, q, p: p.T_hat * (e + p.f.lip_x * e) if p.f is not None else 0.0,
+    ),
+    (
+        "source quadrature",
+        lambda e, p: int(math.ceil(p.T_hat / (2.0 * e))) if p.f is not None else 0,
+        _source_quadrature_error,
+    ),
+)
+
+
+def _certify(ledger, eps, what):
+    """The ledger's sum; :class:`ResourceCeiling` if it exceeds eps."""
+    total = sum(ledger.values())
+    if total > eps:
+        raise ResourceCeiling(f"{what} bound {total:.3g} exceeds target {eps}", total)
+    return total
 
 
 @dataclass
@@ -295,41 +411,45 @@ class Schedule:
 
 
 def schedule(eps, grid, problem):
-    """Derive (eta, mu, tau, q, delta[, N]) for a public accuracy target.
+    """Solve the net kind's error terms for a public accuracy target.
 
-    The assembly certifies twice the per-stage target, so everything is
-    computed for eps/2.  Refuses with the predicted cost when the
-    quadrature count or the interpolation grids exceed the ceilings.
+    The sweeps get eps/2 (``eps_internal``), eta per slab, and the
+    one-step map the other half, tau per step.  Refuses with the
+    predicted cost when the quadrature count or the interpolation grids
+    exceed the ceilings.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    (_, share, _, sweeps, _), *_ = _slab_class(problem.convection).terms
     eps_int = eps / 2.0
-    eta = eta_tolerance(eps_int, grid.K)
-    mu = mu_iterations(eta)
-    tau = tau_from_eta(eta)
+    eta = _slab_budget(eps_int, grid.K)
     sl = grid.slab_length
-    q, delta, n_budget = _design(
-        problem, sl, tau, mu * grid.K, f"schedule for eps={eps}"
-    )
-    return Schedule(eps, eps_int, grid.K, sl, eta, mu, tau, q, delta, n_budget)
+    mu = sweeps(eta * (2.0 * share), problem.convection, sl)
+    tau = eta / E_HALF
+    step = _solve_step(problem, sl, tau, mu * grid.K, f"schedule for eps={eps}")
+    return Schedule(eps, eps_int, grid.K, sl, eta, mu, tau, **step)
 
 
-def _design(problem, sl, tau, sweeps, label):
-    """(q, delta, N) of slabs of length ``sl`` with one-step error ``tau``.
+def _solve_step(problem, sl, tau, sweeps, label):
+    """The one-step terms' parameters for slabs of length ``sl`` whose
+    one-step map errs by at most ``tau``: {"q": q, "delta": delta[, "N": N]}.
 
     Refuses with :class:`ResourceCeiling` when the quadrature count or
     the interpolation grid exceeds its ceiling; the predicted cost
     counts ``sweeps`` slab sweeps.
     """
     conv = problem.convection
-    q, delta, n_budget, lam = _slab_class(conv).design(conv, sl, tau)
-    knots = _grid_cells(lam, problem.eval_box, delta)
+    _, *steps = _slab_class(conv).terms
+    step = {param: solve(tau * (2.0 * share), conv, sl) for _, share, param, solve, _ in steps}
+    q = step["q"]
+    lip = conv.Lam if isinstance(conv, AffineConvection) else conv.L
+    knots = _grid_cells(lip, problem.eval_box, step["delta"])
     if q > Q_CEILING or knots > KNOT_CEILING:
         raise ResourceCeiling(
             f"{label} needs q={q}, grid knots={knots}",
             q * problem.d_y * knots * sweeps,
         )
-    return q, delta, n_budget
+    return step
 
 
 def _grid_cells(lip, box, tol):
@@ -877,6 +997,8 @@ class AffineSlabNet(SlabNet):
     with the slab's :class:`SlabInterpolants` as the networks N.
     """
 
+    terms = AFFINE_TERMS
+
     def __init__(self, conv, interval, sched, interpolants):
         super().__init__(conv, interval, sched)
         self.interpolants = interpolants
@@ -907,17 +1029,6 @@ class AffineSlabNet(SlabNet):
             return [cls(conv, iv, sched, shared) for iv in intervals]
         return [cls(conv, iv, sched, interpolants(iv)) for iv in intervals]
 
-    @staticmethod
-    def design(conv, sl, tau):
-        """(q, delta, N, grid Lipschitz bound) for one-step error tau.
-
-        Inverts :meth:`one_step_error_bound`: the quadrature term
-        A |I| / q and the implant term |omega|_1 |I| delta get tau/2 each.
-        """
-        q = max(1, int(math.ceil(2.0 * conv.A * sl / tau)))
-        delta = tau / (2.0 * sl * conv.omega1) if conv.omega1 > 0 else math.inf
-        return q, delta, None, conv.Lam
-
     def _states(self, w):
         return self.interpolants.grid.to_grid(w)
 
@@ -931,21 +1042,13 @@ class AffineSlabNet(SlabNet):
     def depth(self):
         return self.mu * (self.interpolants.depth + 1) + 2
 
-    def one_step_error_bound(self):
-        """Certified |Phi - net| bound for one application (tau by design)."""
-        quad = self.conv.A * (self.interval[1] - self.interval[0]) / self.q
-        impl = (
-            self.conv.omega1
-            * (self.interval[1] - self.interval[0])
-            * (self.delta if np.isfinite(self.delta) else 0.0)
-        )
-        return quad + impl
-
 
 class GeneralSlabNet(SlabNet):
     """One-slab network for a general field via implanted representations."""
 
-    def __init__(self, conv, interval, sched):
+    terms = GENERAL_TERMS
+
+    def __init__(self, conv, interval, sched, charge):
         super().__init__(conv, interval, sched)
         self._nets = []
         for sub in self.subintervals:
@@ -953,10 +1056,10 @@ class GeneralSlabNet(SlabNet):
             depth = len(rep.factors)
             per_comp = self.delta / max(1, depth)
             implanted, bound = implant(rep, [per_comp] * depth)
-            if bound > conv.a_norm * self.delta:
+            if bound > charge:
                 raise ResourceCeiling(
-                    f"implant error {bound:.3g} exceeds the a_norm * delta = "
-                    f"{conv.a_norm * self.delta:.3g} the one-step bound charges",
+                    f"implant error {bound:.3g} exceeds the {charge:.3g} "
+                    "that its budget term charges",
                     bound,
                 )
             self._nets.append(implanted)
@@ -968,21 +1071,13 @@ class GeneralSlabNet(SlabNet):
 
     @classmethod
     def chain(cls, conv, intervals, sched, eval_box):
-        """Slabs on ``intervals``; the implanted nets ignore ``eval_box``."""
-        return [cls(conv, iv, sched) for iv in intervals]
+        """Slabs on ``intervals``; the implanted nets ignore ``eval_box``.
 
-    @staticmethod
-    def design(conv, sl, tau):
-        """(q, delta, N, grid Lipschitz bound) for one-step error tau.
-
-        Inverts :meth:`one_step_error_bound`: the quadrature term
-        2 A |I| / q and the implant term a_norm delta get tau/2 each;
-        N is the representation budget with gamma(N) >= 2 |I| a_norm / (tau/2).
+        A slab refuses an implant whose bound exceeds the ``charge`` of
+        the implant term.
         """
-        q = max(1, int(math.ceil(2.0 * conv.A * sl / (tau / 2.0))))
-        n_budget = int(math.ceil(gamma_inverse(conv.gf, 2.0 * sl * conv.a_norm / (tau / 2.0))))
-        delta = tau / (2.0 * conv.a_norm)
-        return q, delta, n_budget, conv.L
+        charge = next(bound for name, *_, bound in cls.terms if name == "implant")
+        return [cls(conv, iv, sched, charge(sched, conv)) for iv in intervals]
 
     def _sweep_plan(self, y, work=None):
         # sweeps run in x; the increments carry the cell length.  An
@@ -1019,10 +1114,6 @@ class GeneralSlabNet(SlabNet):
     def depth(self):
         return self.mu * 4 + 2
 
-    def one_step_error_bound(self):
-        quad = 2.0 * self.conv.A * (self.interval[1] - self.interval[0]) / self.q
-        return quad + self.conv.a_norm * self.delta
-
 
 def _rho_gate_size(interval, q):
     """Exact nonzero count of rho_gate(interval, q) without building it."""
@@ -1040,8 +1131,8 @@ def build_slab_net(problem, interval, tau, mu=1):
     """
     conv = problem.convection
     sl = interval[1] - interval[0]
-    q, delta, n_budget = _design(problem, sl, tau, mu, f"slab for tau={tau}")
-    sched = Schedule(tau, tau, 1, sl, tau, mu, tau, q, delta, n_budget)
+    step = _solve_step(problem, sl, tau, mu, f"slab for tau={tau}")
+    sched = Schedule(tau, tau, 1, sl, tau, mu, tau, **step)
     return _slab_class(conv).chain(conv, [interval], sched, problem.eval_box)[0]
 
 
@@ -1129,9 +1220,12 @@ class CharNetwork:
 def build_char_net(problem, eps, direction="forward"):
     """Certified characteristic surrogate: sup error <= eps on the box.
 
-    The backward variant runs the identical pipeline on the
-    time-reversed, negated field (same bounds, same affine structure)
-    and approximates backward flow durations.
+    ``report["ledger"]`` holds the error terms at the schedule's
+    parameters (:func:`char_ledger`); a ledger summing above eps is
+    refused with :class:`ResourceCeiling`.  The backward variant runs
+    the identical pipeline on the time-reversed, negated field (same
+    bounds, same affine structure) and approximates backward flow
+    durations.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -1145,8 +1239,11 @@ def build_char_net(problem, eps, direction="forward"):
         )
     grid = macro_grid(problem.T_hat, max(1.0, conv.norm))
     sched = schedule(eps, grid, problem)
+    slab_class = _slab_class(conv)
+    ledger = char_ledger(slab_class.terms, sched, conv)
+    _certify(ledger, eps, "characteristic")
     intervals = [grid.slab(k) for k in range(grid.K)]
-    slabs = _slab_class(conv).chain(conv, intervals, sched, problem.eval_box)
+    slabs = slab_class.chain(conv, intervals, sched, problem.eval_box)
     net = CharNetwork(problem, grid, sched, slabs, direction)
     net.report = {
         "eps": eps,
@@ -1159,6 +1256,7 @@ def build_char_net(problem, eps, direction="forward"):
         "size": net.size(),
         "depth": net.depth(),
         "predicted": predicted_complexity(problem, eps, "char"),
+        "ledger": ledger,
     }
     return net
 
@@ -1235,19 +1333,8 @@ def lipschitz_certificate(net, n_samples=4000, seed=0):
     # two junction chains: (x, y) at {t, t2} and (x2, y2) at t
     z, z_t2 = net.eval(np.stack([t, t2]), x, y)
 
-    # (x, y) direction
-    num = np.abs(net.eval(t, x2, y2) - z).max(axis=1)
-    den = np.maximum(
-        np.abs(x2 - x).max(axis=1), np.abs(y2 - y).max(axis=1)
-    )
-    ok = den > 0
-    lip_xy = float((num[ok] / den[ok]).max()) if np.any(ok) else 0.0
-
-    # t direction
-    num = np.abs(z_t2 - z).max(axis=1)
-    den = np.abs(t2 - t)
-    ok = den > 0
-    lip_t = float((num[ok] / den[ok]).max()) if np.any(ok) else 0.0
+    lip_xy = difference_quotient(np.hstack([x, y]), np.hstack([x2, y2]), z, net.eval(t, x2, y2))
+    lip_t = difference_quotient(t[:, None], t2[:, None], z, z_t2)
 
     T = problem.T_hat
     if isinstance(conv, AffineConvection):
@@ -1391,9 +1478,10 @@ def build_solution_net(problem, eps, source_sign=1.0):
 
     Follows the composed-representation assembly: eps_tilde =
     eps / (7 T M), backward characteristics and data networks at
-    accuracy eps_tilde, source quadrature with q = ceil(T / (2 eps_tilde))
-    nodes.  The certified bound recomputes the full error budget from
-    the actual tolerances and refuses if it exceeds eps.
+    accuracy eps_tilde, and the source quadrature's nodes solved from
+    ``SOLUTION_TERMS``.  ``report["ledger"]`` holds those terms at the
+    chosen accuracy and nodes, and their sum, ``certified_bound``, is
+    refused with :class:`ResourceCeiling` above eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -1404,41 +1492,28 @@ def build_solution_net(problem, eps, source_sign=1.0):
             "solution assembly anchors backward flows at the query time; "
             "time-dependent convection needs per-anchor builds"
         )
+    # the source quadrature is the one term with a parameter of its own
+    (q_src,) = (solve(eps_t, problem) for _, solve, _ in SOLUTION_TERMS if solve)
+    if q_src > Q_CEILING:
+        raise ResourceCeiling("source quadrature too fine", q_src)
+    ledger = {name: bound(eps_t, q_src, problem) for name, _, bound in SOLUTION_TERMS}
+    bound = _certify(ledger, eps, "solution")
     back = build_char_net(problem, eps_t, direction="backward")
     u0_net, data_size = (
         _datum_net(problem, problem.u0, eps_t) if problem.u0 is not None else (None, 0)
     )
     f_nets = []
-    q_src = 0
     if problem.f is not None:
-        q_src = int(math.ceil(T / (2.0 * eps_t)))
-        if q_src > Q_CEILING:
-            raise ResourceCeiling("source quadrature too fine", q_src)
-        xi = (np.arange(q_src) + 0.5) * T / q_src
-        for node in xi:
+        for node in (np.arange(q_src) + 0.5) * T / q_src:
             f_net, size = _datum_net(problem, problem.f, eps_t, is_source=True, at_time=node)
             f_nets.append(f_net)
             data_size += size
-
-    # executable error budget
-    lip_u0 = problem.u0.lip_x if problem.u0 is not None else 0.0
-    bound = lip_u0 * eps_t + (eps_t if problem.u0 is not None else 0.0)
-    if problem.f is not None:
-        speed = problem.convection.A + 1.0
-        l_g = problem.f.lip_t + problem.f.lip_x * speed
-        quad = T**2 * l_g / (2.0 * q_src) + problem.f.lip_x * problem.convection.A * (
-            T / q_src
-        ) ** 2 / 2.0
-        bound += T * (eps_t + problem.f.lip_x * eps_t) + quad
-    if bound > eps:
-        raise ResourceCeiling(
-            f"solution bound {bound:.3g} exceeds target {eps}", bound
-        )
     report = {
         "eps": eps,
         "eps_tilde": eps_t,
         "q_src": q_src,
         "certified_bound": bound,
+        "ledger": ledger,
         "char_report": back.report,
         "source_sign": source_sign,
     }

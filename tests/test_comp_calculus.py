@@ -122,47 +122,6 @@ class TestGrowth:
         with pytest.raises(ValueError):
             cc.gamma_inverse(cc.GrowthFunction("exp", 2, 1), 1.0)
 
-    def test_n_epsilon_examples(self):
-        assert cc.n_epsilon(cc.GrowthFunction("alg", 1, 1), 1.0, 0.1) == 10
-        assert cc.n_epsilon(cc.GrowthFunction("exp", 1, 1), math.e**2, 1.0) == 2
-        assert cc.n_epsilon(cc.GrowthFunction("alg", 2, 2), 8.0, 0.5) == 3
-        with pytest.raises(ValueError):
-            cc.n_epsilon(cc.GrowthFunction("alg", 1, 1), 1.0, 0.0)
-
-
-class TestNearInverse:
-    def test_pure_power(self):
-        ni = cc.near_inverse(1, 1, 2, 0)
-        assert ni(25.0) == pytest.approx(5.0)
-
-    def test_roundtrip_band(self):
-        ni = cc.near_inverse(1, 1, 1, 1)
-        rs = np.exp2(np.linspace(4, 20, 50))
-        ratio = ni.forward(ni(rs)) / rs
-        assert ratio.min() >= 0.25 and ratio.max() <= 4.0
-
-    def test_char_rate_shape(self):
-        # phi(s) = d_y A T m^2 s^(m+1) |log2 s|^2 inverts to the
-        # characteristic-rate law (r/d_y)^(1/(m+1)) |log2(r/d_y)|^(-2/(m+1))
-        m, d_y, A, T = 1, 4, 1.0, 1.0
-        ni = cc.near_inverse(d_y * A * T * m**2, 1.0, m + 1, 2.0)
-        rs = np.exp2(np.linspace(14, 30, 40))
-        target = (
-            (A * T * m**2) ** (-1 / (m + 1))
-            * (rs / d_y) ** (1 / (m + 1))
-            * np.abs(np.log2(rs / d_y)) ** (-2 / (m + 1))
-        )
-        ratio = ni(rs) / target
-        assert ratio.max() / ratio.min() <= 4.0
-        assert 0.25 <= ratio.min() and ratio.max() <= 4.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            cc.near_inverse(-1, 1, 1, 0)
-        ni = cc.near_inverse(1, 1, 1, 1)
-        with pytest.raises(ValueError):
-            ni(1.0)  # log singularity
-
 
 class TestImplant:
     def test_exact_factors_passthrough(self, rng):
@@ -243,53 +202,6 @@ class TestImplant:
         rep = cc.CompRep([f, cc.LinearFactor([[1.0]])])
         with pytest.raises(ResourceWarning):
             cc.implant(rep, [1e-9, 0.0], max_grid_nodes=1000)
-
-
-class TestImplantForAccuracy:
-    def test_constant_exact_family(self):
-        # family exact from N >= 1: zero family error, implant error only
-        lin = cc.CompRep([cc.LinearFactor([[1.0]])])
-        gf = cc.GrowthFunction("alg", 1, 1)
-        net, report = cc.implant_for_accuracy(
-            lambda N: lin, gf, norm=1.0, seminorm=1e-12, eps=0.05
-        )
-        assert report["total_bound"] <= 0.05
-        x = np.linspace(0, 1, 20)[:, None]
-        np.testing.assert_allclose(net.eval(x), x, atol=1e-12)
-
-    def test_lipschitz_1d_accuracy(self, rng):
-        target = lambda x: np.abs(x[:, :1] - 0.4)
-
-        def family(N):
-            f = cc.GenericFactor(target, 1, 1, lip=1.0, sup=0.6, box=[[0, 1]])
-            return cc.CompRep([f, cc.LinearFactor([[1.0]])])
-
-        gf = cc.GrowthFunction("alg", 1, 1)
-        net, report = cc.implant_for_accuracy(
-            family, gf, norm=1.0, seminorm=1.0, eps=0.05
-        )
-        pts = rng.uniform(0, 1, (3000, 1))
-        assert np.abs(net.eval(pts) - target(pts)).max() <= 0.05
-
-    def test_size_tracks_rate_shape(self):
-        # measured sizes across eps = 2^-k stay within a factor-4 band of
-        # the rate-law shape (1/eps)^(s+1)-ish for the trivial 1-factor family
-        def family(N):
-            f = cc.GenericFactor(
-                lambda x: np.abs(x[:, :1] - 0.4), 1, 1, lip=1.0, sup=0.6, box=[[0, 1]]
-            )
-            return cc.CompRep([f, cc.LinearFactor([[1.0]])])
-
-        gf = cc.GrowthFunction("exp", 1, 1)
-        ratios = []
-        for k in (3, 4, 5, 6):
-            eps = 2.0**-k
-            net, report = cc.implant_for_accuracy(family, gf, 1.0, 1.0, eps)
-            predicted = (1 / eps) * math.log2(1 / eps) * max(
-                1.0, cc.gamma_inverse(gf, 2.0 / eps)
-            ) ** 2
-            ratios.append(report["size"] / predicted)
-        assert max(ratios) / min(ratios) <= 4.0
 
 
 def test_build_report_is_plain_json():

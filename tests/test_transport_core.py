@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,12 +49,12 @@ def cosine_problem_m3():
     return tc.TransportProblem(conv, 1.0, [[0.0, 1.0]] * 3)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def config_problem(stem):
     """The problem of configs/<stem>.json."""
-    import json
-    from pathlib import Path
-
-    cfg = Path(__file__).resolve().parent.parent / "configs" / f"{stem}.json"
+    cfg = CONFIGS / f"{stem}.json"
     return tc.problem_from_dict(json.loads(cfg.read_text())["problem"])
 
 
@@ -281,20 +283,42 @@ class TestMacroGrid:
         assert g.slab_length <= g.interval_length + 1e-15
 
 
+def constant_problem():
+    """A = L = 1: two slabs of length 1/2 on [0, 1]."""
+    comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
+    conv = tc.AffineConvection(1, 1, [1.0], comps)
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
+
+
+def term(terms, name):
+    """The term ``name`` of a budget: (name, share, parameter, solve, bound)."""
+    return next(t for t in terms if t[0] == name)
+
+
 class TestSchedule:
     def test_eta_example(self):
-        assert tc.eta_tolerance(0.1, 2) == pytest.approx(
-            (math.exp(0.5) - 1) * 0.1 * math.exp(-1)
-        )
+        # the sweeps' half of eps = 0.2, telescoped over K = 2 slabs
+        prob = constant_problem()
+        sched = tc.schedule(0.2, tc.macro_grid(1.0, 1.0), prob)
+        assert sched.K == 2
+        assert sched.eta == pytest.approx((math.exp(0.5) - 1) * 0.1 * math.exp(-1))
 
     def test_mu_example(self):
-        assert tc.mu_iterations(1 / 8) == 2
+        _, share, param, solve, bound = term(tc.AFFINE_TERMS, "sweep contraction")
+        assert (share, param) == (0.5, "mu")
+        conv = constant_problem().convection
+        assert solve(1 / 8, conv, 0.5) == 2
+        assert bound(tc.Schedule(0.2, 0.1, 2, 0.5, 1 / 8, 2, 1 / 8, 1, 1.0), conv) == 1 / 8
 
     def test_tau_and_q_example(self):
-        eta = tc.eta_tolerance(0.1, 2)
-        tau = tc.tau_from_eta(eta)
-        assert tau == pytest.approx(math.exp(-0.5) * eta)
-        assert math.ceil(2 * 1.0 * 0.5 / tau) == 70
+        prob = constant_problem()
+        sched = tc.schedule(0.2, tc.macro_grid(1.0, 1.0), prob)
+        assert sched.tau == pytest.approx(math.exp(-0.5) * sched.eta)
+        # the quadrature term's share, 1/4 of eps, is half of tau
+        _, share, param, solve, bound = term(tc.AFFINE_TERMS, "quadrature")
+        assert (share, param) == (0.25, "q")
+        assert solve(sched.tau / 2, prob.convection, 0.5) == 70 == sched.q
+        assert bound(sched, prob.convection) <= sched.tau / 2
 
     def test_schedule_certifies_internal_half(self):
         prob = cosine_problem()
@@ -319,6 +343,65 @@ class TestSchedule:
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
         with pytest.raises(tc.ResourceCeiling, match="q=666667, grid knots=1"):
             tc.build_slab_net(prob, (0.0, 1.0 / 3.0), tau=1e-6)
+
+
+def halved_quadrature(terms):
+    """``terms`` with the quadrature term solved for half its q."""
+    return tuple(
+        (name, share, param, (lambda b, conv, sl, f=solve: f(b, conv, sl) // 2), bound)
+        if name == "quadrature"
+        else (name, share, param, solve, bound)
+        for name, share, param, solve, bound in terms
+    )
+
+
+class TestLedger:
+    @staticmethod
+    def assert_ledger(report, names, eps):
+        ledger = report["ledger"]
+        assert list(ledger) == names
+        assert all(type(v) is float and v >= 0.0 for v in ledger.values())
+        assert sum(ledger.values()) <= eps
+        json.dumps(report)
+
+    @pytest.mark.parametrize("stem", ["affine_m1_dy4", "cosine_m2_dy2", "solution_affine"])
+    def test_within_eps_on_every_rung(self, stem):
+        cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+        prob = config_problem(stem)
+        char_names = [t[0] for t in tc.AFFINE_TERMS]
+        for eps in cfg["eps_ladder"]:
+            if cfg["kind"] == "char":
+                self.assert_ledger(tc.build_char_net(prob, eps).report, char_names, eps)
+                continue
+            net = tc.build_solution_net(prob, eps)
+            self.assert_ledger(net.report, [t[0] for t in tc.SOLUTION_TERMS], eps)
+            assert net.report["certified_bound"] == sum(net.report["ledger"].values())
+            self.assert_ledger(net.report["char_report"], char_names, net.report["eps_tilde"])
+
+    def test_general_within_eps(self):
+        # the representation term is charged too
+        prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
+        report = tc.build_char_net(prob, 0.2).report
+        self.assert_ledger(report, [t[0] for t in tc.GENERAL_TERMS], 0.2)
+        assert report["ledger"]["representation"] > 0.0
+
+    def test_half_quadrature_refused(self, monkeypatch):
+        monkeypatch.setattr(tc.AffineSlabNet, "terms", halved_quadrature(tc.AFFINE_TERMS))
+        with pytest.raises(tc.ResourceCeiling, match="characteristic bound"):
+            tc.build_char_net(config_problem("affine_m1_dy4"), 0.1)
+        # the solution's backward net
+        with pytest.raises(tc.ResourceCeiling, match="characteristic bound"):
+            tc.build_solution_net(config_problem("solution_affine"), 0.1)
+
+    def test_solution_ledger_refused(self, monkeypatch):
+        # one source node leaves the quadrature term alone above eps
+        terms = [
+            (name, (lambda e, p: 1) if solve else None, bound)
+            for name, solve, bound in tc.SOLUTION_TERMS
+        ]
+        monkeypatch.setattr(tc, "SOLUTION_TERMS", tuple(terms))
+        with pytest.raises(tc.ResourceCeiling, match="solution bound"):
+            tc.build_solution_net(config_problem("solution_affine"), 0.1)
 
 
 class TestPicardNumeric:
@@ -393,9 +476,13 @@ class TestSlabNet:
         prob = cosine_problem(d_y=2)
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(0), tau=0.02)
-        # case with slab averages: (L|I| + 1) A |I| / (2q) dominates the
-        # quadrature part; the full budget must stay below tau
-        assert slab.one_step_error_bound() <= 0.02 + 1e-12
+        # the one-step terms at the slab's q and delta: A |I| / q and
+        # |omega|_1 |I| delta, a half of tau each
+        sl = grid.slab_length
+        sched = tc.Schedule(0.02, 0.02, 1, sl, 0.02, slab.mu, 0.02, slab.q, slab.delta)
+        bounds = [bound(sched, prob.convection) for *_, bound in tc.AFFINE_TERMS[1:]]
+        assert all(b <= 0.01 for b in bounds)
+        assert sum(bounds) <= 0.02 + 1e-12
 
     def test_naive_reference_agreement(self, rng):
         prob = cosine_problem(d_y=2)
@@ -1243,7 +1330,7 @@ class TestGeneralConvection:
 
     def test_implant_bound_refused_past_its_charge(self):
         # the implant error is the factor errors times the declared
-        # Lipschitz constants after them; one_step_error_bound charges
+        # Lipschitz constants after them; the implant term charges
         # a_norm * delta for it
         for eps in (0.2, 0.1):
             prob = tc.TransportProblem(self.make_general(), 1.0, [[0.0, 1.0]])
