@@ -445,26 +445,26 @@ class GridTooCoarse(ValueError):
 
 
 def knot_slopes(values, out=None):
-    """Differences values[l + 1] - values[l] along axis 0, in ``out`` if given.
+    """Differences values[..., l + 1] - values[..., l] along the last axis,
+    in ``out`` if given.
 
     The last entry, which no lookup reads, is zero.
     """
     slopes = np.empty_like(values) if out is None else out
-    np.subtract(values[1:], values[:-1], out=slopes[:-1])
-    slopes[-1] = 0.0
+    np.subtract(values[..., 1:], values[..., :-1], out=slopes[..., :-1])
+    slopes[..., -1] = 0.0
     return slopes
 
 
 class KnotLookup:
-    """s = 1 hat sums over stacked knot tables, for a fixed number of points.
+    """s = 1 hat sums over stacked knot tables, for at most p points.
 
-    ``values`` (L * (q + 3),) + trailing stacks L tables laid out like
-    :attr:`InterpolantNet.table` on ``grid``, whose entries may be blocks
-    of values, one per interpolant; ``slopes`` are their
-    :func:`knot_slopes`.  Point r reads the table that starts at
-    ``starts[r]``.  Everything but the points is fixed here, so a call
-    is one in-place pass over work buffers made once.  A call may pass
-    fewer points than ``starts`` holds: its points are the first ones.
+    ``values`` (E, L * (q + 3)) are the L tables of a :class:`TableStack`
+    on ``grid``, E values per knot, and ``slopes`` their
+    :func:`knot_slopes`.  Point r of p reads the table that starts at
+    entry ``starts[r]``.  Everything but the points is fixed here, so a
+    call is one in-place pass over work buffers made once.  A call may
+    pass k < p points: its points are the first k.
     """
 
     def __init__(self, grid, values, slopes, starts):
@@ -475,16 +475,19 @@ class KnotLookup:
         self.origin = starts + 1
         p = len(starts)
         self.u = np.empty(p)
-        self.frac = self.u.reshape((p,) + (1,) * (values.ndim - 1))
+        # the points' cell fractions as a row, which every entry shares
+        self.frac = self.u.reshape(1, p)
         self.cell = np.empty(p)
         self.index = np.empty(p, dtype=np.intp)
-        self.base = np.empty((p,) + values.shape[1:])
+        self.out = np.empty(len(values) * p)
+        self.base = np.empty(len(values) * p)
 
-    def __call__(self, x, out):
-        """Hat sums at the points ``x`` (k,) in grid units, into ``out``.
+    def __call__(self, x):
+        """Hat sums (E, k) at the points ``x`` (k,) in grid units.
 
         The two cell ends are the only active hats, with exact weights:
-        out = values[l] + slopes[l] * (u - cell) at grid coordinate u.
+        values[:, l] + slopes[:, l] * (u - cell) at grid coordinate u.
+        The result is a view of a buffer that the next call rewrites.
         """
         k = len(x)
         u, cell, index = self.u[:k], self.cell[:k], self.index[:k]
@@ -500,46 +503,79 @@ class KnotLookup:
         # mode="clip" never changes a read: it only lets take write into
         # out without a buffered copy.  A NaN point escapes the clip; its
         # cast warns and its value comes out NaN.
-        self.slopes.take(index, axis=0, out=out, mode="clip")
-        out *= self.frac[:k]
-        base = self.base[:k]
-        self.values.take(index, axis=0, out=base, mode="clip")
+        shape = (len(self.values), k)
+        out = self.out[: shape[0] * k].reshape(shape)
+        self.slopes.take(index, axis=1, out=out, mode="clip")
+        out *= self.frac[:, :k]
+        base = self.base[: shape[0] * k].reshape(shape)
+        self.values.take(index, axis=1, out=base, mode="clip")
         out += base
         return out
 
 
 class TableStack:
-    """L tables (L,) + ``net.table.shape`` of nets with ``net``'s grid and
-    sawtooth depth.
+    """Stacked coefficient tables: the one layout that every lookup reads.
 
-    The tables are held entry-major, as one row (1, L * table size) of
-    the L tables one after another, for s = 1 with its knot slopes.
-    Called with points ``u`` (p, s) in grid units and table indices
-    ``which`` (p,), it gives point r's hat sum in table ``which[r]``: a
+    ``tables`` (L, E) + ``net.table.shape`` are L tables of nets with
+    ``net``'s grid and sawtooth depth, each node holding E values.  They
+    are held entry-major, ``values`` (E, L * table size): row e is
+    entry e of every node of the L tables, one table after another; for
+    s = 1 with their :func:`knot_slopes` along the last axis.  A lookup
+    gives point r's hat sums (E,) in table ``which[r]``: a
     :class:`KnotLookup` for s = 1, :meth:`InterpolantNet.weighted_sum`
     for s >= 2.
     """
 
-    def __init__(self, net, tables, slopes=None):
+    def __init__(self, net, tables):
         self.net = net
-        self.values = tables.reshape(1, -1)
+        n_tables, entries = tables.shape[:2]
+        values = tables.reshape(n_tables, entries, -1).swapaxes(0, 1)
+        self.values = np.ascontiguousarray(values).reshape(entries, -1)
         if net.s == 1:
-            self.slopes = knot_slopes(self.values[0]) if slopes is None else slopes
+            self.slopes = knot_slopes(self.values)
 
     @classmethod
     def of(cls, nets):
-        """The stack of the tables of ``nets``, in their order."""
+        """The stack of the tables of ``nets``, in their order, E = 1."""
         if len({(net.table.shape, net.sawtooth_depth) for net in nets}) > 1:
             raise ValueError("stacked nets need one grid and sawtooth depth")
-        return cls(nets[0], np.stack([net.table for net in nets]))
+        return cls(nets[0], np.stack([net.table for net in nets])[:, None])
 
-    def __call__(self, u, which):
+    def lookup(self, p, which=None):
+        """The lookup of at most p points, a reusable callable.
+
+        It maps points u (s, k), k <= p, in grid units
+        (:meth:`GridSpec.to_grid`), axis-major, to their hat sums (E, k):
+        point r reads table ``which[r]`` of ``which`` (p,), or table 0
+        if ``which`` is None.  What does not depend on the points, the
+        table offsets and, for s = 1, the work buffers, is made here.
+        """
         net = self.net
         if net.s > 1:
-            return net.weighted_sum(np.ascontiguousarray(u.T), self.values, which)[0]
-        starts = which * net.table.size
-        out = np.empty(len(u))
-        return KnotLookup(net.grid, self.values[0], self.slopes, starts)(u[:, 0], out)
+            return lambda u: net.weighted_sum(
+                u, self.values, None if which is None else which[: u.shape[1]]
+            )
+        starts = np.zeros(p, dtype=np.intp) if which is None else which * net.table.size
+        knots = KnotLookup(net.grid, self.values, self.slopes, starts)
+        return lambda u: knots(u[0])
+
+    def contracted(self, w, out=None):
+        """The s = 1 stack with one table per row: table r is
+        sum_e w[r, e] * entry e of this stack's one table.
+
+        ``w`` is (n, E); the result is written into ``out``, a stack this
+        method made for n rows, if given.
+        """
+        n = len(w)
+        if out is None:
+            out = TableStack(self.net, np.zeros((n, 1) + self.net.table.shape))
+        np.einsum("re,et->rt", w, self.values, out=out.values.reshape(n, -1))
+        knot_slopes(out.values, out=out.slopes)
+        return out
+
+    def __call__(self, u, which=None):
+        """One lookup of the points ``u`` (s, k): (E, k)."""
+        return self.lookup(u.shape[1], which)(u)
 
 
 class InterpolantNet:
@@ -550,11 +586,11 @@ class InterpolantNet:
     output layers (see :meth:`materialize`, cross-checked in tests),
     but stores the coefficient array and evaluates only the <= 2^s hats
     active at each point, from the closed form of their networks.
-    ``table`` is the coefficient array as a :class:`TableStack` reads
-    it, for s = 1 with its knot ``slopes``; ``sawtooth_depth`` is the
-    depth n of the hats' product network (None for s = 1).  ``size()``
-    and ``depth()`` report the exact monolithic counts through
-    :func:`template_counts`; only :meth:`materialize` builds networks.
+    ``table`` is the coefficient array as a :class:`TableStack` holds
+    it; ``sawtooth_depth`` is the depth n of the hats' product network
+    (None for s = 1).  ``size()`` and ``depth()`` report the exact
+    monolithic counts through :func:`template_counts`; only
+    :meth:`materialize` builds networks.
     """
 
     def __init__(self, grid, coeffs, delta_inner=None):
@@ -564,11 +600,10 @@ class InterpolantNet:
         )
         self.s = grid.s
         self.delta_inner = delta_inner
-        self.sawtooth_depth = self.slopes = None
+        self.sawtooth_depth = None
         if grid.s == 1:
             # ghost zero-nodes at -h and 1+h carry the boundary hat ramps
             self.table = np.concatenate(([0.0], self.coeffs, [0.0]))
-            self.slopes = knot_slopes(self.table)
         else:
             self.table = self.coeffs
             if delta_inner is None:
@@ -612,9 +647,8 @@ class InterpolantNet:
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        u = self.grid.to_grid(x)
-        own = TableStack(self, self.table[None], self.slopes)
-        out = own(u, np.zeros(len(u), dtype=np.intp))[:, None]
+        u = np.ascontiguousarray(self.grid.to_grid(x).T)
+        out = TableStack(self, self.table[None, None])(u)[0][:, None]
         return out[0] if single else out
 
     def weighted_sum(self, u, tables, lead=None):
@@ -622,11 +656,10 @@ class InterpolantNet:
         s >= 2.
 
         ``u`` (s, n) are n points in grid units of this net's grid
-        (:meth:`GridSpec.to_grid`), axis-major.  ``tables`` (E, L *
-        table size) holds L coefficient tables laid out like
-        :attr:`table`, one after another, entry-major: row e is entry e
-        of every node of every table, one per interpolant sharing this
-        grid and ``sawtooth_depth``.  Point r reads table ``lead[r]``
+        (:meth:`GridSpec.to_grid`), axis-major.  ``tables`` are the
+        ``values`` (E, L * table size) of a :class:`TableStack` of L
+        tables laid out like :attr:`table`, entry-major: row e is entry e
+        of every node of every table.  Point r reads table ``lead[r]``
         (table 0 if ``lead`` is None).  Returns (E, n).
 
         The hats active at a point are those of its cell's 2^s corners,
@@ -719,15 +752,14 @@ class InterpolantNet:
         return compose(tensor_hat(indices, self.grid.h, self.delta_inner), to_unit)
 
 
-def lip_stable_net(sf, delta, reference_fn=None):
+def lip_stable_net(sf, delta):
     """Lipschitz-stable network approximation of a sampled function.
 
     Returns (net, report).  The network is the weighted tensor-hat sum
     over the sampled grid; certified sup error <= delta requires the
     grid spacing h <= delta / (2 * lip); otherwise :class:`GridTooCoarse`
     reports the required q.  The report carries h, the inner product-net
-    tolerance, exact size and depth, and, when a reference callable is
-    supplied, the sup error measured at 2000 seeded random points.
+    tolerance and exact size and depth.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
@@ -748,15 +780,7 @@ def lip_stable_net(sf, delta, reference_fn=None):
         "delta_inner": None if grid.s == 1 else delta_inner,
         "size": net.size(),
         "depth": net.depth(),
-        "measured_sup_error": None,
     }
-    if reference_fn is not None:
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(grid.box[:, 0], grid.box[:, 1], size=(2000, grid.s))
-        ref = np.asarray(reference_fn(pts), dtype=float).reshape(-1)
-        report["measured_sup_error"] = float(
-            np.max(np.abs(net.eval(pts)[:, 0] - ref))
-        )
     return net, report
 
 
@@ -790,7 +814,7 @@ def calibrate_constants(seed=0):
                 )
 
             sf = SampledFunction.from_function(g, grid, lip_bound=lip)
-            net, rep = lip_stable_net(sf, delta, reference_fn=g)
+            net, rep = lip_stable_net(sf, delta)
             c1 = max(c1, rep["size"] * delta**s / (lip**s * k))
             c2 = max(c2, rep["depth"] / k)
             box = np.tile([0.0, 1.0], (s, 1))

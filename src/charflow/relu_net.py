@@ -149,13 +149,11 @@ def scale_net(net, c):
 # composition algebra
 
 
-def compose(outer, inner, report=False):
+def compose(outer, inner):
     """Exact composition outer(inner(x)).
 
     The inner network's identity output layer is fused with the outer
     network's first affine layer, so no extra layer is introduced.
-    With ``report=True`` also returns the fusion bookkeeping (size of
-    the fused layer vs the two layers it replaced).
     """
     if inner.out_dim != outer.in_dim:
         raise ValueError(
@@ -168,16 +166,7 @@ def compose(outer, inner, report=False):
         first.weights @ b_in + first.biases,
         first.activation,
     )
-    net = ReluNetwork(list(inner.layers[:-1]) + [fused] + list(outer.layers[1:]))
-    if report:
-        replaced = inner.layers[-1].size() + first.size()
-        info = {
-            "fused_layer_size": fused.size(),
-            "replaced_layers_size": replaced,
-            "fusion_overhead": fused.size() - replaced,
-        }
-        return net, info
-    return net
+    return ReluNetwork(list(inner.layers[:-1]) + [fused] + list(outer.layers[1:]))
 
 
 def passthrough_cost(net, depth):
@@ -216,12 +205,12 @@ def pad_to_depth(net, depth):
     return ReluNetwork(list(net.layers[:-1]) + [lift] + mid + [recombine])
 
 
-def parallelize(nets, report=False):
+def parallelize(nets):
     """Stack networks over a shared input: out_dim is the sum of out_dims.
 
     Nets of different depth are padded via :func:`pad_to_depth`; the
     size overhead over the plain sum of sizes is exactly the sum of
-    :func:`passthrough_cost` values, reported on request.
+    :func:`passthrough_cost` values.
     """
     nets = list(nets)
     if not nets:
@@ -230,7 +219,6 @@ def parallelize(nets, report=False):
     if any(n.in_dim != d0 for n in nets):
         raise ValueError("parallelize requires equal input dims")
     target = max(n.depth() for n in nets)
-    cost = sum(passthrough_cost(n, target) for n in nets)
     padded = [pad_to_depth(n, target) for n in nets]
 
     layers = []
@@ -252,13 +240,10 @@ def parallelize(nets, report=False):
                 c += layer.in_dim
         biases = np.concatenate([layer.biases for layer in blocks])
         layers.append(AffineLayer(weights, biases, blocks[0].activation))
-    net = ReluNetwork(layers)
-    if report:
-        return net, {"passthrough_cost": cost}
-    return net
+    return ReluNetwork(layers)
 
 
-def sum_nets(nets, weights=None, report=False):
+def sum_nets(nets, weights=None):
     """Weighted sum of networks with equal in- and output dimensions.
 
     Realized as a linear readout fused onto the parallelization, so
@@ -272,13 +257,8 @@ def sum_nets(nets, weights=None, report=False):
         raise ValueError("sum requires equal output dims")
     if weights is None:
         weights = [1.0] * len(nets)
-    stacked = parallelize(nets, report=True)
-    stacked, info = stacked
     summer = np.hstack([w * np.eye(m) for w in weights])
-    net = compose(affine_net(summer), stacked)
-    if report:
-        return net, info
-    return net
+    return compose(affine_net(summer), parallelize(nets))
 
 
 # ---------------------------------------------------------------------------

@@ -290,9 +290,8 @@ def macro_grid(T_hat, a_norm):
 # interpolates them to delta, which the weights y_j omega_j carry into
 # |omega|_1 |I| delta.  A general slab quadratures the field itself, at
 # twice the cost, and implants a representation that itself errs by
-# |I| a_norm / gamma(N).  Its shares exceed eps by 1/8, which the ledger
-# check covers: the sweeps' ceiling leaves their term near half its
-# share.
+# |I| a_norm / gamma(N), with the implant's budget split between them.
+# Every net kind's shares sum to 1.
 
 
 def _sweeps(eta, conv, sl):
@@ -325,7 +324,7 @@ GENERAL_TERMS = (
         lambda s, conv: 2.0 * conv.A * s.slab_length / s.q,
     ),
     (
-        "implant", 0.25, "delta",
+        "implant", 0.125, "delta",
         lambda b, conv, sl: b / conv.a_norm,
         lambda s, conv: conv.a_norm * s.delta,
     ),
@@ -647,8 +646,9 @@ class SlabNet:
     Every sweep state is cell-major, (m, p, n): axis, cell, row, with
     the n rows of a block innermost.  Each array of a sweep then runs
     along the rows, the running sums over the cells take two rows per
-    step (:func:`running_sums`), and an m >= 2 lookup reads the states
-    as points (m, p * n) with no transpose.
+    step (:func:`running_sums`), and the interpolants' lookups
+    (:meth:`lip_interp.TableStack.lookup`) read the states as points
+    (m, p * n) with no transpose.
 
     A slab sweeps in its own units: states u with x = x_0 + ``unit`` * u
     per axis, and increments V that already carry the cell length, so a
@@ -795,24 +795,22 @@ class SlabInterpolants:
     subinterval i.  All share one grid on the evaluation box, whose units
     the sweep states keep, so one sweep visits the active hats once for
     every interpolant.  Components of one sawtooth depth, which is all
-    a lookup reads of a net besides the grid, form a group of k
-    components, whose coefficient tables are stacked once, here.  For
-    m >= 2 they are entry-major, as
-    :meth:`lip_interp.InterpolantNet.weighted_sum` reads them: shape
-    (k * m, L * table size), row j * m + c holding the tables of output c
-    of the group's component j over the L subintervals, one after
-    another; or (k, m, table size) for a group that is contracted with
-    the row weights before the lookup.  For m = 1 a :class:`KnotLookup`
-    reads them as knot rows: (L, table size, 1, k), or (k, table size,
-    1) for a contracted group.  :meth:`plan` makes the sweep of one
-    row block.
+    a lookup reads of a net besides the grid, form a group
+    ``(stack, js, contract)`` of the k components ``js``: ``stack`` is a
+    :class:`lip_interp.TableStack` of one table per subinterval, whose
+    entry j * m + c holds output c of component ``js[j]``.  An m = 1
+    group with one table is contracted with the row weights before the
+    lookup (``contract``) when a row's table is smaller than the entries
+    its q states gather.  :meth:`plan` makes the sweep of one row block.
     """
 
     def __init__(self, conv, subintervals, eval_box, delta, q):
         self.q = q
         self.per_cell = len(subintervals) > 1
+        # the grid is sized at the tolerance that lip_stable_net certifies
+        tol = min(delta, 0.5)
         self.grid = lip_interp.GridSpec(
-            conv.m, _grid_cells(conv.Lam, eval_box, delta), box=eval_box
+            conv.m, _grid_cells(conv.Lam, eval_box, tol), box=eval_box
         )
         nodes = self.grid.nodes()
         self.nets = []
@@ -827,7 +825,7 @@ class SlabInterpolants:
                     sf = lip_interp.SampledFunction(
                         self.grid, avg[:, c], lip_bound=comp.lip_x, sup_bound=comp.sup
                     )
-                    net, report = lip_interp.lip_stable_net(sf, min(delta, 0.5))
+                    net, report = lip_interp.lip_stable_net(sf, tol)
                     self.size += report["size"]
                     comp_nets.append(net)
                 per_j.append(comp_nets)
@@ -835,34 +833,19 @@ class SlabInterpolants:
         by_depth = {}
         for j, per_j in enumerate(self.nets):
             by_depth.setdefault(per_j[0][0].sawtooth_depth, []).append(j)
-        m, s, L = conv.m, self.grid.s, len(subintervals)
+        m, L = conv.m, len(subintervals)
         self.groups = []
         self.point_width = float(m)
         for js in by_depth.values():
             net = self.nets[js[0]][0][0]
-            # (k, m, L) + table shape
-            tables = np.array(
-                [[[self.nets[j][i][c].table for i in range(L)] for c in range(m)] for j in js]
-            )
-            # A shared table is contracted with the row weights before the
-            # lookup when a row's combined table is smaller than the
-            # coefficients its q states would gather at the 2^s corners.
-            per_table = m * net.table.size
-            first = L == 1 and per_table < 2**s * q * m
-            if s > 1:
-                tables = tables.reshape((len(js), m, -1) if first else (len(js) * m, -1))
-            elif first:
-                tables = tables.reshape(len(js), -1, 1)
-            else:
-                # knot rows of all subintervals, with their slopes
-                values = np.ascontiguousarray(tables.reshape(len(js), -1).T)
-                self.knots = values, lip_interp.knot_slopes(values)
-                tables = values.reshape(L, -1, 1, len(js))
-            self.groups.append((net, tables, js, first))
+            tables = [[self.nets[j][i][c].table for j in js for c in range(m)] for i in range(L)]
+            size = net.table.size
+            contract = m == 1 and L == 1 and size < 2 * q
+            self.groups.append((lip_interp.TableStack(net, np.array(tables)), js, contract))
             # a contracted group's per-row table counts per state too
-            entries = m if first else m * len(js)
+            entries = m if contract else m * len(js)
             self.point_width = max(
-                self.point_width, net.point_floats(entries), per_table / q if first else 0
+                self.point_width, net.point_floats(entries), size / q if contract else 0
             )
         every = [net for per_j in self.nets for per_i in per_j for net in per_i]
         self.depth = max(net.depth() for net in every)
@@ -877,115 +860,67 @@ class SlabInterpolants:
         :class:`SlabNet` keeps them.  V[:, i, r] = sum_j weights[r, j] *
         N_{j,i}(Z[:, i, r]) * cell / spacing for row weights ``weights``
         (n, d_y): the increments of cells of length ``cell`` in grid
-        units.  What does not depend on the states is made here, once per
-        row block: the weights with the cell length folded in, a
-        contracted group's per-row tables, the table each state reads
-        and, for s = 1, the knot slopes and the lookup's buffers, so that
-        each sweep is one pass.  For s = 1 the per-row tables, the lookup
-        and V are kept in ``work`` (:class:`SweepWork`, made here if
-        None) per row count, for all q cells, so the blocks of one
-        evaluation reuse them; V is a view of one buffer, rewritten by
+        units.  What does not depend on the states is made here, once
+        per row block: the weights with the cell length folded in and a
+        contracted group's per-row tables.  Each group's lookup, made for
+        all q cells with the table each state reads, and its weighted
+        sums are kept in ``work`` (:class:`SweepWork`, made here if None)
+        per row count, so the blocks of one evaluation reuse them and
+        each sweep is one pass; V is a view of one buffer, rewritten by
         every call.
 
-        For m >= 2 a sweep reads the states as the points (m, p * n) of
-        the lookup, with no copy, so that every array of the lookup runs
+        A sweep reads the states as the points (m, p * n) of the
+        lookups, with no copy, so that every array of a lookup runs
         along the states.  A contracted group's lookup reads each state's
-        row table, made here by one einsum in entry-major order,
-        (m, n * table size), and gives the increments.  Any other
-        group's lookup gives the k * m values (k, m, p, n) of its k
-        components' interpolants, read from the state's cell's table if
-        the tables are per cell; the row weights (k, m, 1, n) then
-        multiply them and are summed over j in the order of j, for all
-        output axes at once.  The groups' sums are V, already in state
-        order.
+        row table and gives the increments.  Any other group's lookup
+        gives the k * m values (k, m, p, n) of its k components'
+        interpolants, read from the state's cell's table if the tables
+        are per cell; one einsum multiplies them by the row weights
+        (k, m, n) and sums over j in the order of j, for all output axes
+        at once.  The groups' sums are V, already in state order.
         """
-        n, m = len(weights), self.grid.s
-        scale = cell / self.grid.spacing
-        if m == 1:
-            return self._knot_plan(weights * scale[0], SweepWork() if work is None else work)
+        work = SweepWork() if work is None else work
+        n, m, q = len(weights), self.grid.s, self.q
         steps = []
-        for net, tables, js, first in self.groups:
-            w = weights[:, None, js] * scale[:, None]
-            if first:
-                per_row = np.einsum("rak,kat->art", w, tables).reshape(m, -1)
-                steps.append((net, per_row, None))
+        for g, (stack, js, contract) in enumerate(self.groups):
+            w = weights[:, None, js] * (cell / self.grid.spacing)[:, None]
+            if contract:
+                rows, lookup = work.keep(g, n, lambda: self._row_lookup(stack, n))
+                stack.contracted(w[:, 0], out=rows)
+                steps.append((g, lookup, None))
             else:
-                w = np.ascontiguousarray(w.transpose(2, 1, 0))[:, :, None, :]
-                steps.append((net, tables, w))
+                lookup = work.keep(g, n, lambda: self._state_lookup(stack, n))
+                steps.append((g, lookup, np.ascontiguousarray(w.transpose(2, 1, 0))))
 
         def sweep(Z):
             p = Z.shape[1]
             u = Z.reshape(m, p * n)
             V = None
-            for net, tables, w in steps:
-                lead = self._table_of_state(n, p, w is None)
-                vals = net.weighted_sum(u, tables, lead).reshape(-1, m, p, n)
+            for g, lookup, w in steps:
+                vals = lookup(u)
                 if w is None:
-                    vals = vals[0]
+                    vals = vals.reshape(m, p, n)
                 else:
-                    weighted = np.zeros((m, p, n))
-                    for wj, vj in zip(w, vals):
-                        weighted += vj * wj
-                    vals = weighted
+                    out = work.prefix(("V", g), n, m * q * n, (m, p, n))
+                    vals = np.einsum("kapn,kan->apn", vals.reshape(-1, m, p, n), w, out=out)
                 V = vals if V is None else V + vals
             return V
 
         return sweep
 
-    def _table_of_state(self, n, p, per_row, stride=1):
-        """Table read by each of the p states of n rows, cell-major:
-        state i * n + r is cell i of row r.
+    def _row_lookup(self, stack, n):
+        """A contracted group's stack of n row tables, which
+        :meth:`lip_interp.TableStack.contracted` rewrites for each block,
+        and its lookup for the q states of each row, cell-major: state
+        i * n + r reads row r's table."""
+        rows = lip_interp.TableStack(stack.net, np.zeros((n, 1) + stack.net.table.shape))
+        return rows, rows.lookup(self.q * n, np.tile(np.arange(n), self.q))
 
-        The row's own table for a contracted group, the state's cell's
-        table for per-cell tables, else None: every state reads table 0.
-        Tables are numbered in steps of ``stride``.
-        """
-        if per_row:
-            return np.tile(np.arange(n) * stride, p)
-        if self.per_cell:
-            return np.repeat(np.arange(p) * stride, n)
-        return None
-
-    def _knot_plan(self, weights, work):
-        """:meth:`plan` for s = 1: one group, looked up by a KnotLookup.
-
-        The states (1, p, n) are the lookup's points in cell-major
-        order, so the p cells' table starts are a prefix of the q
-        cells', and one lookup per row count n, kept in ``work``, serves
-        every p.  A contracted group's lookup gives V, with the rows'
-        tables rewritten in place for each block; any other group's
-        gives the k values of each state, (p, n, 1, k), which one einsum
-        contracts with the row weights into V.
-        """
-        ((_, tables, js, first),) = self.groups
-        n, q, stride = len(weights), self.q, self.grid.q + 3
-        w = weights[:, js]
-        if first:
-            rows = work.keep("tables", n, lambda: np.empty((n,) + tables.shape[1:]))
-            values = np.einsum("rk,k...->r...", w, tables, out=rows).reshape(-1)
-            slopes = work.keep("slopes", n, lambda: np.empty_like(values))
-            lip_interp.knot_slopes(values, out=slopes)
-        else:
-            values, slopes = self.knots
-
-        def make_lookup():
-            starts = self._table_of_state(n, q, first, stride)
-            if starts is None:
-                starts = np.zeros(q * n, dtype=np.intp)
-            out = np.empty((q * n,) + values.shape[1:])
-            return lip_interp.KnotLookup(self.grid, values, slopes, starts), out
-
-        lookup, out = work.keep("lookup", n, make_lookup)
-
-        def sweep(Z):
-            p = Z.shape[1]
-            vals = lookup(Z.reshape(-1), out[: p * n])
-            if first:
-                return vals.reshape(1, p, n)
-            V = work.prefix("V", n, q * n, (1, p, n))
-            return np.einsum("pnak,nk->apn", vals.reshape(p, n, 1, -1), w, out=V)
-
-        return sweep
+    def _state_lookup(self, stack, n):
+        """A group's lookup for the q states of n rows, cell-major: state
+        i * n + r reads cell i's table if the tables are per cell."""
+        which = np.repeat(np.arange(self.q), n) if self.per_cell else None
+        return stack.lookup(self.q * n, which)
 
 
 class AffineSlabNet(SlabNet):
@@ -1373,16 +1308,13 @@ CHAIN_FEET = 2**14
 class SolutionNetwork:
     """u surrogate: data network on backward feet plus source quadrature.
 
-    u(t,x,y) ~ N_u0(B(t,x,y)) + sign * sum_i rho_i(t) N_f,i(B(t-xi_i,x,y))
+    u(t,x,y) ~ N_u0(B(t,x,y)) + sum_i rho_i(t) N_f,i(B(t-xi_i,x,y))
     where B is the backward characteristic network; the source nets are
-    one stacked lookup, gated like the slabs by :func:`ramp_gate`.
-    ``source_sign`` defaults to +1; the acceptance suite pins the sign
-    against the solution oracle.
+    one :class:`lip_interp.TableStack`, gated like the slabs by
+    :func:`ramp_gate`.
     """
 
-    def __init__(
-        self, problem, back_net, u0_net, f_nets, q_src, source_sign, report, data_size
-    ):
+    def __init__(self, problem, back_net, u0_net, f_nets, q_src, report, data_size):
         self.problem = problem
         self.back_net = back_net
         self.u0_net = u0_net
@@ -1390,7 +1322,6 @@ class SolutionNetwork:
         # the summed sizes of the data nets, counted once at build
         self.data_size = data_size
         self.q_src = q_src
-        self.source_sign = source_sign
         self.report = report
         T = problem.T_hat
         self.xi = (np.arange(q_src) + 0.5) * T / q_src if q_src else np.array([])
@@ -1399,7 +1330,7 @@ class SolutionNetwork:
             self.sources = lip_interp.TableStack.of(f_nets)
 
     def eval_parts(self, t, x, y):
-        """(initial-datum part, signed-source part before sign).
+        """(initial-datum part, source part): their sum is :meth:`eval`.
 
         Runs in chunks of ``CHAIN_FEET // (q_src + 1)`` queries, so memory
         does not grow with the number of queries; a query's values do not
@@ -1428,7 +1359,8 @@ class SolutionNetwork:
         # V_i: source net i at the feet of node i
         q = self.q_src
         u = self.sources.net.grid.to_grid(feet[1:].reshape(-1, m))
-        V = self.sources(u, np.repeat(np.arange(q), n)).reshape(q, n)
+        V = self.sources(np.ascontiguousarray(u.T), np.repeat(np.arange(q), n))
+        V = V.reshape(q, n)
         S = running_sums(V, np.empty_like(V))
         j, f = ramp_cell(t, 0.0, self.cell, q)
         cols = np.arange(n)
@@ -1436,7 +1368,7 @@ class SolutionNetwork:
 
     def eval(self, t, x, y):
         u0_part, f_part = self.eval_parts(t, x, y)
-        return u0_part + self.source_sign * f_part
+        return u0_part + f_part
 
     def __call__(self, t, x, y):
         return self.eval(t, x, y)
@@ -1473,7 +1405,7 @@ def _datum_net(problem, datum, tol, is_source=False, at_time=None):
     return net, report["size"]
 
 
-def build_solution_net(problem, eps, source_sign=1.0):
+def build_solution_net(problem, eps):
     """Certified solution surrogate with sup error <= eps.
 
     Follows the composed-representation assembly: eps_tilde =
@@ -1515,11 +1447,8 @@ def build_solution_net(problem, eps, source_sign=1.0):
         "certified_bound": bound,
         "ledger": ledger,
         "char_report": back.report,
-        "source_sign": source_sign,
     }
-    net = SolutionNetwork(
-        problem, back, u0_net, f_nets, q_src, source_sign, report, data_size
-    )
+    net = SolutionNetwork(problem, back, u0_net, f_nets, q_src, report, data_size)
     report["size"] = net.size()
     report["depth"] = net.depth()
     report["predicted"] = predicted_complexity(problem, eps, "solution")

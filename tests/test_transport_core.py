@@ -378,6 +378,22 @@ class TestLedger:
             assert net.report["certified_bound"] == sum(net.report["ledger"].values())
             self.assert_ledger(net.report["char_report"], char_names, net.report["eps_tilde"])
 
+    @pytest.mark.parametrize("terms", ["AFFINE_TERMS", "GENERAL_TERMS"])
+    def test_shares_sum_to_one(self, terms):
+        assert sum(share for _, share, *_ in getattr(tc, terms)) == 1.0
+
+    @pytest.mark.parametrize("make_problem", [cosine_problem, cosine_problem_m2], ids=["m1", "m2"])
+    def test_coarse_eps_builds(self, make_problem):
+        # eps = 10 gives delta > 1/2: the grid is sized at the 1/2 that
+        # the interpolants are certified at, not at delta
+        prob = make_problem()
+        net = tc.build_char_net(prob, 10.0)
+        assert net.report["delta"] > 0.5
+        self.assert_ledger(net.report, [t[0] for t in tc.AFFINE_TERMS], 10.0)
+        t, x, y = prob.sample_inputs(200, seed=4)
+        ref, _ = oracle.rk4_char(net.oracle_field(), np.zeros(len(t)), t, x, y)
+        assert np.abs(net.eval(t, x, y) - ref).max() <= 10.0
+
     def test_general_within_eps(self):
         # the representation term is charged too
         prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
@@ -632,25 +648,28 @@ class TestRunningSums:
 class TestFusedSweep:
     """One sweep evaluates all interpolants of a slab from stacked tables."""
 
-    # the s = 1 shared slab is TestSlabNet.test_naive_reference_agreement
+    # the s = 1 shared slab, whose tables are contracted with the row
+    # weights before the lookup, is TestSlabNet.test_naive_reference_agreement
     @pytest.mark.parametrize(
-        "make_problem, tau, contract_first",
+        "make_problem, tau",
         [
-            (cosine_problem_m2, 0.2, False),
-            (time_dependent_problem, 0.1, False),
-            (constant_problem_m2, 0.2, True),
-            (cosine_problem_m3, 0.2, False),
-            (time_dependent_problem_m2, 0.2, False),
+            (cosine_problem_m2, 0.2),
+            (time_dependent_problem, 0.1),
+            (constant_problem_m2, 0.2),
+            (cosine_problem_m3, 0.2),
+            (time_dependent_problem_m2, 0.2),
         ],
         ids=["s2_shared", "s1_per_cell", "s2_one_cell", "s3_shared", "s2_per_cell"],
     )
-    def test_naive_reference_agreement(self, rng, make_problem, tau, contract_first):
+    def test_naive_reference_agreement(self, rng, make_problem, tau):
         prob = make_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
         assert slab._shared == prob.convection.time_independent()
-        # both orders of weighting and lookup are covered
-        assert [g[3] for g in slab.interpolants.groups] == [contract_first]
+        # one group, weighted after the lookup
+        ((stack, js, contract),) = slab.interpolants.groups
+        assert not contract and js == list(range(prob.d_y))
+        assert stack.values.shape[0] == prob.d_y * prob.m
         t = np.concatenate([rng.uniform(*grid.slab(1), 3), edge_times(slab.interval, slab.q)])
         n = len(t)
         w = rng.uniform(prob.eval_box[:, 0], prob.eval_box[:, 1], (n, prob.m))
@@ -739,9 +758,11 @@ class TestFusedSweep:
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(0), tau=tau)
         interp = slab.interpolants
-        ((_, tables, js, first),) = interp.groups
-        assert first == contracted
+        ((stack, js, contract),) = interp.groups
+        assert contract == contracted
         q, qg = slab.q, interp.grid.q
+        # (k, L, table size): component j's table of each subinterval
+        tables = stack.values.reshape(len(js), -1, qg + 3)
         # knots 0, 1 and qg, the ghost knots -1 and qg + 1, states beyond
         # them, interior states spread over rows, and last the top state
         # qg + 1 in the last row, whose table is the last one stacked
@@ -756,21 +777,24 @@ class TestFusedSweep:
         left = cell.astype(int) + 1
         frac = u - cell
         # the top state reads its table's last entry, the ghost zero
-        assert left.min() == 0 and left.max() == qg + 2 == tables.shape[1] - 1
+        assert left.min() == 0 and left.max() == qg + 2 == tables.shape[2] - 1
         assert left[-1, -1] == qg + 2
         w = (weights * (slab.cell / interp.grid.spacing[0]))[:, js]
-        if first:
-            per_row = np.einsum("rk,k...->r...", w, tables)[..., 0]
+        if contract:
+            per_row = np.einsum("rk,kt->rt", w, tables[:, 0])
             per_row = np.pad(per_row, [(0, 0), (0, 1)])  # next of the last entry
             rows = np.arange(n)[:, None]
             base, nxt = per_row[rows, left], per_row[rows, left + 1]
             ref = base + (nxt - base) * frac
         else:
-            padded = np.pad(tables, [(0, 0), (0, 1), (0, 0), (0, 0)])
-            table = np.broadcast_to(np.arange(q) if len(tables) > 1 else 0, (n, q))
-            base, nxt = padded[table, left, 0], padded[table, left + 1, 0]
-            vals = base + (nxt - base) * frac[..., None]
-            ref = np.einsum("nqmk,nk->nqm", vals[:, :, None, :], w)[..., 0]
+            padded = np.pad(tables, [(0, 0), (0, 0), (0, 1)])
+            table = np.broadcast_to(np.arange(q) if tables.shape[1] > 1 else 0, (n, q))
+            base, nxt = padded[:, table, left], padded[:, table, left + 1]
+            vals = base + (nxt - base) * frac
+            # weighted and summed over the components in their order
+            ref = np.zeros((n, q))
+            for j in range(len(js)):
+                ref += vals[j] * w[:, j, None]
 
         plan = interp.plan(weights, slab.cell)
         states = Z.transpose(2, 1, 0)  # cell-major (m, q, n), as the sweeps run
@@ -786,13 +810,13 @@ class TestFusedSweep:
         tables = np.array(
             [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0], [0.0, -1.0, 2.0, -3.0, 4.0, -5.0, 0.0]]
         )
-        values = tables.reshape(-1)
+        values = tables.reshape(1, -1)  # one entry per knot
         slopes = tc.lip_interp.knot_slopes(values)
         starts = np.array([0, 7, 0, 7, 0, 7])
         lookup = tc.lip_interp.KnotLookup(grid, values, slopes, starts)
-        out = lookup(np.array([5.0, 4.0, 3.5, 9.0, 1e9, 5.0]), np.empty(6))
+        out = lookup(np.array([5.0, 4.0, 3.5, 9.0, 1e9, 5.0]))
         np.testing.assert_array_equal(lookup.index, [6, 12, 4, 13, 6, 13])
-        np.testing.assert_array_equal(out, [0.0, -5.0, 4.5, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out, [[0.0, -5.0, 4.5, 0.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize(
         "make_problem, tau",
@@ -810,7 +834,7 @@ class TestFusedSweep:
             (cosine_problem_m3, 0.2),
         ],
         ids=[
-            "s1_contracted", "s1_shared_table", "s2_shared", "s2_contracted", "general_shared",
+            "s1_contracted", "s1_shared_table", "s2_shared", "s2_one_cell", "general_shared",
             "s3_shared",
         ],
     )
@@ -1415,19 +1439,6 @@ class TestSolutionNetwork:
         net = tc.build_solution_net(prob, 0.1)
         t, x, y = prob.sample_inputs(300, seed=12)
         assert np.abs(net.eval(t, x, y) - t).max() <= 0.1
-
-    def test_source_sign_flag(self, rng):
-        comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
-        conv = tc.AffineConvection(1, 1, [1.0], comps)
-        prob = tc.TransportProblem(
-            conv, 1.0, [[0.0, 1.0]], f=catalog.make_f({"kind": "constant", "value": 1.0})
-        )
-        plus = tc.build_solution_net(prob, 0.1, source_sign=1.0)
-        minus = tc.build_solution_net(prob, 0.1, source_sign=-1.0)
-        t, x, y = prob.sample_inputs(100, seed=13)
-        u0p, fp = plus.eval_parts(t, x, y)
-        np.testing.assert_allclose(plus.eval(t, x, y), u0p + fp, atol=1e-14)
-        np.testing.assert_allclose(minus.eval(t, x, y), u0p - fp, atol=1e-14)
 
     def test_shared_chain_matches_per_node_reference(self):
         # the source part sums the same terms as the per-node reference
