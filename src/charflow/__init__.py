@@ -27,7 +27,6 @@ from .comp_calculus import (
     IdentityFactor,
     LinearFactor,
     MultilinearFactor,
-    NetFactor,
     Regularizer,
     complexity,
     compose_reps,

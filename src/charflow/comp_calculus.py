@@ -1,18 +1,19 @@
 """Compositional representations, complexity accounting, and implantation.
 
 A composition is an ordered chain of factors (generic Lipschitz maps,
-linear / multilinear maps, identities, or ReLU networks).  The module
-tracks dimension-sparsity and the dependency-count complexity of such
-chains, certifies composition-norm intervals, inverts growth-rate laws,
-and turns a chain into a finitely parametrized network by replacing each
-generic component with a Lipschitz-stable interpolant network.
+linear / multilinear maps, identities, or implanted interpolant
+networks).  The module tracks dimension-sparsity and the
+dependency-count complexity of such chains, certifies composition-norm
+intervals, inverts growth-rate laws, and turns a chain into a finitely
+parametrized network by replacing each generic component with a
+Lipschitz-stable interpolant network.
 
 Complexity convention (dependency counting): generic components count
 the size of their dependency set, linear factors count their nonzero
 matrix entries, multilinear factors of degree >= 2 count one per factor,
-identities count zero, and embedded ReLU networks count their nonzero
-weights.  This makes complexity exactly additive under composition and
-(after fusing output layers) under sums.
+identities count zero, and implanted factors count the size of their
+interpolant networks.  This makes complexity exactly additive under
+composition and (after fusing output layers) under sums.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lip_interp
-from .relu_net import ReluNetwork, difference_quotient
+from .relu_net import difference_quotient
 
 
 # ---------------------------------------------------------------------------
@@ -226,45 +227,6 @@ class GenericFactor(Factor):
 
 
 @dataclass
-class NetFactor(Factor):
-    net: ReluNetwork
-    lip: float = None
-    sup: float = None
-
-    def __post_init__(self):
-        self.in_dim = self.net.in_dim
-        self.out_dim = self.net.out_dim
-
-    def eval(self, z):
-        return self.net.eval(np.atleast_2d(np.asarray(z, dtype=float)))
-
-    def s_inf(self):
-        return int(max(_net_dependency_counts(self.net)))
-
-    def complexity(self):
-        return self.net.size()
-
-    def lip_upper(self):
-        if self.lip is not None:
-            return self.lip
-        # product of exact layer max-norm operator norms
-        bound = 1.0
-        for layer in self.net.layers:
-            bound *= float(np.max(np.sum(np.abs(layer.weights), axis=1)))
-        return bound
-
-    def sup_upper(self):
-        return self.sup if self.sup is not None else math.inf
-
-
-def _net_dependency_counts(net):
-    reach = net.layers[0].weights != 0
-    for layer in net.layers[1:]:
-        reach = (layer.weights != 0) @ reach
-    return reach.astype(bool).sum(axis=1)
-
-
-@dataclass
 class ParallelFactor(Factor):
     """Factors applied side by side; used by sum_reps depth alignment.
 
@@ -341,17 +303,11 @@ class CompRep:
     def out_dim(self):
         return self.factors[-1].out_dim
 
-    def depth(self):
-        return len(self.factors)
-
     def eval(self, x):
         z = np.atleast_2d(np.asarray(x, dtype=float))
         for f in self.factors:
             z = f.eval(z)
         return z
-
-    def __call__(self, x):
-        return self.eval(x)
 
 
 def s_infinity(rep):
@@ -484,10 +440,9 @@ def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
 class ImplantedFactor(Factor):
     """Generic factor with each component replaced by an interpolant net."""
 
-    def __init__(self, source, nets, delta):
+    def __init__(self, source, nets):
         self.source = source
         self.nets = nets  # one InterpolantNet per output component
-        self.delta = delta
         self.in_dim = source.in_dim
         self.out_dim = source.out_dim
 
@@ -504,16 +459,6 @@ class ImplantedFactor(Factor):
 
     def complexity(self):
         return sum(net.size() for net in self.nets)
-
-    def lip_upper(self):
-        c3 = lip_interp.CALIBRATED["c3"]
-        return c3 * (1.0 + self.source.sup) * self.source.lip
-
-    def sup_upper(self):
-        return self.source.sup + self.delta
-
-    def is_exact(self):
-        return True
 
 
 class ImplantedComposition:
@@ -536,9 +481,6 @@ class ImplantedComposition:
         for f in self.factors:
             z = f.eval(z)
         return z
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def size(self):
         return sum(f.complexity() for f in self.factors)
@@ -565,8 +507,6 @@ def _factor_as_net(f):
         return identity_net(f.dim)
     if isinstance(f, LinearFactor):
         return affine_net(f.matrix)
-    if isinstance(f, NetFactor):
-        return f.net
     if isinstance(f, ImplantedFactor):
         nets = []
         for i, interp in enumerate(f.nets):
@@ -591,20 +531,20 @@ def eval_width(f):
     widths = [f.in_dim, f.out_dim]
     if isinstance(f, ParallelFactor):
         widths += [eval_width(c) for c in f.children]
-    elif isinstance(f, NetFactor):
-        widths += [layer.out_dim for layer in f.net.layers]
     elif isinstance(f, ImplantedFactor):
         widths += [net.point_floats() for net in f.nets]
     return max(widths)
 
 
-def implant(rep, deltas, max_grid_nodes=4_000_000):
+def implant(rep, deltas):
     """Replace generic factors by Lipschitz-stable interpolant networks.
 
     ``deltas`` gives one tolerance per factor (entries for exact factors
     are ignored).  Returns (ImplantedComposition, error_bound) with the
     bound delta_n + sum_j delta_j * L_tail(j) computed from the declared
-    Lipschitz chain; exact factors contribute zero.
+    Lipschitz chain; exact factors contribute zero.  Each interpolant's
+    grid is :meth:`lip_interp.GridSpec.for_tolerance`, which refuses one
+    above its node ceiling with :class:`lip_interp.ResourceCeiling`.
     """
     deltas = list(deltas)
     if len(deltas) != len(rep.factors):
@@ -614,15 +554,15 @@ def implant(rep, deltas, max_grid_nodes=4_000_000):
     error = 0.0
     for j, f in enumerate(rep.factors):
         tail = float(np.prod(lips[j + 1 :])) if j + 1 < len(rep.factors) else 1.0
-        new_f, err_j = _implant_factor(f, deltas[j], max_grid_nodes)
+        new_f, err_j = _implant_factor(f, deltas[j])
         new_factors.append(new_f)
         error += err_j * tail
     return ImplantedComposition(new_factors, error, deltas), error
 
 
-def _implant_factor(f, delta, max_grid_nodes):
+def _implant_factor(f, delta):
     if isinstance(f, ParallelFactor):
-        outs = [_implant_factor(c, delta, max_grid_nodes) for c in f.children]
+        outs = [_implant_factor(c, delta) for c in f.children]
         return (
             ParallelFactor([o[0] for o in outs], split_input=f.split_input),
             max(o[1] for o in outs),
@@ -632,21 +572,10 @@ def _implant_factor(f, delta, max_grid_nodes):
     nets = []
     for i in range(f.out_dim):
         fn, sub_box = f.component_function(i)
-        width = float(np.max(sub_box[:, 1] - sub_box[:, 0]))
-        s = sub_box.shape[0]
-        lip_unit = f.lip * width
-        if lip_unit > 0:
-            q = math.ceil(2.0 * lip_unit / delta)
-        else:
-            q = 1
-        if (q + 1) ** s > max_grid_nodes:
-            raise ResourceWarning(
-                f"implant grid would need {(q + 1) ** s} nodes (> {max_grid_nodes})"
-            )
-        grid = lip_interp.GridSpec(s, q, box=sub_box)
+        grid = lip_interp.GridSpec.for_tolerance(sub_box, f.lip, delta)
         sf = lip_interp.SampledFunction.from_function(
             fn, grid, lip_bound=f.lip, sup_bound=f.sup
         )
         net, _ = lip_interp.lip_stable_net(sf, delta)
         nets.append(net)
-    return ImplantedFactor(f, nets, delta), delta
+    return ImplantedFactor(f, nets), delta

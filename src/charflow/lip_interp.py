@@ -49,6 +49,17 @@ CALIBRATED = {
     "C": 0.75,    # |g - g_h| <= C * h * Lip(g)
 }
 
+# the most nodes an interpolation grid sized from a tolerance may have
+NODE_CEILING = 4_000_000
+
+
+class ResourceCeiling(RuntimeError):
+    """Requested accuracy exceeds the configured build budget."""
+
+    def __init__(self, message, predicted_cost):
+        super().__init__(f"{message} (predicted cost {predicted_cost:.3g})")
+        self.predicted_cost = predicted_cost
+
 
 def c_star(s, sup_norm):
     """Inner product-net tolerance ratio for interpolant assembly.
@@ -380,9 +391,36 @@ class GridSpec:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return (x - self.box[:, 0]) / self.spacing
 
-    def unit_lip(self, lip_box):
-        """Max-norm Lipschitz bound after mapping the box to the unit cube."""
-        return lip_box * float(np.max(self.box[:, 1] - self.box[:, 0]))
+    @classmethod
+    def for_tolerance(cls, box, lip, tol):
+        """The grid on ``box`` (s, 2) at which :func:`lip_stable_net`
+        certifies sup error ``tol`` for a ``lip``-Lipschitz function.
+
+        It has :meth:`cells_for` cells per axis.  A grid of more than
+        ``NODE_CEILING`` nodes is refused with :class:`ResourceCeiling`,
+        whose predicted cost is its node count.
+        """
+        box = np.asarray(box, dtype=float)
+        q = cls.cells_for(box, lip, tol)
+        nodes = (q + 1) ** len(box)
+        if nodes > NODE_CEILING:
+            raise ResourceCeiling(
+                f"interpolation grid of {q} cells per axis needs {nodes} nodes "
+                f"(ceiling {NODE_CEILING})",
+                nodes,
+            )
+        return cls(len(box), q, box=box)
+
+    @staticmethod
+    def cells_for(box, lip, tol):
+        """ceil(2 * lip * width / tol) with the widest side of ``box``: the
+        spacing h <= tol / (2 * lip) in the max norm.  One cell when the
+        function is constant (``lip == 0``) or ``tol`` is infinite.
+        """
+        if lip == 0 or not math.isfinite(tol):
+            return 1
+        width = float(np.max(box[:, 1] - box[:, 0]))
+        return int(math.ceil(2.0 * lip * width / tol))
 
 
 @dataclass
@@ -620,14 +658,6 @@ class InterpolantNet:
                 tuple(2 if k == j else 1 for k in range(grid.s)) for j in range(grid.s)
             ]
 
-    @property
-    def in_dim(self):
-        return self.s
-
-    @property
-    def out_dim(self):
-        return 1
-
     def point_floats(self, entries=1):
         """Floats per point of the largest temporary of one evaluation.
 
@@ -640,9 +670,6 @@ class InterpolantNet:
         if self.s == 1:
             return entries
         return 2**self.s * max(self.s, entries)
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -757,19 +784,18 @@ def lip_stable_net(sf, delta):
 
     Returns (net, report).  The network is the weighted tensor-hat sum
     over the sampled grid; certified sup error <= delta requires the
-    grid spacing h <= delta / (2 * lip); otherwise :class:`GridTooCoarse`
-    reports the required q.  The report carries h, the inner product-net
-    tolerance and exact size and depth.
+    cells per axis that :meth:`GridSpec.for_tolerance` gives for delta;
+    a coarser grid raises :class:`GridTooCoarse`.  The inner
+    product-net tolerance is min(delta, 1) * :func:`c_star`.  The report
+    carries h, that tolerance and exact size and depth.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0,1)")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     grid = sf.grid
-    lip_unit = grid.unit_lip(sf.lip_bound)
-    if lip_unit > 0:
-        required_h = delta / (2.0 * lip_unit)
-        if grid.h > required_h * (1 + 1e-12):
-            raise GridTooCoarse(math.ceil(1.0 / required_h), grid.q)
-    delta_inner = delta * c_star(grid.s, sf.sup_bound)
+    cells = GridSpec.cells_for(grid.box, sf.lip_bound, delta)
+    if grid.q < cells:
+        raise GridTooCoarse(cells, grid.q)
+    delta_inner = min(delta, 1.0) * c_star(grid.s, sf.sup_bound)
     net = InterpolantNet(
         grid, sf.values, delta_inner=None if grid.s == 1 else delta_inner
     )
@@ -802,8 +828,8 @@ def calibrate_constants(seed=0):
         for k in (4, 6, 8):
             delta = 2.0**-k
             lip = 1.0
-            q = math.ceil(2.0 * lip / delta)
-            grid = GridSpec(s, q)
+            box = np.tile([0.0, 1.0], (s, 1))
+            grid = GridSpec.for_tolerance(box, lip, delta)
             # kink off the grid so the interpolation error is realized
             kink = 0.5 + 0.41 * grid.h
 
@@ -817,13 +843,12 @@ def calibrate_constants(seed=0):
             net, rep = lip_stable_net(sf, delta)
             c1 = max(c1, rep["size"] * delta**s / (lip**s * k))
             c2 = max(c2, rep["depth"] / k)
-            box = np.tile([0.0, 1.0], (s, 1))
             low = _interpolant_lip(net, box, rng)
             c3 = max(c3, low / ((1.0 + sf.sup_bound) * lip))
             pts = rng.uniform(0, 1, size=(2000, s))
             err = np.max(np.abs(net.eval(pts)[:, 0] - g(pts)))
             big_c = max(big_c, err / (grid.h * lip))
-            evidence.append({"s": s, "delta": delta, "q": q, "size": rep["size"]})
+            evidence.append({"s": s, "delta": delta, "q": grid.q, "size": rep["size"]})
     return {
         "c1": c1,
         "c2": c2,

@@ -106,9 +106,6 @@ class ReluNetwork:
     def size(self):
         return sum(layer.size() for layer in self.layers)
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def eval(self, x):
         """Forward pass; accepts a single vector or an (n, in_dim) batch."""
         x = np.asarray(x, dtype=float)

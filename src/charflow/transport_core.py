@@ -34,24 +34,17 @@ import numpy as np
 
 from . import catalog, lip_interp
 from .comp_calculus import eval_width, gamma_inverse, implant
+from .lip_interp import ResourceCeiling
 from .relu_net import difference_quotient, rho_values
 
 E_HALF = math.exp(0.5)
 
 # build budget: quadrature nodes per slab (and source nodes of a solution
-# net) and interpolation-grid cells per axis
+# net).  Interpolation grids have their own, lip_interp.NODE_CEILING nodes,
+# which GridSpec.for_tolerance applies to every grid sized from a tolerance.
 Q_CEILING = 200_000
-KNOT_CEILING = 2_000_000
 # guard added to the evaluation box for the network's own speed excess
 BOX_MARGIN = 0.1
-
-
-class ResourceCeiling(RuntimeError):
-    """Requested accuracy exceeds the configured build budget."""
-
-    def __init__(self, message, predicted_cost):
-        super().__init__(f"{message} (predicted cost {predicted_cost:.3g})")
-        self.predicted_cost = predicted_cost
 
 
 # ---------------------------------------------------------------------------
@@ -433,36 +426,23 @@ def _solve_step(problem, sl, tau, sweeps, label):
     """The one-step terms' parameters for slabs of length ``sl`` whose
     one-step map errs by at most ``tau``: {"q": q, "delta": delta[, "N": N]}.
 
-    Refuses with :class:`ResourceCeiling` when the quadrature count or
-    the interpolation grid exceeds its ceiling; the predicted cost
-    counts ``sweeps`` slab sweeps.
+    Refuses with :class:`ResourceCeiling` when the interpolation grid
+    exceeds its node ceiling (:meth:`lip_interp.GridSpec.for_tolerance`)
+    or the quadrature count exceeds ``Q_CEILING``; the latter's predicted
+    cost counts ``sweeps`` slab sweeps.
     """
     conv = problem.convection
     _, *steps = _slab_class(conv).terms
     step = {param: solve(tau * (2.0 * share), conv, sl) for _, share, param, solve, _ in steps}
     q = step["q"]
     lip = conv.Lam if isinstance(conv, AffineConvection) else conv.L
-    knots = _grid_cells(lip, problem.eval_box, step["delta"])
-    if q > Q_CEILING or knots > KNOT_CEILING:
+    grid = lip_interp.GridSpec.for_tolerance(problem.eval_box, lip, step["delta"])
+    if q > Q_CEILING:
         raise ResourceCeiling(
-            f"{label} needs q={q}, grid knots={knots}",
-            q * problem.d_y * knots * sweeps,
+            f"{label} needs q={q}, grid knots={grid.q}",
+            q * problem.d_y * grid.q * sweeps,
         )
     return step
-
-
-def _grid_cells(lip, box, tol):
-    """Interpolation-grid cells per axis for sup error ``tol`` on ``box``.
-
-    ceil(2 * lip * width / tol) with the box's widest side, the spacing
-    at which :func:`lip_interp.lip_stable_net` certifies ``tol``; one
-    cell when the function is constant (``lip == 0``) or ``tol`` is
-    infinite.
-    """
-    if lip == 0 or not np.isfinite(tol):
-        return 1
-    width = float(np.max(box[:, 1] - box[:, 0]))
-    return int(math.ceil(2.0 * lip * width / tol))
 
 
 # ---------------------------------------------------------------------------
@@ -807,11 +787,7 @@ class SlabInterpolants:
     def __init__(self, conv, subintervals, eval_box, delta, q):
         self.q = q
         self.per_cell = len(subintervals) > 1
-        # the grid is sized at the tolerance that lip_stable_net certifies
-        tol = min(delta, 0.5)
-        self.grid = lip_interp.GridSpec(
-            conv.m, _grid_cells(conv.Lam, eval_box, tol), box=eval_box
-        )
+        self.grid = lip_interp.GridSpec.for_tolerance(eval_box, conv.Lam, delta)
         nodes = self.grid.nodes()
         self.nets = []
         self.size = 0
@@ -825,7 +801,7 @@ class SlabInterpolants:
                     sf = lip_interp.SampledFunction(
                         self.grid, avg[:, c], lip_bound=comp.lip_x, sup_bound=comp.sup
                     )
-                    net, report = lip_interp.lip_stable_net(sf, tol)
+                    net, report = lip_interp.lip_stable_net(sf, delta)
                     self.size += report["size"]
                     comp_nets.append(net)
                 per_j.append(comp_nets)
@@ -1134,9 +1110,6 @@ class CharNetwork:
             rows = rows[carry]
         return out if t.ndim > 1 else out[0]
 
-    def __call__(self, t, x, y):
-        return self.eval(t, x, y)
-
     def size(self):
         return sum(s.size() for s in self.slabs)
 
@@ -1370,9 +1343,6 @@ class SolutionNetwork:
         u0_part, f_part = self.eval_parts(t, x, y)
         return u0_part + f_part
 
-    def __call__(self, t, x, y):
-        return self.eval(t, x, y)
-
     def size(self):
         # data net + backward net, plus one backward-net copy per source
         # node, plus the source quadrature gate and trilinear coupling
@@ -1392,8 +1362,7 @@ class SolutionNetwork:
 
 def _datum_net(problem, datum, tol, is_source=False, at_time=None):
     """Interpolant network of a datum on the evaluation box, and its size."""
-    q_grid = _grid_cells(datum.lip_x, problem.eval_box, tol)
-    grid = lip_interp.GridSpec(problem.m, q_grid, box=problem.eval_box)
+    grid = lip_interp.GridSpec.for_tolerance(problem.eval_box, datum.lip_x, tol)
     if is_source:
         fn = lambda pts: datum.f(np.full(pts.shape[0], at_time), pts)
     else:

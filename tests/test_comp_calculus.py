@@ -200,8 +200,8 @@ class TestImplant:
             lambda z: z[:, :1] * 0.0, 2, 1, lip=1.0, sup=1.0, box=[[0, 1], [0, 1]]
         )
         rep = cc.CompRep([f, cc.LinearFactor([[1.0]])])
-        with pytest.raises(ResourceWarning):
-            cc.implant(rep, [1e-9, 0.0], max_grid_nodes=1000)
+        with pytest.raises(cc.lip_interp.ResourceCeiling):
+            cc.implant(rep, [1e-9, 0.0])
 
 
 def test_build_report_is_plain_json():

@@ -7,7 +7,8 @@ import pytest
 from charflow import harness
 from charflow import transport_core as tc
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 SMOKE_PROBLEM = {
@@ -96,6 +97,25 @@ class TestConvergence:
         assert reports[0].status == "PASS"
         assert reports[1].status == "SKIP"
         assert reports[1].predicted > 0  # refusal carries the predicted cost
+
+    def test_skip_before_any_table(self, monkeypatch):
+        # eps = 0.002 on the m = 2 config asks for 9720 grid cells per
+        # axis, 9721^2 nodes per table: the schedule refuses it
+        cfg = harness.ExperimentConfig.from_file(CONFIG_DIR / "cosine_m2_dy2.json")
+        problem = tc.problem_from_dict(cfg.problem)
+        grid = tc.macro_grid(problem.T_hat, problem.convection.norm)
+        with pytest.raises(tc.ResourceCeiling, match="9720 cells per axis") as exc:
+            tc.schedule(0.002, grid, problem)
+        assert exc.value.predicted_cost == 9721**2
+        assert tc.ResourceCeiling is tc.lip_interp.ResourceCeiling
+
+        def no_tables(*args):
+            raise AssertionError("interpolant tables built")
+
+        monkeypatch.setattr(tc, "SlabInterpolants", no_tables)
+        report = harness._build_and_certify(problem, 0.002, cfg)
+        assert report.status == "SKIP"
+        assert report.predicted == 9721**2
 
     def test_fail_when_oracle_misses_tolerance(self, monkeypatch):
         # an oracle that cannot meet its tolerance gives no trusted reference

@@ -291,6 +291,50 @@ class TestLipStableNet:
             assert max(ratios) / min(ratios) <= 4.0
 
 
+class TestForTolerance:
+    BOX = np.array([[-1.0, 2.0], [0.0, 1.0]])
+
+    def test_cells_on_widest_side(self):
+        # ceil(2 * 0.5 * 3 / 0.1)
+        grid = li.GridSpec.for_tolerance(self.BOX, 0.5, 0.1)
+        assert (grid.s, grid.q) == (2, 30)
+        np.testing.assert_array_equal(grid.box, self.BOX)
+
+    @pytest.mark.parametrize("lip,tol", [(0.0, 0.1), (1.0, math.inf)])
+    def test_one_cell(self, lip, tol):
+        assert li.GridSpec.for_tolerance(self.BOX, lip, tol).q == 1
+
+    def test_node_ceiling(self):
+        unit = np.tile([0.0, 1.0], (2, 1))
+        # 1999 cells per axis are 2000^2 = NODE_CEILING nodes
+        assert li.GridSpec.for_tolerance(unit, 1.0, 2.0 / 1998.5).q == 1999
+        with pytest.raises(li.ResourceCeiling) as exc:
+            li.GridSpec.for_tolerance(unit, 1.0, 2.0 / 1999.5)
+        assert exc.value.predicted_cost == 2001**2
+
+    @pytest.mark.parametrize("s,lip,tol", [(1, 1.0, 0.05), (2, 0.7, 0.03), (1, 0.3, 0.011)])
+    def test_lip_stable_net_reads_the_same_count(self, s, lip, tol):
+        box = np.tile([-0.5, 1.5], (s, 1))
+        fn = lambda x: lip * np.abs(x - 0.3).max(axis=1)
+        grid = li.GridSpec.for_tolerance(box, lip, tol)
+        li.lip_stable_net(li.SampledFunction.from_function(fn, grid, lip), tol)
+        coarser = li.GridSpec(s, grid.q - 1, box=box)
+        with pytest.raises(li.GridTooCoarse) as exc:
+            li.lip_stable_net(li.SampledFunction.from_function(fn, coarser, lip), tol)
+        assert exc.value.required_q == grid.q
+
+    def test_any_positive_tolerance(self):
+        # the product tolerance is min(delta, 1) * c_star
+        unit = np.tile([0.0, 1.0], (2, 1))
+        for delta in (0.5, 1.0, 4.0):
+            grid = li.GridSpec.for_tolerance(unit, 1.0, delta)
+            sf = li.SampledFunction.from_function(lambda x: x.sum(axis=1) / 2, grid, 1.0)
+            _, rep = li.lip_stable_net(sf, delta)
+            assert rep["delta_inner"] == min(delta, 1.0) * li.c_star(2, sf.sup_bound)
+        with pytest.raises(ValueError):
+            li.lip_stable_net(sf, 0.0)
+
+
 def template_walk(net, u, tables, lead=None):
     """Reference for InterpolantNet.weighted_sum: the hats of each cell
     corner in turn, through the tensor-hat template network, the hat of

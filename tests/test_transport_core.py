@@ -384,8 +384,8 @@ class TestLedger:
 
     @pytest.mark.parametrize("make_problem", [cosine_problem, cosine_problem_m2], ids=["m1", "m2"])
     def test_coarse_eps_builds(self, make_problem):
-        # eps = 10 gives delta > 1/2: the grid is sized at the 1/2 that
-        # the interpolants are certified at, not at delta
+        # eps = 10 gives delta > 1/2: the grid is sized at delta, which
+        # lip_stable_net certifies like any other tolerance
         prob = make_problem()
         net = tc.build_char_net(prob, 10.0)
         assert net.report["delta"] > 0.5
@@ -1393,6 +1393,42 @@ class TestGeneralConvection:
             )
 
 
+class TestGridSizing:
+    """Every grid sized from a tolerance is lip_interp.GridSpec.for_tolerance;
+    the pinned cells per axis are the builds' grids on the slab, datum and
+    implant boxes."""
+
+    @pytest.mark.parametrize("stem,eps,q", [("affine_m1_dy4", 0.05, 389), ("cosine_m2_dy2", 0.4, 49)])
+    def test_slab_grid(self, stem, eps, q):
+        prob = config_problem(stem)
+        net = tc.build_char_net(prob, eps)
+        want = tc.lip_interp.GridSpec.for_tolerance(
+            prob.eval_box, prob.convection.Lam, net.report["delta"]
+        )
+        for slab in net.slabs:
+            grid = slab.interpolants.grid
+            assert grid.q == want.q == q
+            np.testing.assert_array_equal(grid.box, want.box)
+
+    def test_datum_grids(self):
+        prob = config_problem("solution_affine")
+        net = tc.build_solution_net(prob, 0.1)
+        e = net.report["eps_tilde"]
+        for datum_net, datum, q in [(net.u0_net, prob.u0, 448), (net.f_nets[0], prob.f, 112)]:
+            want = tc.lip_interp.GridSpec.for_tolerance(prob.eval_box, datum.lip_x, e)
+            assert datum_net.grid.q == want.q == q
+
+    def test_implant_grids(self):
+        prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
+        slab = tc.build_char_net(prob, 0.2).slabs[0]
+        generic, _ = slab._nets[0].factors[0].children
+        # the slab splits its delta over the representation's two factors
+        source = generic.source
+        want = tc.lip_interp.GridSpec.for_tolerance(source.box, source.lip, slab.delta / 2)
+        for interp in generic.nets:
+            assert interp.grid.q == want.q == 5741
+
+
 class TestPredictedComplexity:
     def test_affine_arithmetic(self):
         prob = cosine_problem(d_y=4)
@@ -1482,6 +1518,21 @@ class TestSolutionNetwork:
         monkeypatch.setattr(tc, "CHAIN_FEET", 7 * (net.q_src + 1))
         for a, b in zip(net.eval_parts(t, x, y), whole):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("eps", [8.0, 20.0])
+    def test_coarse_eps_builds(self, eps):
+        # eps >= 7 T M puts the flow and data accuracy eps_tilde above 1
+        prob = cosine_problem(
+            d_y=2,
+            u0_spec={"kind": "hat", "center": 0.5, "width": 1.0},
+            f_spec={"kind": "ramp-t", "base": 0.5, "x_coeff": 0.25, "t_coeff": 0.25},
+        )
+        net = tc.build_solution_net(prob, eps)
+        assert net.report["eps_tilde"] > 1.0
+        assert sum(net.report["ledger"].values()) <= eps
+        t, x, y = prob.sample_inputs(200, seed=16)
+        ref = oracle.solution_oracle(prob, t, x, y)
+        assert np.abs(net.eval(t, x, y) - ref).max() <= eps
 
     def test_report_carries_budget(self):
         comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
