@@ -2,11 +2,18 @@
 
 A composition is an ordered chain of factors (generic Lipschitz maps,
 linear / multilinear maps, identities, or implanted interpolant
-networks).  The module tracks dimension-sparsity and the
-dependency-count complexity of such chains, certifies composition-norm
-intervals, inverts growth-rate laws, and turns a chain into a finitely
-parametrized network by replacing each generic component with a
-Lipschitz-stable interpolant network.
+networks), held by one type, :class:`CompRep`.  The module tracks
+dimension-sparsity and the dependency-count complexity of such chains,
+certifies composition-norm intervals, inverts growth-rate laws, and
+turns a chain into a finitely parametrized network by replacing each
+generic component with a Lipschitz-stable interpolant network.  The
+implanted chain is again a :class:`CompRep` with the same structure and
+the same ``s_infinity``.
+
+Every factor except an implanted one carries its max-norm Lipschitz
+bound ``lip`` and sup bound ``sup`` as attributes (``math.inf`` where
+none is declared).  An implanted factor has none: its interpolant's
+Lipschitz constant is calibrated, not proven.
 
 Complexity convention (dependency counting): generic components count
 the size of their dependency set, linear factors count their nonzero
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lip_interp
-from .relu_net import difference_quotient
+from .relu_net import affine_net, compose, difference_quotient, identity_net, parallelize
 
 
 # ---------------------------------------------------------------------------
@@ -67,34 +74,13 @@ def gamma_inverse(gf, s):
 # factors
 
 
-class Factor:
-    def eval(self, z):
-        raise NotImplementedError
-
-    def s_inf(self):
-        raise NotImplementedError
-
-    def complexity(self):
-        raise NotImplementedError
-
-    def lip_upper(self):
-        """Max-norm Lipschitz bound of the factor."""
-        raise NotImplementedError
-
-    def sup_upper(self):
-        raise NotImplementedError
-
-    def is_exact(self):
-        """True when the factor is already finitely parametrized."""
-        return True
-
-
 @dataclass
-class IdentityFactor(Factor):
+class IdentityFactor:
     dim: int
 
     def __post_init__(self):
         self.in_dim = self.out_dim = self.dim
+        self.lip, self.sup = 1.0, math.inf
 
     def eval(self, z):
         return np.atleast_2d(np.asarray(z, dtype=float))
@@ -105,20 +91,17 @@ class IdentityFactor(Factor):
     def complexity(self):
         return 0
 
-    def lip_upper(self):
-        return 1.0
-
-    def sup_upper(self):
-        return math.inf
-
 
 @dataclass
-class LinearFactor(Factor):
+class LinearFactor:
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         self.out_dim, self.in_dim = self.matrix.shape
+        # exact max-norm operator norm: maximal absolute row sum
+        self.lip = float(np.max(np.sum(np.abs(self.matrix), axis=1)))
+        self.sup = math.inf
 
     def eval(self, z):
         return np.atleast_2d(np.asarray(z, dtype=float)) @ self.matrix.T
@@ -129,16 +112,9 @@ class LinearFactor(Factor):
     def complexity(self):
         return int(np.count_nonzero(self.matrix))
 
-    def lip_upper(self):
-        # exact max-norm operator norm: maximal absolute row sum
-        return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
-
-    def sup_upper(self):
-        return math.inf
-
 
 @dataclass
-class MultilinearFactor(Factor):
+class MultilinearFactor:
     """Exact multilinear map of degree >= 2; never implanted."""
 
     evaluator: callable
@@ -158,15 +134,9 @@ class MultilinearFactor(Factor):
     def complexity(self):
         return 1
 
-    def lip_upper(self):
-        return self.lip
-
-    def sup_upper(self):
-        return self.sup
-
 
 @dataclass
-class GenericFactor(Factor):
+class GenericFactor:
     """Lipschitz factor given by an evaluator plus dependency metadata.
 
     ``dep_sets`` lists, per output component, the input coordinates the
@@ -201,15 +171,6 @@ class GenericFactor(Factor):
     def complexity(self):
         return sum(len(d) for d in self.dep_sets)
 
-    def lip_upper(self):
-        return self.lip
-
-    def sup_upper(self):
-        return self.sup
-
-    def is_exact(self):
-        return False
-
     def component_function(self, i):
         """Component i as a function of its dependency-set coordinates."""
         deps = self.dep_sets[i]
@@ -227,7 +188,7 @@ class GenericFactor(Factor):
 
 
 @dataclass
-class ParallelFactor(Factor):
+class ParallelFactor:
     """Factors applied side by side; used by sum_reps depth alignment.
 
     With ``split_input`` the children read disjoint slices of the input
@@ -265,14 +226,14 @@ class ParallelFactor(Factor):
     def complexity(self):
         return sum(c.complexity() for c in self.children)
 
-    def lip_upper(self):
-        return max(c.lip_upper() for c in self.children)
+    # read on demand: an implanted child carries no declared bound
+    @property
+    def lip(self):
+        return max(c.lip for c in self.children)
 
-    def sup_upper(self):
-        return max(c.sup_upper() for c in self.children)
-
-    def is_exact(self):
-        return all(c.is_exact() for c in self.children)
+    @property
+    def sup(self):
+        return max(c.sup for c in self.children)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +269,15 @@ class CompRep:
         for f in self.factors:
             z = f.eval(z)
         return z
+
+    def to_relu_network(self):
+        """One monolithic network; only identity, linear and implanted
+        factors have a ReLU realization."""
+        net = None
+        for f in self.factors:
+            stage = _factor_as_net(f)
+            net = stage if net is None else compose(stage, net)
+        return net
 
 
 def s_infinity(rep):
@@ -384,7 +354,7 @@ def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
     difference quotients of factors and tail compositions along inputs
     drawn from the box.
     """
-    lips = [f.lip_upper() for f in rep.factors]
+    lips = [f.lip for f in rep.factors]
     rng = np.random.default_rng(seed)
     box = np.asarray(box, dtype=float).reshape(rep.in_dim, 2)
     a = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, rep.in_dim))
@@ -405,10 +375,8 @@ def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
     lower = 0.0
     upper = 0.0
     for ell in range(n):
-        fac_lip1 = max(
-            lips[ell],
-            rep.factors[ell].sup_upper() if np.isfinite(rep.factors[ell].sup_upper()) else 0.0,
-        )
+        sup = rep.factors[ell].sup
+        fac_lip1 = max(lips[ell], sup if np.isfinite(sup) else 0.0)
         sampled_fac = max(
             difference_quotient(
                 stages_a[ell], stages_b[ell], stages_a[ell + 1], stages_b[ell + 1]
@@ -437,8 +405,13 @@ def comp_norm_interval(rep, reg, box, n_samples=2000, seed=0):
 # implantation
 
 
-class ImplantedFactor(Factor):
-    """Generic factor with each component replaced by an interpolant net."""
+class ImplantedFactor:
+    """Generic factor with each component replaced by an interpolant net.
+
+    It has no ``lip`` or ``sup``: an interpolant's Lipschitz constant is
+    calibrated, not proven, so ``implant`` bounds the chain from the
+    source factors' declared data.
+    """
 
     def __init__(self, source, nets):
         self.source = source
@@ -461,49 +434,8 @@ class ImplantedFactor(Factor):
         return sum(net.size() for net in self.nets)
 
 
-class ImplantedComposition:
-    """Finitely parametrized chain produced by implant().
-
-    Evaluates exactly like the stage list it stores; ``size`` sums the
-    stage complexities; ``to_relu_network`` assembles one monolithic
-    network when no multilinear factor is present.
-    """
-
-    def __init__(self, factors, error_bound, deltas):
-        self.factors = factors
-        self.error_bound = error_bound
-        self.deltas = deltas
-        self.in_dim = factors[0].in_dim
-        self.out_dim = factors[-1].out_dim
-
-    def eval(self, x):
-        z = np.atleast_2d(np.asarray(x, dtype=float))
-        for f in self.factors:
-            z = f.eval(z)
-        return z
-
-    def size(self):
-        return sum(f.complexity() for f in self.factors)
-
-    def s_inf(self):
-        return max(f.s_inf() for f in self.factors)
-
-    def to_relu_network(self):
-        from .relu_net import compose as net_compose
-
-        net = None
-        for f in self.factors:
-            stage = _factor_as_net(f)
-            net = stage if net is None else net_compose(stage, net)
-        return net
-
-
 def _factor_as_net(f):
-    from .relu_net import affine_net, compose as net_compose, parallelize as net_par
-
     if isinstance(f, IdentityFactor):
-        from .relu_net import identity_net
-
         return identity_net(f.dim)
     if isinstance(f, LinearFactor):
         return affine_net(f.matrix)
@@ -514,19 +446,19 @@ def _factor_as_net(f):
             sel = np.zeros((len(deps), f.in_dim))
             for r, dcol in enumerate(deps):
                 sel[r, dcol] = 1.0
-            nets.append(net_compose(interp.materialize(), affine_net(sel)))
-        return net_par(nets)
+            nets.append(compose(interp.materialize(), affine_net(sel)))
+        return parallelize(nets)
     raise ValueError(f"factor {type(f).__name__} has no exact ReLU realization")
 
 
 def eval_width(f):
     """Widest per-point array that evaluating ``f`` allocates, in floats.
 
-    ``f`` is a factor or an :class:`ImplantedComposition`; implanted
-    interpolants count the temporaries of their evaluation
+    ``f`` is a factor or a :class:`CompRep`; implanted interpolants count
+    the temporaries of their evaluation
     (:meth:`lip_interp.InterpolantNet.point_floats`).
     """
-    if isinstance(f, ImplantedComposition):
+    if isinstance(f, CompRep):
         return max(eval_width(g) for g in f.factors)
     widths = [f.in_dim, f.out_dim]
     if isinstance(f, ParallelFactor):
@@ -540,16 +472,19 @@ def implant(rep, deltas):
     """Replace generic factors by Lipschitz-stable interpolant networks.
 
     ``deltas`` gives one tolerance per factor (entries for exact factors
-    are ignored).  Returns (ImplantedComposition, error_bound) with the
-    bound delta_n + sum_j delta_j * L_tail(j) computed from the declared
-    Lipschitz chain; exact factors contribute zero.  Each interpolant's
-    grid is :meth:`lip_interp.GridSpec.for_tolerance`, which refuses one
-    above its node ceiling with :class:`lip_interp.ResourceCeiling`.
+    are ignored).  Returns (CompRep, error_bound): the implanted chain
+    keeps the factor structure, so its ``s_infinity`` is the source's
+    and its ``complexity`` adds the interpolant sizes to the exact
+    factors' counts.  The bound delta_n + sum_j delta_j * L_tail(j)
+    comes from the declared Lipschitz chain; exact factors contribute
+    zero.  Each interpolant's grid is
+    :meth:`lip_interp.GridSpec.for_tolerance`, which refuses one above
+    its node ceiling with :class:`lip_interp.ResourceCeiling`.
     """
     deltas = list(deltas)
     if len(deltas) != len(rep.factors):
         raise ValueError("need one delta per factor")
-    lips = [f.lip_upper() for f in rep.factors]
+    lips = [f.lip for f in rep.factors]
     new_factors = []
     error = 0.0
     for j, f in enumerate(rep.factors):
@@ -557,7 +492,7 @@ def implant(rep, deltas):
         new_f, err_j = _implant_factor(f, deltas[j])
         new_factors.append(new_f)
         error += err_j * tail
-    return ImplantedComposition(new_factors, error, deltas), error
+    return CompRep(new_factors), error
 
 
 def _implant_factor(f, delta):
@@ -567,7 +502,7 @@ def _implant_factor(f, delta):
             ParallelFactor([o[0] for o in outs], split_input=f.split_input),
             max(o[1] for o in outs),
         )
-    if f.is_exact():
+    if not isinstance(f, GenericFactor):
         return f, 0.0
     nets = []
     for i in range(f.out_dim):

@@ -505,7 +505,12 @@ def main(argv=None):
     else:
         problem = tc.problem_from_dict(cfg.problem)
         for eps in cfg.eps_ladder:
-            _, char_net = _build(problem, eps, cfg)
+            try:
+                _, char_net = _build(problem, eps, cfg)
+            except tc.ResourceCeiling as exc:
+                statuses.append("SKIP")
+                print(f"eps={eps}: SKIP (predicted cost {exc.predicted_cost:.3g})")
+                continue
             cert = tc.lipschitz_certificate(char_net, seed=cfg.seed)
             statuses.append("PASS" if (cert["pass_xy"] and cert["pass_t"]) else "FAIL")
             print(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, lip_interp
-from .comp_calculus import eval_width, gamma_inverse, implant
+from .comp_calculus import complexity, eval_width, gamma_inverse, implant
 from .lip_interp import ResourceCeiling
 from .relu_net import difference_quotient, rho_values
 
@@ -1020,7 +1020,7 @@ class GeneralSlabNet(SlabNet):
         return sweep
 
     def interpolant_size(self):
-        return (self.q if self._shared else 1) * sum(net.size() for net in self._nets)
+        return (self.q if self._shared else 1) * sum(complexity(net) for net in self._nets)
 
     def depth(self):
         return self.mu * 4 + 2

@@ -149,6 +149,32 @@ class TestImplant:
         imp, bound = cc.implant(rep, [0.01, 0.01, 0.0])
         assert bound == pytest.approx(0.01 + 0.01 * 1.0, abs=1e-12)
 
+    def test_implanted_chain_is_a_comp_rep(self, rng):
+        # implanting keeps the composition: same sparsity, additive
+        # complexity, and the algebra of representations still applies
+        f1 = cc.GenericFactor(
+            lambda z: np.abs(z[:, :1] - 0.3), 1, 1, lip=1.0, sup=0.7, box=[[0, 1]]
+        )
+        f2 = cc.GenericFactor(
+            lambda z: np.minimum(z[:, :1], 0.8), 1, 1, lip=1.0, sup=0.8, box=[[0, 1.5]]
+        )
+        last = cc.LinearFactor([[1.0]])
+        rep = cc.CompRep([f1, f2, last])
+        imp, _ = cc.implant(rep, [0.01, 0.01, 0.0])
+        assert isinstance(imp, cc.CompRep)
+        nets = [net for f in imp.factors[:-1] for net in f.nets]
+        assert len(nets) == 2
+        assert cc.complexity(imp) == last.complexity() + sum(n.size() for n in nets)
+        assert cc.s_infinity(imp) == cc.s_infinity(rep)
+        x = rng.uniform(0, 1, (100, 1))
+        doubled = cc.sum_reps(imp, imp)
+        np.testing.assert_allclose(doubled.eval(x), 2 * imp.eval(x), atol=1e-14)
+        assert cc.complexity(doubled) == 2 * cc.complexity(imp)
+        outer = cc.CompRep([cc.LinearFactor([[3.0]])])
+        np.testing.assert_allclose(
+            cc.compose_reps(outer, imp).eval(x), 3 * imp.eval(x), atol=1e-14
+        )
+
     def test_implant_error_soundness(self, rng):
         rep = affine_field_rep()
         imp, bound = cc.implant(rep, [0.01, 0.0])
@@ -161,7 +187,7 @@ class TestImplant:
     def test_sparsity_preserved(self):
         rep = affine_field_rep()
         imp, _ = cc.implant(rep, [0.05, 0.0])
-        assert imp.s_inf() <= cc.s_infinity(rep)
+        assert cc.s_infinity(imp) == cc.s_infinity(rep)
 
     def test_to_relu_network(self, rng):
         f1 = cc.GenericFactor(

@@ -237,6 +237,17 @@ class TestCli:
     def test_lipschitz_command(self, tmp_path):
         assert harness.main(["lipschitz", "--config", config_file(tmp_path)]) == 0
 
+    def test_lipschitz_command_skips_rung_above_ceiling(self, tmp_path, capsys):
+        # eps 1e-8 needs q = 1381699437 slab cells: a SKIP line, exit 0
+        doc = json.loads((CONFIG_DIR / "constant_smoke.json").read_text())
+        doc["eps_ladder"] = [0.1, 1e-8]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert harness.main(["lipschitz", "--config", str(cfg_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("eps=0.1: PASS ")
+        assert lines[1].startswith("eps=1e-08: SKIP (predicted cost ")
+
     def test_lipschitz_command_certifies_solution_back_net(self, tmp_path, monkeypatch):
         certified = []
         certify = tc.lipschitz_certificate

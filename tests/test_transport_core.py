@@ -1352,6 +1352,16 @@ class TestGeneralConvection:
         cert = tc.lipschitz_certificate(net, n_samples=500, seed=1)
         assert cert["pessimistic"]
 
+    def test_general_size_and_depth_pinned(self):
+        # a shared slab stands for its q cells with one implanted chain,
+        # a time-dependent slab implants one chain per cell; both count
+        # the same size
+        for L_t, chains in ((0.0, 1), (0.5, 152)):
+            prob = tc.TransportProblem(self.make_general(L_t=L_t), 1.0, [[0.0, 1.0]])
+            net = tc.build_char_net(prob, 0.2)
+            assert (net.size(), net.depth()) == (282787505, 78)
+            assert {len(slab._nets) for slab in net.slabs} == {chains}
+
     def test_implant_bound_refused_past_its_charge(self):
         # the implant error is the factor errors times the declared
         # Lipschitz constants after them; the implant term charges
