@@ -573,11 +573,23 @@ class TableStack:
             self.slopes = knot_slopes(self.values)
 
     @classmethod
-    def of(cls, nets):
-        """The stack of the tables of ``nets``, in their order, E = 1."""
-        if len({(net.table.shape, net.sawtooth_depth) for net in nets}) > 1:
+    def joined(cls, stacks):
+        """One stack of the entries of ``stacks`` in turn, E_0 + E_1 + ...
+        per node: stacks of as many tables of one grid and sawtooth depth."""
+        layouts = {
+            (part.values.shape[1], part.net.table.shape, part.net.sawtooth_depth)
+            for part in stacks
+        }
+        if len(layouts) > 1:
             raise ValueError("stacked nets need one grid and sawtooth depth")
-        return cls(nets[0], np.stack([net.table for net in nets])[:, None])
+        if len(stacks) == 1:
+            return stacks[0]
+        stack = cls.__new__(cls)
+        stack.net = stacks[0].net
+        stack.values = np.concatenate([part.values for part in stacks])
+        if stack.net.s == 1:
+            stack.slopes = np.concatenate([part.slopes for part in stacks])
+        return stack
 
     def lookup(self, p, which=None):
         """The lookup of at most p points, a reusable callable.
@@ -726,27 +738,8 @@ class InterpolantNet:
 
     # -- exact structural accounting -------------------------------------
 
-    def _hat_layer_bias(self, j, i, k):
-        # fused first-layer bias of the axis-j hat channel k in {1,0,-1}
-        lo, hi = self.grid.box[j]
-        return k - i - lo / (self.grid.h * (hi - lo))
-
-    def _active_mask(self):
-        return self.coeffs != 0.0
-
     def size(self):
-        mask = self._active_mask()
-        n_active = int(mask.sum())
-        if n_active == 0:
-            return 0
-        total = n_active * template_counts(self.s, self.sawtooth_depth)[0]
-        # subtract fused hat-layer biases that happen to be exactly zero
-        i = np.arange(self.grid.q + 1)
-        for j in range(self.s):
-            counts = mask.sum(axis=tuple(d for d in range(self.s) if d != j))
-            zeros = sum(self._hat_layer_bias(j, i, k) == 0.0 for k in (1, 0, -1))
-            total -= int(zeros @ counts)
-        return total
+        return int(table_sizes(self.grid, self.coeffs, self.sawtooth_depth))
 
     def depth(self):
         return template_counts(self.s, self.sawtooth_depth)[1]
@@ -758,7 +751,7 @@ class InterpolantNet:
         active-node count, so large interpolants refuse; the structured
         evaluator is the production representation.
         """
-        mask = self._active_mask()
+        mask = self.coeffs != 0.0
         n_active = int(mask.sum())
         if n_active > max_nodes:
             raise ResourceWarning(
@@ -779,35 +772,84 @@ class InterpolantNet:
         return compose(tensor_hat(indices, self.grid.h, self.delta_inner), to_unit)
 
 
-def lip_stable_net(sf, delta):
-    """Lipschitz-stable network approximation of a sampled function.
+def table_sizes(grid, coeffs, sawtooth_depth):
+    """Exact monolithic sizes of interpolants on ``grid``, all in one pass.
 
-    Returns (net, report).  The network is the weighted tensor-hat sum
-    over the sampled grid; certified sup error <= delta requires the
-    cells per axis that :meth:`GridSpec.for_tolerance` gives for delta;
-    a coarser grid raises :class:`GridTooCoarse`.  The inner
-    product-net tolerance is min(delta, 1) * :func:`c_star`.  The report
-    carries h, that tolerance and exact size and depth.
+    ``coeffs`` (...) + (q+1,)*s are coefficient arrays of nets with
+    sawtooth depth ``sawtooth_depth``; the result (...) holds each one's
+    size: its active (nonzero) nodes times the size of a tensor hat
+    (:func:`template_counts`), less the fused hat-layer biases that
+    happen to be exactly zero.  The axis-j hat channel k in {1, 0, -1}
+    of node i has the fused first-layer bias k - i - lo / (h (hi - lo)),
+    which is zero at one node index i at most, so each zero bias is
+    counted once per active node on that index's grid plane.
+    """
+    s = grid.s
+    mask = coeffs != 0.0
+    axes = tuple(range(mask.ndim - s, mask.ndim))
+    total = mask.sum(axis=axes) * template_counts(s, sawtooth_depth)[0]
+    for j, (lo, hi) in enumerate(grid.box):
+        shift = lo / (grid.h * (hi - lo))
+        for k in (1, 0, -1):
+            i = round(k - shift)
+            if 0 <= i <= grid.q and k - i - shift == 0.0:
+                total -= mask.take(i, axis=axes[j]).sum(axis=axes[:-1])
+    return total
+
+
+def stable_stack(grid, values, delta, lip, sup):
+    """Lipschitz-stable interpolant nets of L tables on one grid, stacked.
+
+    ``values`` (L, E, nodes) are samples at ``grid.nodes()`` of L tables
+    of E entries each, every entry a ``lip``-Lipschitz function bounded
+    by ``sup``.  Returns ``(stack, sizes, depth)``: the
+    :class:`TableStack` of the L tables, the exact size of each entry's
+    net (L, E) (:func:`table_sizes`) and the nets' one depth.  Certified
+    sup error <= delta requires the cells per axis that
+    :meth:`GridSpec.for_tolerance` gives for delta; a coarser grid
+    raises :class:`GridTooCoarse`.  The inner product-net tolerance is
+    min(delta, 1) * :func:`c_star`, so all nets share one sawtooth
+    depth.  The stack's ``net`` is the net of entry 0 of table 0.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    grid = sf.grid
-    cells = GridSpec.cells_for(grid.box, sf.lip_bound, delta)
+    cells = GridSpec.cells_for(grid.box, lip, delta)
     if grid.q < cells:
         raise GridTooCoarse(cells, grid.q)
-    delta_inner = min(delta, 1.0) * c_star(grid.s, sf.sup_bound)
-    net = InterpolantNet(
-        grid, sf.values, delta_inner=None if grid.s == 1 else delta_inner
+    values = np.asarray(values, dtype=float)
+    coeffs = values.reshape(values.shape[:2] + (grid.q + 1,) * grid.s)
+    delta_inner = None if grid.s == 1 else min(delta, 1.0) * c_star(grid.s, sup)
+    net = InterpolantNet(grid, coeffs[0, 0], delta_inner=delta_inner)
+    if grid.s == 1:
+        # ghost zero-nodes at -h and 1+h, as in InterpolantNet.table
+        tables = np.zeros(coeffs.shape[:2] + net.table.shape)
+        tables[..., 1:-1] = coeffs
+    else:
+        tables = coeffs
+    sizes = table_sizes(grid, coeffs, net.sawtooth_depth)
+    return TableStack(net, tables), sizes, net.depth()
+
+
+def lip_stable_net(sf, delta):
+    """Lipschitz-stable network approximation of a sampled function.
+
+    Returns (net, report): the one-table case of :func:`stable_stack`,
+    with the function's declared Lipschitz and sup bounds.  The report
+    carries h, the inner product-net tolerance and exact size and depth.
+    """
+    grid = sf.grid
+    stack, sizes, depth = stable_stack(
+        grid, sf.values[None, None], delta, sf.lip_bound, sf.sup_bound
     )
     report = {
         "s": grid.s,
         "h": grid.h,
         "delta": delta,
-        "delta_inner": None if grid.s == 1 else delta_inner,
-        "size": net.size(),
-        "depth": net.depth(),
+        "delta_inner": stack.net.delta_inner,
+        "size": int(sizes[0, 0]),
+        "depth": depth,
     }
-    return net, report
+    return stack.net, report
 
 
 # ---------------------------------------------------------------------------

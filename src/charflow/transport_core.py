@@ -572,6 +572,15 @@ def ramp_cell(t, lo, cell, q):
     return j, s - j
 
 
+def paired_rows(rows, up):
+    """A row count of a full block: ``rows`` rounded to an even count, so
+    that :func:`running_sums` pairs every row, ``up`` or down; at most
+    one row stays one row."""
+    if rows <= 1 or rows % 2 == 0:
+        return max(rows, 1)
+    return rows + 1 if up else rows - 1
+
+
 def running_sums(V, out):
     """Running sums of ``V`` over its cells, axis -2, into ``out``.
 
@@ -700,8 +709,9 @@ class SlabNet:
 
     def block_rows(self):
         """Rows per block: one network evaluation's largest temporary of
-        a sweep stays within ``BLOCK_BYTES``."""
-        return max(1, int(BLOCK_BYTES // (8 * self.row_floats)))
+        a sweep stays within ``BLOCK_BYTES``, in an even count of rows
+        (:func:`paired_rows`)."""
+        return paired_rows(int(BLOCK_BYTES // (8 * self.row_floats)), up=False)
 
     def eval_with_junction(self, t, w, y, mask, carry):
         """Gate the masked query times against one sweep state.
@@ -771,17 +781,20 @@ class SlabNet:
 class SlabInterpolants:
     """Interpolant networks of one affine slab, stacked for a fused sweep.
 
-    ``nets[j][i][c]`` interpolates output c of component j averaged over
-    subinterval i.  All share one grid on the evaluation box, whose units
-    the sweep states keep, so one sweep visits the active hats once for
-    every interpolant.  Components of one sawtooth depth, which is all
-    a lookup reads of a net besides the grid, form a group
-    ``(stack, js, contract)`` of the k components ``js``: ``stack`` is a
-    :class:`lip_interp.TableStack` of one table per subinterval, whose
-    entry j * m + c holds output c of component ``js[j]``.  An m = 1
-    group with one table is contracted with the row weights before the
-    lookup (``contract``) when a row's table is smaller than the entries
-    its q states gather.  :meth:`plan` makes the sweep of one row block.
+    Each component's nets, output c of its average over subinterval i
+    for every i and c, are built in one :func:`lip_interp.stable_stack`
+    call from one average per subinterval on the grid nodes.  All share
+    one grid on the evaluation box, whose units the sweep states keep,
+    so one sweep visits the active hats once for every interpolant.
+    Components of one sawtooth depth, which is all a lookup reads of a
+    net besides the grid, form a group ``(stack, js, contract)`` of the
+    k components ``js``: ``stack`` is a :class:`lip_interp.TableStack`
+    of one table per subinterval, whose entry j * m + c holds output c
+    of component ``js[j]``.  An m = 1 group with one table is contracted
+    with the row weights before the lookup (``contract``) when a row's
+    table is smaller than the entries its q states gather.  ``size`` and
+    ``depth`` are the nets' summed size and largest depth.  :meth:`plan`
+    makes the sweep of one row block.
     """
 
     def __init__(self, conv, subintervals, eval_box, delta, q):
@@ -789,42 +802,34 @@ class SlabInterpolants:
         self.per_cell = len(subintervals) > 1
         self.grid = lip_interp.GridSpec.for_tolerance(eval_box, conv.Lam, delta)
         nodes = self.grid.nodes()
-        self.nets = []
-        self.size = 0
-        for comp in conv.components:
-            per_j = []
-            for sub in subintervals:
-                # one average on the nodes gives all m output columns
-                avg = comp.slab_average(sub)(nodes)
-                comp_nets = []
-                for c in range(conv.m):
-                    sf = lip_interp.SampledFunction(
-                        self.grid, avg[:, c], lip_bound=comp.lip_x, sup_bound=comp.sup
-                    )
-                    net, report = lip_interp.lip_stable_net(sf, delta)
-                    self.size += report["size"]
-                    comp_nets.append(net)
-                per_j.append(comp_nets)
-            self.nets.append(per_j)
+        self.size = self.depth = 0
         by_depth = {}
-        for j, per_j in enumerate(self.nets):
-            by_depth.setdefault(per_j[0][0].sawtooth_depth, []).append(j)
+        for j, comp in enumerate(conv.components):
+            # the component's tables (subinterval, output, node): one
+            # average on the nodes gives all m output columns
+            avgs = np.empty((len(subintervals), conv.m, len(nodes)))
+            for avg, sub in zip(avgs, subintervals):
+                avg[...] = comp.slab_average(sub)(nodes).T
+            stack, sizes, depth = lip_interp.stable_stack(
+                self.grid, avgs, delta, comp.lip_x, comp.sup
+            )
+            self.size += int(sizes.sum())
+            self.depth = max(self.depth, depth)
+            by_depth.setdefault(stack.net.sawtooth_depth, []).append((j, stack))
         m, L = conv.m, len(subintervals)
         self.groups = []
         self.point_width = float(m)
-        for js in by_depth.values():
-            net = self.nets[js[0]][0][0]
-            tables = [[self.nets[j][i][c].table for j in js for c in range(m)] for i in range(L)]
-            size = net.table.size
+        for members in by_depth.values():
+            js = [j for j, _ in members]
+            stack = lip_interp.TableStack.joined([part for _, part in members])
+            size = stack.net.table.size
             contract = m == 1 and L == 1 and size < 2 * q
-            self.groups.append((lip_interp.TableStack(net, np.array(tables)), js, contract))
+            self.groups.append((stack, js, contract))
             # a contracted group's per-row table counts per state too
             entries = m if contract else m * len(js)
             self.point_width = max(
-                self.point_width, net.point_floats(entries), size / q if contract else 0
+                self.point_width, stack.net.point_floats(entries), size / q if contract else 0
             )
-        every = [net for per_j in self.nets for per_i in per_j for net in per_i]
-        self.depth = max(net.depth() for net in every)
 
     def plan(self, weights, cell, work=None):
         """The sweep of one row block: states Z (m, p, n) -> V (m, p, n).
@@ -920,7 +925,7 @@ class AffineSlabNet(SlabNet):
 
     def block_rows(self):
         # and at least MIN_STATES quadrature states per block
-        return max(super().block_rows(), -(-MIN_STATES // self.q))
+        return max(super().block_rows(), paired_rows(-(-MIN_STATES // self.q), up=True))
 
     @classmethod
     def chain(cls, conv, intervals, sched, eval_box):
@@ -1282,25 +1287,25 @@ class SolutionNetwork:
     """u surrogate: data network on backward feet plus source quadrature.
 
     u(t,x,y) ~ N_u0(B(t,x,y)) + sum_i rho_i(t) N_f,i(B(t-xi_i,x,y))
-    where B is the backward characteristic network; the source nets are
-    one :class:`lip_interp.TableStack`, gated like the slabs by
-    :func:`ramp_gate`.
+    where B is the backward characteristic network.  ``sources`` is the
+    :class:`lip_interp.TableStack` of the q_src source nets N_f,i, one
+    table per source time xi_i (None without a source), gated like the
+    slabs by :func:`ramp_gate`.  ``data_size`` is the summed size of the
+    data nets, counted once at build.
     """
 
-    def __init__(self, problem, back_net, u0_net, f_nets, q_src, report, data_size):
+    def __init__(self, problem, back_net, u0_net, sources, q_src, report, data_size):
         self.problem = problem
         self.back_net = back_net
         self.u0_net = u0_net
-        self.f_nets = f_nets
-        # the summed sizes of the data nets, counted once at build
+        self.sources = sources
         self.data_size = data_size
         self.q_src = q_src
         self.report = report
         T = problem.T_hat
-        self.xi = (np.arange(q_src) + 0.5) * T / q_src if q_src else np.array([])
-        if f_nets:
+        self.xi = source_times(T, q_src) if q_src else np.array([])
+        if sources is not None:
             self.cell = T / q_src
-            self.sources = lip_interp.TableStack.of(f_nets)
 
     def eval_parts(self, t, x, y):
         """(initial-datum part, source part): their sum is :meth:`eval`.
@@ -1327,7 +1332,7 @@ class SolutionNetwork:
         u0_part = (
             self.u0_net.eval(feet[0])[:, 0] if self.u0_net is not None else np.zeros(n)
         )
-        if not self.f_nets:
+        if self.sources is None:
             return u0_part, np.zeros(n)
         # V_i: source net i at the feet of node i
         q = self.q_src
@@ -1346,8 +1351,9 @@ class SolutionNetwork:
     def size(self):
         # data net + backward net, plus one backward-net copy per source
         # node, plus the source quadrature gate and trilinear coupling
-        total = self.data_size + (1 + len(self.f_nets)) * self.back_net.size()
-        if self.f_nets:
+        n_src = 0 if self.sources is None else self.q_src
+        total = self.data_size + (1 + n_src) * self.back_net.size()
+        if n_src:
             total += _rho_gate_size((0.0, self.problem.T_hat), self.q_src) + 1
         return total
 
@@ -1355,23 +1361,37 @@ class SolutionNetwork:
         d = self.back_net.depth()
         if self.u0_net is not None:
             d += self.u0_net.depth()
-        if self.f_nets:
-            d += max(f.depth() for f in self.f_nets)
+        if self.sources is not None:
+            d += self.sources.net.depth()
         return d
 
 
-def _datum_net(problem, datum, tol, is_source=False, at_time=None):
-    """Interpolant network of a datum on the evaluation box, and its size."""
+def source_times(T, q_src):
+    """The source quadrature's nodes: the midpoints of q_src cells of [0, T]."""
+    return (np.arange(q_src) + 0.5) * T / q_src
+
+
+def _datum_net(problem, datum, tol):
+    """Interpolant network of the initial datum on the evaluation box, and
+    its size."""
     grid = lip_interp.GridSpec.for_tolerance(problem.eval_box, datum.lip_x, tol)
-    if is_source:
-        fn = lambda pts: datum.f(np.full(pts.shape[0], at_time), pts)
-    else:
-        fn = lambda pts: datum.u0(pts)
     sf = lip_interp.SampledFunction.from_function(
-        fn, grid, lip_bound=datum.lip_x, sup_bound=datum.sup
+        datum.u0, grid, lip_bound=datum.lip_x, sup_bound=datum.sup
     )
     net, report = lip_interp.lip_stable_net(sf, tol)
     return net, report["size"]
+
+
+def _source_stack(problem, tol, q_src):
+    """The source nets at the q_src source times, one stack, and their
+    summed size: f is sampled once at every (time, grid node) pair."""
+    f = problem.f
+    grid = lip_interp.GridSpec.for_tolerance(problem.eval_box, f.lip_x, tol)
+    nodes = grid.nodes()
+    times = np.repeat(source_times(problem.T_hat, q_src), len(nodes))
+    values = f.f(times, np.tile(nodes, (q_src, 1))).reshape(q_src, 1, len(nodes))
+    stack, sizes, _ = lip_interp.stable_stack(grid, values, tol, f.lip_x, f.sup)
+    return stack, int(sizes.sum())
 
 
 def build_solution_net(problem, eps):
@@ -1403,12 +1423,10 @@ def build_solution_net(problem, eps):
     u0_net, data_size = (
         _datum_net(problem, problem.u0, eps_t) if problem.u0 is not None else (None, 0)
     )
-    f_nets = []
+    sources = None
     if problem.f is not None:
-        for node in (np.arange(q_src) + 0.5) * T / q_src:
-            f_net, size = _datum_net(problem, problem.f, eps_t, is_source=True, at_time=node)
-            f_nets.append(f_net)
-            data_size += size
+        sources, size = _source_stack(problem, eps_t, q_src)
+        data_size += size
     report = {
         "eps": eps,
         "eps_tilde": eps_t,
@@ -1417,7 +1435,7 @@ def build_solution_net(problem, eps):
         "ledger": ledger,
         "char_report": back.report,
     }
-    net = SolutionNetwork(problem, back, u0_net, f_nets, q_src, report, data_size)
+    net = SolutionNetwork(problem, back, u0_net, sources, q_src, report, data_size)
     report["size"] = net.size()
     report["depth"] = net.depth()
     report["predicted"] = predicted_complexity(problem, eps, "solution")

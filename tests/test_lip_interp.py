@@ -494,7 +494,7 @@ class TestTableStack:
             li.InterpolantNet(grid, rng.standard_normal((q + 1,) * s), delta_inner=1e-4)
             for _ in range(4)
         ]
-        stack = li.TableStack.of(nets)
+        stack = li.TableStack(nets[0], np.stack([net.table for net in nets])[:, None])
         x = stack_points(rng, grid)
         which = rng.integers(0, len(nets), len(x))
         got = stack(np.ascontiguousarray(grid.to_grid(x).T), which)
@@ -552,11 +552,96 @@ class TestTableStack:
         np.testing.assert_array_equal(rows.values, 2.0 * want.reshape(1, -1))
 
     def test_refuses_mixed_nets(self):
+        # stacks of one grid join only at one sawtooth depth and table count
         grid = li.GridSpec(2, 3)
-        coeffs = np.ones((4, 4))
-        nets = [li.InterpolantNet(grid, coeffs, delta_inner=d) for d in (1e-2, 1e-6)]
-        with pytest.raises(ValueError, match="one grid and sawtooth depth"):
-            li.TableStack.of(nets)
+        values = np.ones((2, 1, 16))
+        mixed = [li.stable_stack(grid, values, 0.5, 0.5, sup)[0] for sup in (1.0, 1e6)]
+        assert len({stack.net.sawtooth_depth for stack in mixed}) == 2
+        fewer = li.stable_stack(grid, values[:1], 0.5, 0.5, 1.0)[0]
+        for stacks in (mixed, [mixed[0], fewer]):
+            with pytest.raises(ValueError, match="one grid and sawtooth depth"):
+                li.TableStack.joined(stacks)
+        joined = li.TableStack.joined([mixed[0], mixed[0]])
+        np.testing.assert_array_equal(joined.values, np.vstack([mixed[0].values] * 2))
+
+
+class TestStableStack:
+    """One stacked build gives, bit for bit, the tables and exactly the
+    sizes and depth of a lip_stable_net build per table."""
+
+    def assert_equals_per_table_builds(self, grid, values, tol, lip, sup):
+        stack, sizes, depth = li.stable_stack(grid, values, tol, lip, sup)
+        n_tables, entries = values.shape[:2]
+        assert sizes.shape == (n_tables, entries)
+        size = stack.net.table.size
+        for i in range(n_tables):
+            for e in range(entries):
+                sf = li.SampledFunction(grid, values[i, e], lip, sup)
+                net, rep = li.lip_stable_net(sf, tol)
+                assert (rep["size"], rep["depth"]) == (sizes[i, e], depth)
+                assert net.size() == per_axis_size(net) == sizes[i, e]
+                assert net.sawtooth_depth == stack.net.sawtooth_depth
+                table = stack.values[e, i * size : (i + 1) * size]
+                np.testing.assert_array_equal(table, net.table.ravel())
+        if grid.s == 1:
+            np.testing.assert_array_equal(stack.slopes, li.knot_slopes(stack.values))
+        return stack, sizes
+
+    @pytest.mark.parametrize(
+        "s,lo,hi,lip,tol",
+        [
+            (1, 0.0, 1.0, 1.0, 0.05),
+            (1, -0.5, 1.5, 0.8, 0.1),
+            (2, 0.0, 1.0, 0.7, 0.1),
+            (2, -0.5, 1.5, 1.0, 0.5),
+        ],
+    )
+    def test_equals_per_table_builds(self, s, lo, hi, lip, tol, rng):
+        grid = li.GridSpec.for_tolerance(np.tile([lo, hi], (s, 1)), lip, tol)
+        nodes = (grid.q + 1) ** s
+        values = rng.uniform(-1.0, 1.0, (3, 2, nodes))
+        values[0, 1] = 0.0  # a table of zeros has size 0
+        values[1, 0, ::3] = 0.0  # inactive nodes, some on the grid's low end
+        values[2, 1, 1::2] = 0.0
+        stack, sizes = self.assert_equals_per_table_builds(grid, values, tol, lip, 1.0)
+        assert sizes[0, 1] == 0 and np.all(sizes[[0, 1, 2], [0, 0, 0]] > 0)
+        # a fused hat-layer bias k - i - lo / (h (hi - lo)) is zero at some
+        # node i of each axis on these grids (q is a multiple of 4 on
+        # [-0.5, 1.5]), and the count subtracts it
+        assert grid.q % 4 == 0 or lo == 0.0
+        hat = li.template_counts(s, stack.net.sawtooth_depth)[0]
+        full = (values != 0.0).sum(axis=2) * hat
+        assert np.all(sizes[full > 0] < full[full > 0])
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("value", [0.0, 0.75])
+    def test_constant_datum_one_cell(self, s, value):
+        # lip 0: one cell per axis, every node the constant
+        grid = li.GridSpec.for_tolerance(np.tile([0.0, 1.0], (s, 1)), 0.0, 0.1)
+        assert grid.q == 1
+        values = np.full((2, 1, 2**s), value)
+        _, sizes = self.assert_equals_per_table_builds(grid, values, 0.1, 0.0, abs(value))
+        assert np.all((sizes == 0) == (value == 0.0))
+
+    def test_grid_too_coarse(self):
+        grid = li.GridSpec(1, 9)
+        with pytest.raises(li.GridTooCoarse) as exc:
+            li.stable_stack(grid, np.zeros((2, 1, 10)), 0.1, 1.0, 1.0)
+        assert exc.value.required_q == 20
+
+
+def per_axis_size(net):
+    """Reference size count of one net: its active nodes' hats less the
+    zero fused hat-layer biases, summed axis by axis over every node
+    index."""
+    mask = net.coeffs != 0.0
+    total = int(mask.sum()) * li.template_counts(net.s, net.sawtooth_depth)[0]
+    i = np.arange(net.grid.q + 1)
+    for j, (lo, hi) in enumerate(net.grid.box):
+        counts = mask.sum(axis=tuple(d for d in range(net.s) if d != j))
+        zeros = sum(k - i - lo / (net.grid.h * (hi - lo)) == 0.0 for k in (1, 0, -1))
+        total -= int(zeros @ counts)
+    return total
 
 
 class TestPartitionOfUnity:

@@ -119,12 +119,27 @@ def assert_time_sets_match_single_calls(net, rng, n=12):
 
 
 def per_node_eval_parts(net, t, x, y):
-    """Reference: one backward chain for t and one per active source node."""
+    """Reference: one backward chain for t and one per active source node,
+    with one source net per node, each built on its own by
+    lip_stable_net; their tables are the network's source stack."""
+    prob, tol = net.problem, net.report["eps_tilde"]
+    grid = tc.lip_interp.GridSpec.for_tolerance(prob.eval_box, prob.f.lip_x, tol)
+    f_nets = []
+    for i, xi in enumerate(net.xi):
+        sf = tc.lip_interp.SampledFunction.from_function(
+            lambda pts: prob.f.f(np.full(len(pts), xi), pts), grid, prob.f.lip_x, prob.f.sup
+        )
+        f_net = tc.lip_interp.lip_stable_net(sf, tol)[0]
+        size = f_net.table.size
+        np.testing.assert_array_equal(
+            net.sources.values[0, i * size : (i + 1) * size], f_net.table.ravel()
+        )
+        f_nets.append(f_net)
     foot = net.back_net.eval(t, x, y)
     u0_part = net.u0_net.eval(foot)[:, 0]
     rho = tc.rho_values((0.0, net.problem.T_hat), net.q_src, t)
     f_part = np.zeros(len(t))
-    for i, f_net in enumerate(net.f_nets):
+    for i, f_net in enumerate(f_nets):
         active = rho[:, i] > 0
         if not np.any(active):
             continue
@@ -216,12 +231,34 @@ def full_sweep_eval(net, t, x, y):
     return out if t.ndim > 1 else out[0]
 
 
+def slab_nets(slab):
+    """Reference: a slab's interpolants built one net at a time, nets[j][i][c]
+    for output c of component j averaged over subinterval i, each from
+    its own column of the average sampled on the slab's grid."""
+    grid = slab.interpolants.grid
+    nets = []
+    for comp in slab.conv.components:
+        per_i = []
+        for sub in slab.subintervals:
+            avg = comp.slab_average(sub)
+            per_c = []
+            for c in range(slab.conv.m):
+                sf = tc.lip_interp.SampledFunction.from_function(
+                    lambda pts: avg(pts)[:, c], grid, comp.lip_x, comp.sup
+                )
+                per_c.append(tc.lip_interp.lip_stable_net(sf, slab.delta)[0])
+            per_i.append(per_c)
+        nets.append(per_i)
+    return nets
+
+
 def naive_slab_eval(slab, t, w, y):
     """Per-sample reference for an affine slab's arithmetic."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     w = np.atleast_2d(np.asarray(w, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     conv, q = slab.conv, slab.q
+    all_nets = slab_nets(slab)
     out = np.empty_like(w)
     for r in range(w.shape[0]):
         Z = [w[r].copy() for _ in range(q)]
@@ -230,7 +267,7 @@ def naive_slab_eval(slab, t, w, y):
             for i in range(q):
                 acc = np.zeros(conv.m)
                 for j in range(conv.d_y):
-                    nets = slab.interpolants.nets[j][0 if slab._shared else i]
+                    nets = all_nets[j][0 if slab._shared else i]
                     acc += (
                         conv.omega[j]
                         * y[r, j]
@@ -724,7 +761,8 @@ class TestFusedSweep:
         grid = tc.macro_grid(1.0, prob.convection.norm)
         slab = tc.build_slab_net(prob, grid.slab(0), tau=0.05)
         interp = slab.interpolants
-        net = interp.nets[0][0][0]
+        # the stack's net is that of component 0, subinterval 0, output 0
+        net = interp.groups[0][0].net
         h = net.grid.h
         lo, hi = net.grid.box[0]
         xu = np.array([-5.0, -2 * h, -h, -h * (1 - 1e-9), 1 + h * (1 - 1e-9), 1 + h, 1 + 3 * h, 7.0])
@@ -1034,19 +1072,21 @@ class TestCausalTruncation:
     def test_block_rows(self, monkeypatch):
         # an m >= 2 affine block holds at least MIN_STATES quadrature
         # states; the m = 1 slabs of the ladder and the solution configs,
-        # and general slabs, keep the bytes rule
+        # and general slabs, keep the bytes rule.  Both give an even
+        # count of rows: the bytes rule rounds down, the floor up.
         def bytes_rule(slab):
-            return max(1, int(tc.BLOCK_BYTES // (8 * slab.row_floats)))
+            rows = max(1, int(tc.BLOCK_BYTES // (8 * slab.row_floats)))
+            return rows - rows % 2 if rows > 1 else rows
 
-        for eps in (0.4, 0.2):
+        for eps, rows in ((0.4, 54), (0.2, 28)):
             slab = tc.build_char_net(cosine_problem_m2(), eps).slabs[0]
             floor = -(-tc.MIN_STATES // slab.q)
-            assert slab.block_rows() == floor > bytes_rule(slab)
+            assert slab.block_rows() == rows == floor + floor % 2 > bytes_rule(slab)
         ladder = tc.build_char_net(config_problem("affine_m1_dy4"), 0.05).slabs[0]
         solution = tc.build_solution_net(config_problem("solution_affine"), 0.1)
         back = solution.back_net.slabs[0]
-        assert [ladder.block_rows(), back.block_rows()] == [41, 12]
-        assert [bytes_rule(ladder), bytes_rule(back)] == [41, 12]
+        assert [ladder.block_rows(), back.block_rows()] == [40, 12]
+        assert [bytes_rule(ladder), bytes_rule(back)] == [40, 12]
         prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
         general = tc.build_char_net(prob, 0.2).slabs[0]
         # a floor eight times higher would give it more rows; it has none
@@ -1055,14 +1095,15 @@ class TestCausalTruncation:
 
 
 class TestBuildOnce:
-    """A build samples each slab average and counts each net's size once."""
+    """A build samples each slab average once, builds each stack of
+    tables in one call and counts its sizes once."""
 
-    def test_slab_average_once_per_output_column(self):
+    def test_slab_average_once_per_output_column(self, monkeypatch):
         import dataclasses
 
         prob = time_dependent_problem_m2()
         conv = prob.convection
-        calls = []
+        calls, builds = [], []
 
         def counting(fn):
             return lambda t, x: calls.append(1) or fn(t, x)
@@ -1071,13 +1112,24 @@ class TestBuildOnce:
         counted = tc.TransportProblem(
             tc.AffineConvection(conv.m, conv.d_y, conv.omega, comps), prob.T_hat, prob.domain
         )
+        stable_stack = tc.lip_interp.stable_stack
+        monkeypatch.setattr(
+            tc.lip_interp,
+            "stable_stack",
+            lambda *args: builds.append(args[1].shape) or stable_stack(*args),
+        )
         net = tc.build_char_net(counted, 0.4)
         # one average per component and quadrature cell, each a Gauss rule
         # in time, for all m output columns together
         q, K = net.sched.q, net.grid.K
         assert len(calls) == K * q * conv.d_y * catalog.GAUSS_ORDER
-        # the columns of that average are the tables of the m nets
+        # one build per slab and component, of its q cells' m columns
         interp = net.slabs[0].interpolants
+        nodes = (interp.grid.q + 1) ** conv.m
+        assert builds == [(q, conv.m, nodes)] * (K * conv.d_y)
+        # the columns of that average are the tables of the m nets
+        ((stack, js, _),) = interp.groups
+        size = stack.net.table.size
         for j, comp in enumerate(conv.components):
             for i, sub in enumerate(net.slabs[0].subintervals):
                 avg = comp.slab_average(sub)
@@ -1085,26 +1137,55 @@ class TestBuildOnce:
                     ref = tc.lip_interp.SampledFunction.from_function(
                         lambda pts: avg(pts)[:, c], interp.grid, comp.lip_x, comp.sup
                     )
-                    np.testing.assert_array_equal(interp.nets[j][i][c].coeffs, ref.values)
+                    table = stack.values[js.index(j) * conv.m + c, i * size : (i + 1) * size]
+                    np.testing.assert_array_equal(table, ref.values.ravel())
+
+    def test_source_sampled_once(self):
+        import dataclasses
+
+        prob = config_problem("solution_affine")
+        calls = []
+        fn = prob.f.fn
+        f = dataclasses.replace(prob.f, fn=lambda t, x: calls.append(len(x)) or fn(t, x))
+        counted = tc.TransportProblem(prob.convection, prob.T_hat, prob.domain, prob.u0, f)
+        net = tc.build_solution_net(counted, 0.1)
+        # every source time at every node of the source grid, in one call
+        assert calls == [net.q_src * (net.sources.net.grid.q + 1)]
 
     def test_size_once_per_net(self, monkeypatch):
-        made, counted = [], []
-        init, size = tc.lip_interp.InterpolantNet.__init__, tc.lip_interp.InterpolantNet.size
+        builds, counts, sized = [], [], []
+        stable_stack, table_sizes = tc.lip_interp.stable_stack, tc.lip_interp.table_sizes
 
-        def recording_init(net, *args, **kwargs):
-            made.append(net)
-            init(net, *args, **kwargs)
+        def recording_stack(*args):
+            builds.append(args[1].shape[:2])
+            return stable_stack(*args)
 
-        def recording_size(net):
-            counted.append(net)
-            return size(net)
+        def recording_sizes(grid, coeffs, depth):
+            counts.append(coeffs.shape[:2])
+            return table_sizes(grid, coeffs, depth)
 
-        monkeypatch.setattr(tc.lip_interp.InterpolantNet, "__init__", recording_init)
-        monkeypatch.setattr(tc.lip_interp.InterpolantNet, "size", recording_size)
+        monkeypatch.setattr(tc.lip_interp, "stable_stack", recording_stack)
+        monkeypatch.setattr(tc.lip_interp, "table_sizes", recording_sizes)
+        monkeypatch.setattr(tc.lip_interp.InterpolantNet, "size", lambda net: sized.append(net))
         net = tc.build_solution_net(config_problem("solution_affine"), 0.1)
-        assert len(made) == 1 + net.q_src + 2  # u0, the sources, two slab components
-        assert sorted(map(id, counted)) == sorted(map(id, made))
+        # the backward slabs' two components, u0, the sources: one count
+        # per stack, and no net counted on its own
+        assert builds == counts == [(1, 1), (1, 1), (1, 1), (net.q_src, 1)]
+        assert sized == []
         assert net.report["size"] == 25355372052
+
+    @pytest.mark.parametrize(
+        "eps,size,depth",
+        [
+            (0.2, 2978252366, 82),
+            (0.1, 25355372052, 91),
+            (0.05, 222061284706, 100),
+            (0.025, 1939195543605, 109),
+        ],
+    )
+    def test_solution_size_and_depth_pinned(self, eps, size, depth):
+        net = tc.build_solution_net(config_problem("solution_affine"), eps)
+        assert (net.report["size"], net.report["depth"]) == (size, depth)
 
 
 class TestRhoGateSize:
@@ -1424,9 +1505,9 @@ class TestGridSizing:
         prob = config_problem("solution_affine")
         net = tc.build_solution_net(prob, 0.1)
         e = net.report["eps_tilde"]
-        for datum_net, datum, q in [(net.u0_net, prob.u0, 448), (net.f_nets[0], prob.f, 112)]:
+        for grid, datum, q in [(net.u0_net.grid, prob.u0, 448), (net.sources.net.grid, prob.f, 112)]:
             want = tc.lip_interp.GridSpec.for_tolerance(prob.eval_box, datum.lip_x, e)
-            assert datum_net.grid.q == want.q == q
+            assert grid.q == want.q == q
 
     def test_implant_grids(self):
         prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
