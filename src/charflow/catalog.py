@@ -35,9 +35,10 @@ def gauss_rule():
 class FieldComponent:
     """One convection component with certified bounds.
 
-    ``fn(t, x)`` returns shape (n, m).  ``sup`` bounds |fn|, ``lip_x``
-    the spatial max-norm Lipschitz constant, ``lip_t`` the temporal one
-    (0 for time-independent components).
+    ``fn(t, x)`` returns shape (n, m), or the (n, 1) column when all m
+    columns are equal, as for every catalog kind.  ``sup`` bounds |fn|,
+    ``lip_x`` the spatial max-norm Lipschitz constant, ``lip_t`` the
+    temporal one (0 for time-independent components).
     """
 
     fn: callable
@@ -49,8 +50,12 @@ class FieldComponent:
 
     def __call__(self, t, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        return np.asarray(self.fn(t, x), dtype=float).reshape(x.shape[0], self.m)
+        n = x.shape[0]
+        t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+        v = np.asarray(self.fn(t, x), dtype=float)
+        if v.shape == (n, 1) and self.m > 1:
+            return np.concatenate([v] * self.m, axis=1)
+        return v.reshape(n, self.m)
 
     def slab_average(self, interval):
         """Spatial map w -> average of fn(., w) over the interval.
@@ -110,12 +115,15 @@ class DataProfile:
 
     def f(self, t, x, y=None):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        return np.asarray(self.fn(t, x), dtype=float).reshape(x.shape[0])
+        n = x.shape[0]
+        t = np.asarray(t, dtype=float)
+        if t.shape != (n,):  # the solution oracle passes (n,) times
+            t = np.broadcast_to(t, (n,))
+        return np.asarray(self.fn(t, x), dtype=float).reshape(n)
 
 
 def _clamp01(v):
-    return np.clip(v, 0.0, 1.0)
+    return v.clip(0.0, 1.0)  # np.clip's dispatch costs more than the clip
 
 
 def make_component(spec, m=1):
@@ -123,22 +131,33 @@ def make_component(spec, m=1):
 
     Kinds: constant {value}; cosine {amp, freq, phase}; bump {center,
     width, amp}; piecewise-linear {knots, values}.  All are functions
-    of the first spatial coordinate (and constant in time).
+    of the first spatial coordinate (and constant in time), so ``fn``
+    returns their one column.
     """
     kind = spec["kind"]
     if kind == "constant":
         c = float(spec.get("value", 1.0))
         return FieldComponent(
-            lambda t, x: np.full((x.shape[0], m), c), m, abs(c), 0.0
+            lambda t, x: np.full((x.shape[0], 1), c), m, abs(c), 0.0
         )
     if kind == "cosine":
         amp = float(spec.get("amp", 1.0))
         freq = float(spec.get("freq", 1.0))
         phase = float(spec.get("phase", 0.0))
+
+        def cosine(t, x):
+            # in place, and without the + 0 and * 1 that change no bit of
+            # the value: the oracle calls this a few hundred times per batch
+            val = freq * x[:, :1]
+            if phase:
+                val += phase
+            np.cos(val, out=val)
+            if amp != 1.0:
+                val *= amp
+            return val
+
         return FieldComponent(
-            lambda t, x: np.tile(
-                amp * np.cos(freq * x[:, :1] + phase), (1, m)
-            ),
+            cosine,
             m,
             abs(amp),
             abs(amp * freq),
@@ -148,11 +167,8 @@ def make_component(spec, m=1):
         width = float(spec.get("width", 1.0))
         amp = float(spec.get("amp", 1.0))
         return FieldComponent(
-            lambda t, x: np.tile(
-                amp
-                * np.maximum(0.0, 1.0 - np.abs((x[:, :1] - center) / width)),
-                (1, m),
-            ),
+            lambda t, x: amp
+            * np.maximum(0.0, 1.0 - np.abs((x[:, :1] - center) / width)),
             m,
             abs(amp),
             abs(amp / width),
@@ -163,9 +179,7 @@ def make_component(spec, m=1):
         slopes = np.diff(vals) / np.diff(knots)
         lip = float(np.max(np.abs(slopes))) if len(slopes) else 0.0
         return FieldComponent(
-            lambda t, x: np.tile(
-                np.interp(x[:, 0], knots, vals)[:, None], (1, m)
-            ),
+            lambda t, x: np.interp(x[:, 0], knots, vals)[:, None],
             m,
             float(np.max(np.abs(vals))),
             lip,

@@ -85,11 +85,30 @@ class AffineConvection:
         return self.L
 
     def eval(self, t, x, y):
+        """Field values (n, m) at times t (n,) or scalar, x (n, m), y (n, d_y).
+
+        Rows are independent.  The oracle makes a few hundred calls per
+        batch of a few hundred rows, where the calls and not the
+        arithmetic are the cost, so the inputs are normalized once and
+        each component's ``fn`` is called directly.  Components given
+        as one column (every catalog kind) are summed as columns and
+        spread over the m columns once.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        n = x.shape[0]
+        t = np.asarray(t, dtype=float)
+        if t.shape != (n,):
+            t = np.broadcast_to(t, (n,))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        out = np.zeros((x.shape[0], self.m))
+        out = np.zeros((n, 1))
         for j, comp in enumerate(self.components):
-            out += (self.omega[j] * y[:, j])[:, None] * comp(t, x)
+            term = (self.omega[j] * y[:, j])[:, None] * comp.fn(t, x)
+            if term.shape == out.shape:
+                out += term
+            else:
+                out = out + term
+        if out.shape[1] < self.m:
+            return np.concatenate([out] * self.m, axis=1)
         return out
 
     def constant_in_tx(self):
