@@ -91,12 +91,6 @@ def hat1d(h, i):
     )
 
 
-def hat_value(h, i, x):
-    """Direct formula for the hat, used as test oracle."""
-    u = np.asarray(x, dtype=float) / h - i
-    return np.maximum(0.0, 1.0 - np.abs(u))
-
-
 # ---------------------------------------------------------------------------
 # squaring and multiplication
 
@@ -247,24 +241,44 @@ def product_net(s, delta):
     return net
 
 
+def sawtooth(t, k, w, n, capped=..., guard=True):
+    """The value of :func:`square_net` (n) times 4^n, in place: the one
+    sawtooth formula of the closed forms.
+
+    ``t`` holds x 2^n and becomes k^2 + (2k+1) r, with the knot cell
+    k = clip(floor(x 2^n), 0, 2^n - 1) and r = x 2^n - k; ``k`` and
+    ``w`` are work arrays of t's shape.  The cap 2^n - 1 is applied to
+    ``t[capped]`` only: elsewhere the caller has shown x < 1, where it
+    changes nothing.  ``guard`` applies the two sign guards, k >= 0 and
+    a result >= 0, which change nothing for x >= 0.
+    """
+    np.floor(t, out=k)
+    if guard:
+        np.maximum(k, 0.0, out=k)
+    np.minimum(k[capped], 2.0**n - 1.0, out=k[capped])
+    t -= k
+    np.multiply(k, 2.0, out=w)
+    w += 1.0
+    t *= w
+    np.square(k, out=k)
+    t += k
+    if guard:
+        np.maximum(t, 0.0, out=t)
+    return t
+
+
 def square_values(x, n):
     """Elementwise values of :func:`square_net` (n) at an array ``x`` <= 1.
 
     On the knot cell k = clip(floor(x 2^n), 0, 2^n - 1) the net is the
     chord of x^2, max((2k+1) x / 2^n - k (k+1) / 4^n, 0), computed here
-    as (k^2 + (2k+1) r) / 4^n with r = x 2^n - k, a sum of nonnegative
-    terms on [0, 1]: exactly zero at 0 and for x < 0.  (Beyond 1 the net
-    rises like x, but its callers only feed [0, 1].)
+    as (k^2 + (2k+1) r) / 4^n with r = x 2^n - k (:func:`sawtooth`), a
+    sum of nonnegative terms on [0, 1]: exactly zero at 0 and for x < 0.
+    (Beyond 1 the net rises like x, but its callers only feed [0, 1].)
     """
-    t = np.multiply(x, 2.0**n)
-    k = np.floor(t)
-    np.maximum(k, 0.0, out=k)
-    np.minimum(k, 2.0**n - 1.0, out=k)
-    t -= k
-    t *= 2.0 * k + 1.0
-    k *= k
-    t += k
-    np.maximum(t, 0.0, out=t)
+    t = np.empty(np.shape(x))
+    np.multiply(x, 2.0**n, out=t)
+    sawtooth(t, np.empty_like(t), np.empty_like(t), n)
     t *= 4.0**-n
     return t
 
@@ -282,6 +296,9 @@ def product_values(v, n):
     its pair coincide.  Factors that vary along different axes give the
     outer product: each pair is formed once per combination of its two
     factors, and every element sees the same operations.
+    :class:`CornerLookup` runs the same tree on hat factors, which lie
+    in [0, 1] already, with the clamp and sign guards left out and
+    power-of-two scalings folded.
     """
     v = [np.minimum(np.maximum(f, 0.0), 1.0) for f in v]
     while len(v) > 1:
@@ -320,8 +337,9 @@ def tensor_hat(indices, h, delta):
     exact arithmetic; float evaluation of its layers leaves sub-1e-13
     dust), so the support is contained in the support of the exact
     tensor hat by construction, with no separate gating.  Interpolants
-    evaluate its closed form :func:`product_values` instead, which gives
-    literal zeros outside the support.
+    evaluate its closed form instead (:func:`product_values`, which
+    :class:`CornerLookup` runs on the 2^s corners of a point's cell),
+    which gives literal zeros outside the support.
     """
     indices = list(indices)
     s = len(indices)
@@ -551,45 +569,208 @@ class KnotLookup:
         return out
 
 
+class CornerLookup:
+    """s >= 2 hat sums over stacked tensor tables, for at most p points.
+
+    The twin of :class:`KnotLookup`.  ``values`` (E, L * (q + 3)^s) are
+    the L tables of a :class:`TableStack` on ``grid``, each in its ring
+    of zero ghost nodes, E values per node, and ``depth`` is the nets'
+    sawtooth depth.  Point r of p reads the table that starts at entry
+    ``starts[r]``.  The table strides, the corners' offsets and the
+    work buffers are made here, so a call is one in-place pass.  A call
+    may pass k < p points: its points are the first k.
+    """
+
+    def __init__(self, grid, depth, values, starts):
+        s, q, p = grid.s, grid.q, len(starts)
+        self.top = q + 1.0
+        self.cap = float(q)
+        self.depth = depth
+        self.values = values
+        strides = (q + 3) ** np.arange(s)[::-1]
+        self.strides = strides.astype(float)
+        # a table's entry 0 is the ghost node (-1, ..., -1)
+        self.origin = starts + strides.sum()
+        # corner (b_0, ..., b_{s-1}) of a cell, in C order over the b_j,
+        # is node cell + b
+        self.corners = (np.array(list(np.ndindex((2,) * s))) @ strides)[:, None]
+        corners = 2**s
+        self.u, self.cell = np.empty(s * p), np.empty(s * p)
+        self.factor = np.empty(2 * s * p)
+        self.flat = np.empty(p)
+        self.base = np.empty(p, dtype=np.intp)
+        self.index = np.empty(corners * p, dtype=np.intp)
+        # the product tree's pairs in the order a call forms them: a
+        # product of a and b factor groups holds len(a) * len(b) corners
+        groups, self.products = [2] * s, []
+        while len(groups) > 1:
+            pairs = [a * b for a, b in zip(groups[0::2], groups[1::2])]
+            self.products += [np.empty(size * p) for size in pairs]
+            groups = pairs + groups[len(pairs) * 2 :]
+        # a pair's squares, sum and difference, and their cells and 2k + 1
+        self.work = [np.empty(2 * corners * p) for _ in range(3)]
+        self.coef = np.empty(len(values) * corners * p)
+        self.out = np.empty(len(values) * p)
+
+    def __call__(self, x):
+        """Hat sums (E, k) at the points ``x`` (s, k) in grid units.
+
+        The hats active at a point are those of its cell's 2^s corners.
+        Clipping the point to the ghost ring [-1, q + 1] and capping its
+        cell's low node at q puts every corner on a node of the table,
+        a ghost one with a zero value where the node is off the grid, so
+        no corner needs a mask: a point past the ghosts reads ghost
+        corners and corners whose hat factor is 0, a literal 0.  The hat
+        factors of each axis, 1 - f at the low node and f at the high
+        one for the fraction f of the cell, lie in [0, 1], so the
+        product tree (:func:`product_values`) runs without its clamp and
+        sign guards, which would change no bit.  The corners' products
+        are summed in corner order 0, ..., 2^s - 1 onto a zero.  The
+        result is a view of a buffer that the next call rewrites.
+        """
+        s, k = x.shape
+        n = self.depth
+        u = self.u[: s * k].reshape(s, k)
+        cell = self.cell[: s * k].reshape(s, k)
+        np.clip(x, -1.0, self.top, out=u)
+        np.floor(u, out=cell)
+        np.minimum(cell, self.cap, out=cell)
+        # The factors scaled by c = 2^(n-1): a pair's square arguments
+        # (a + b) / 2 and |a - b| / 2 enter the sawtooth as x 2^n, and
+        # (v 0.5) 2^n = (v c), fl(ca + cb) = c fl(a + b) and
+        # c - cf = c (1 - f) hold bit for bit, since scaling by a power
+        # of two is exact unless a value falls below 2^-1021.
+        c = 2.0 ** (n - 1)
+        factor = self.factor[: 2 * s * k].reshape(s, 2, k)
+        np.subtract(u, cell, out=factor[:, 1])
+        factor[:, 1] *= c
+        np.subtract(c, factor[:, 1], out=factor[:, 0])
+        # the index of each point's corner 0, its table folded in; a NaN
+        # point's cast warns, and its value comes out NaN
+        flat, base = self.flat[:k], self.base[:k]
+        np.matmul(self.strides, cell, out=flat)
+        np.copyto(base, flat, casting="unsafe")
+        base += self.origin[:k]
+        corners = len(self.corners)
+        index = self.index[: corners * k].reshape(corners, k)
+        np.add(base, self.corners, out=index)
+        # the product tree over the axes' factor pairs, a product of
+        # groups of a and b corners giving a * b corners in C order
+        v, products = list(factor), iter(self.products)
+        while len(v) > 1:
+            last = len(v) == 2
+            level = [
+                self._product(a, b, next(products), n, last)
+                for a, b in zip(v[0::2], v[1::2])
+            ]
+            v = level + v[len(level) * 2 :]
+        entries = len(self.values)
+        coef = self.coef[: entries * corners * k].reshape(entries, corners, k)
+        # every corner is a node of its point's table, so mode="clip"
+        # never changes a read; it lets take write into coef unbuffered
+        self.values.take(index, axis=1, out=coef, mode="clip")
+        # each element adds its corners' products in order onto a zero,
+        # as 0 + c_0 + c_1 + ... does.  einsum runs the corners in that
+        # order while the points are its contiguous inner axis; for one
+        # point the corners become the inner loop, which it may sum in
+        # another order, so then they are added one by one.
+        out = self.out[: entries * k].reshape(entries, k)
+        if k > 1:
+            return np.einsum("eck,ck->ek", coef, v[0], out=out)
+        coef *= v[0]
+        np.add(coef[:, 0], 0.0, out=out)
+        for c in range(1, corners):
+            out += coef[:, c]
+        return out
+
+    def _product(self, a, b, out, n, last):
+        """The pair products of factor groups ``a`` (A, k) and ``b``
+        (B, k), scaled by c = 2^(n-1), into ``out``: (A * B, k) in C
+        order, scaled by 4^-n if ``last``, else by c for the next level.
+
+        S(x) 4^n - S(y) 4^n is exact where S(x) - S(y) is, so one
+        scaling of the difference, by 4^-n or 4^-n c = 2^(-n-1), gives
+        the product net's S(x) - S(y) (times c) bit for bit, unless a
+        value falls below 2^-1021.
+        """
+        k = a.shape[1]
+        shape = (2, len(a), len(b), k)
+        t, cells, w = (buf[: math.prod(shape)].reshape(shape) for buf in self.work)
+        np.add(a[:, None], b[None], out=t[0])
+        np.subtract(a[:, None], b[None], out=t[1])
+        np.abs(t[1], out=t[1])
+        # |a - b| / 2 <= 1/2 < 1: only the sums need the cap
+        sawtooth(t, cells, w, n, capped=0, guard=False)
+        prod = out[: len(a) * len(b) * k].reshape(len(a) * len(b), k)
+        np.subtract(t[0], t[1], out=prod.reshape(shape[1:]))
+        prod *= 4.0**-n if last else 2.0 ** (-n - 1)
+        return prod
+
+
 class TableStack:
     """Stacked coefficient tables: the one layout that every lookup reads.
 
-    ``tables`` (L, E) + ``net.table.shape`` are L tables of nets with
-    ``net``'s grid and sawtooth depth, each node holding E values.  They
+    ``coeffs`` (L, E) + ``net.coeffs.shape`` are L tables of nets with
+    ``net``'s grid and sawtooth depth, each node holding E values (or
+    several such arrays, whose entries are stacked in turn).  They
     are held entry-major, ``values`` (E, L * table size): row e is
-    entry e of every node of the L tables, one table after another; for
-    s = 1 with their :func:`knot_slopes` along the last axis.  A lookup
-    gives point r's hat sums (E,) in table ``which[r]``: a
-    :class:`KnotLookup` for s = 1, :meth:`InterpolantNet.weighted_sum`
-    for s >= 2.
+    entry e of every node of the L tables, one table after another,
+    each table laid out as ``net.table``, the grid in a ring of zero
+    ghost nodes; for s = 1 with their :func:`knot_slopes` along the last
+    axis.  ``values`` is written when first read, the ring in the same
+    copy: a stack that is never looked up, such as the one-table stack
+    of :func:`lip_stable_net` or a stack that is only :meth:`joined` to
+    others, is never copied.  A lookup gives point r's hat sums (E,) in
+    table ``which[r]``: a :class:`KnotLookup` for s = 1, a
+    :class:`CornerLookup` for s >= 2.
     """
 
-    def __init__(self, net, tables):
+    def __init__(self, net, *coeffs):
+        # more than one part: their entries in turn, as :meth:`joined`
         self.net = net
-        n_tables, entries = tables.shape[:2]
-        values = tables.reshape(n_tables, entries, -1).swapaxes(0, 1)
-        self.values = np.ascontiguousarray(values).reshape(entries, -1)
-        if net.s == 1:
-            self.slopes = knot_slopes(self.values)
+        self.n_tables = len(coeffs[0])
+        self._parts = coeffs
+
+    @functools.cached_property
+    def values(self):
+        # the coefficients of every part, in one copy, into their rings
+        parts, self._parts = self._parts, None
+        entries = sum(part.shape[1] for part in parts)
+        values = np.zeros((entries, self.n_tables) + self.net.table_shape)
+        ring = (slice(1, -1),) * self.net.s
+        lo = 0
+        for part in parts:
+            hi = lo + part.shape[1]
+            values[(slice(lo, hi), slice(None)) + ring] = part.swapaxes(0, 1)
+            lo = hi
+        return values.reshape(entries, -1)
+
+    @functools.cached_property
+    def slopes(self):
+        """The s = 1 values' :func:`knot_slopes`."""
+        return knot_slopes(self.values)
+
+    def _coeffs(self):
+        """The tables as (L, E) + ``net.coeffs.shape`` arrays, in turn."""
+        if self._parts is not None:
+            return self._parts
+        shape = (-1, self.n_tables) + self.net.table_shape
+        ring = (slice(None),) * 2 + (slice(1, -1),) * self.net.s
+        return (self.values.reshape(shape)[ring].swapaxes(0, 1),)
 
     @classmethod
     def joined(cls, stacks):
         """One stack of the entries of ``stacks`` in turn, E_0 + E_1 + ...
         per node: stacks of as many tables of one grid and sawtooth depth."""
         layouts = {
-            (part.values.shape[1], part.net.table.shape, part.net.sawtooth_depth)
+            (part.n_tables, part.net.table_shape, part.net.sawtooth_depth)
             for part in stacks
         }
         if len(layouts) > 1:
             raise ValueError("stacked nets need one grid and sawtooth depth")
         if len(stacks) == 1:
             return stacks[0]
-        stack = cls.__new__(cls)
-        stack.net = stacks[0].net
-        stack.values = np.concatenate([part.values for part in stacks])
-        if stack.net.s == 1:
-            stack.slopes = np.concatenate([part.slopes for part in stacks])
-        return stack
+        return cls(stacks[0].net, *(coeffs for part in stacks for coeffs in part._coeffs()))
 
     def lookup(self, p, which=None):
         """The lookup of at most p points, a reusable callable.
@@ -598,14 +779,15 @@ class TableStack:
         (:meth:`GridSpec.to_grid`), axis-major, to their hat sums (E, k):
         point r reads table ``which[r]`` of ``which`` (p,), or table 0
         if ``which`` is None.  What does not depend on the points, the
-        table offsets and, for s = 1, the work buffers, is made here.
+        table offsets and the work buffers, is made here: a
+        :class:`KnotLookup` for s = 1, a :class:`CornerLookup` for
+        s >= 2.
         """
         net = self.net
+        size = math.prod(net.table_shape)
+        starts = np.zeros(p, dtype=np.intp) if which is None else which * size
         if net.s > 1:
-            return lambda u: net.weighted_sum(
-                u, self.values, None if which is None else which[: u.shape[1]]
-            )
-        starts = np.zeros(p, dtype=np.intp) if which is None else which * net.table.size
+            return CornerLookup(net.grid, net.sawtooth_depth, self.values, starts)
         knots = KnotLookup(net.grid, self.values, self.slopes, starts)
         return lambda u: knots(u[0])
 
@@ -618,7 +800,7 @@ class TableStack:
         """
         n = len(w)
         if out is None:
-            out = TableStack(self.net, np.zeros((n, 1) + self.net.table.shape))
+            out = TableStack(self.net, np.zeros((n, 1) + self.net.coeffs.shape))
         np.einsum("re,et->rt", w, self.values, out=out.values.reshape(n, -1))
         knot_slopes(out.values, out=out.slopes)
         return out
@@ -637,10 +819,10 @@ class InterpolantNet:
     but stores the coefficient array and evaluates only the <= 2^s hats
     active at each point, from the closed form of their networks.
     ``table`` is the coefficient array as a :class:`TableStack` holds
-    it; ``sawtooth_depth`` is the depth n of the hats' product network
-    (None for s = 1).  ``size()`` and ``depth()`` report the exact
-    monolithic counts through :func:`template_counts`; only
-    :meth:`materialize` builds networks.
+    it, in a ring of zero ghost nodes; ``sawtooth_depth`` is the depth n
+    of the hats' product network (None for s = 1).  ``size()`` and
+    ``depth()`` report the exact monolithic counts through
+    :func:`template_counts`; only :meth:`materialize` builds networks.
     """
 
     def __init__(self, grid, coeffs, delta_inner=None):
@@ -651,90 +833,41 @@ class InterpolantNet:
         self.s = grid.s
         self.delta_inner = delta_inner
         self.sawtooth_depth = None
-        if grid.s == 1:
-            # ghost zero-nodes at -h and 1+h carry the boundary hat ramps
-            self.table = np.concatenate(([0.0], self.coeffs, [0.0]))
-        else:
-            self.table = self.coeffs
+        self.table_shape = (grid.q + 3,) * grid.s
+        if grid.s > 1:
             if delta_inner is None:
                 raise ValueError("s >= 2 interpolants need delta_inner")
             self.sawtooth_depth = product_depth_param(grid.s, delta_inner)
-            # a cell's low and high node on each axis are cell + steps;
-            # offsets[j] steps axis j of a C-order table; corner
-            # (b_0, ..., b_{s-1}) of a cell is entry (b_0, ..., b_{s-1}) of
-            # a (2,) * s array, to which axis j's two nodes broadcast
-            # along axis j
-            self._steps = np.array([0.0, 1.0])[:, None, None]
-            self._offsets = (grid.q + 1) ** np.arange(grid.s)[::-1, None]
-            self._corner_axes = [
-                tuple(2 if k == j else 1 for k in range(grid.s)) for j in range(grid.s)
-            ]
+
+    @functools.cached_property
+    def table(self):
+        """The coefficients as a :class:`TableStack` holds them, shape
+        ``table_shape``: the grid in a ring of ghost zero-nodes, at -h and
+        1 + h on each axis.  For s = 1 they carry the boundary hat ramps;
+        for s >= 2 they put every cell corner of a point in the ring on a
+        node."""
+        return np.pad(self.coeffs, 1)
 
     def point_floats(self, entries=1):
-        """Floats per point of the largest temporary of one evaluation.
+        """Floats per point of the largest array of one evaluation.
 
         ``entries`` is the number of values each table entry holds, E of
-        :meth:`weighted_sum`.  For s = 1 that temporary is one entry per
+        a :class:`TableStack`.  For s = 1 that array is one entry per
         point.  For s >= 2 the largest are the corners' gathered entries,
-        E * 2^s per point, and the product tree's corner arrays, 2^s per
-        point; the count, 2^s * max(s, entries), bounds both.
+        E * 2^s per point, and the work arrays of the product tree's last
+        pair, its sum and difference squares of the 2^s corners,
+        2^(s+1) per point (:class:`CornerLookup`): 2^s * max(2, entries).
         """
         if self.s == 1:
             return entries
-        return 2**self.s * max(self.s, entries)
+        return 2**self.s * max(2, entries)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         u = np.ascontiguousarray(self.grid.to_grid(x).T)
-        out = TableStack(self, self.table[None, None])(u)[0][:, None]
+        out = TableStack(self, self.coeffs[None, None])(u)[0][:, None]
         return out[0] if single else out
-
-    def weighted_sum(self, u, tables, lead=None):
-        """Hat sums sum_node tables[e, lead * table size + node] * hat_node(u),
-        s >= 2.
-
-        ``u`` (s, n) are n points in grid units of this net's grid
-        (:meth:`GridSpec.to_grid`), axis-major.  ``tables`` are the
-        ``values`` (E, L * table size) of a :class:`TableStack` of L
-        tables laid out like :attr:`table`, entry-major: row e is entry e
-        of every node of every table.  Point r reads table ``lead[r]``
-        (table 0 if ``lead`` is None).  Returns (E, n).
-
-        The hats active at a point are those of its cell's 2^s corners,
-        all evaluated in one pass, each array running along the points:
-        the hat factors 1 - |u - node| of each axis's low and high node,
-        zero for a node off the grid, (2, s, n); one
-        :func:`product_values` over the axes' factors, which broadcast to
-        the corners' hats (2^s, n) (the template's closed form, so a zero
-        factor gives an exact zero); the corners' table indices (2^s, n)
-        at node indices clipped to the grid; one gather (E, 2^s, n); and
-        the corners' products summed in corner order 0, ..., 2^s - 1.
-        s = 1 nets are looked up by :class:`KnotLookup` instead.
-        """
-        s, n = u.shape
-        cell = np.floor(u)
-        factor = np.empty((2, s, n))
-        np.subtract(u, cell, out=factor[1])
-        np.subtract(1.0, factor[1], out=factor[0])
-        node = cell + self._steps
-        index = np.minimum(np.maximum(node, 0.0), self.grid.q)
-        factor *= index == node
-        index = index.astype(np.intp) * self._offsets
-        # axis j's two nodes broadcast along axis j of the corners
-        along = [a + (n,) for a in self._corner_axes]
-        hats = product_values(
-            [factor[:, j].reshape(along[j]) for j in range(s)], self.sawtooth_depth
-        ).reshape(2**s, n)
-        corner = sum(index[:, j].reshape(along[j]) for j in range(s)).reshape(2**s, n)
-        if lead is not None:
-            corner += lead * self.table.size
-        coeff = tables.take(corner, axis=1)
-        coeff *= hats
-        out = np.zeros((len(tables), n))
-        for c in range(2**s):
-            out += coeff[:, c]
-        return out
 
     # -- exact structural accounting -------------------------------------
 
@@ -820,14 +953,8 @@ def stable_stack(grid, values, delta, lip, sup):
     coeffs = values.reshape(values.shape[:2] + (grid.q + 1,) * grid.s)
     delta_inner = None if grid.s == 1 else min(delta, 1.0) * c_star(grid.s, sup)
     net = InterpolantNet(grid, coeffs[0, 0], delta_inner=delta_inner)
-    if grid.s == 1:
-        # ghost zero-nodes at -h and 1+h, as in InterpolantNet.table
-        tables = np.zeros(coeffs.shape[:2] + net.table.shape)
-        tables[..., 1:-1] = coeffs
-    else:
-        tables = coeffs
     sizes = table_sizes(grid, coeffs, net.sawtooth_depth)
-    return TableStack(net, tables), sizes, net.depth()
+    return TableStack(net, coeffs), sizes, net.depth()
 
 
 def lip_stable_net(sf, delta):

@@ -527,10 +527,12 @@ def _field_on_grid(field, xs, Z, y):
 # the q evaluations.
 #
 # An affine block also holds at least MIN_STATES quadrature states.  An
-# m = 2 sweep is some 60 numpy calls per pass, and at the few rows the
-# bytes rule allows it (13 rows of q = 76 states on a 2-D field) their
-# call overhead outweighs the arithmetic: 27 rows of the same field
-# evaluate 2x faster.  On the m = 1 slabs measured the bytes rule
+# m = 2 sweep is some 30 numpy calls per pass, 25 of them its corner
+# lookup, and at the few rows the bytes rule allows it (12 rows of
+# q = 76 states on char_m2's field) their call overhead outweighs the
+# arithmetic: the floor's 28 rows evaluate char_m2's 150 queries in 14.0
+# ms against 18.6 ms, and 54 or 108 rows take 14.5 or 15.9 ms (medians
+# of 9 interleaved runs).  On the m = 1 slabs measured the bytes rule
 # gives more rows than the floor.  Neither bound depends on the number
 # of rows evaluated, so memory stays bounded.
 BLOCK_BYTES = 128 * 1024
@@ -811,7 +813,10 @@ class SlabInterpolants:
     of one table per subinterval, whose entry j * m + c holds output c
     of component ``js[j]``.  An m = 1 group with one table is contracted
     with the row weights before the lookup (``contract``) when a row's
-    table is smaller than the entries its q states gather.  ``size`` and
+    table is smaller than the entries its q states gather.  Every table
+    sits in a ring of zero ghost nodes, so an m >= 2 group's lookup is
+    one :class:`lip_interp.CornerLookup` over the states' cell corners,
+    with no mask.  ``size`` and
     ``depth`` are the nets' summed size and largest depth.  :meth:`plan`
     makes the sweep of one row block.
     """
@@ -841,7 +846,7 @@ class SlabInterpolants:
         for members in by_depth.values():
             js = [j for j, _ in members]
             stack = lip_interp.TableStack.joined([part for _, part in members])
-            size = stack.net.table.size
+            size = math.prod(stack.net.table_shape)
             contract = m == 1 and L == 1 and size < 2 * q
             self.groups.append((stack, js, contract))
             # a contracted group's per-row table counts per state too
@@ -913,7 +918,7 @@ class SlabInterpolants:
         :meth:`lip_interp.TableStack.contracted` rewrites for each block,
         and its lookup for the q states of each row, cell-major: state
         i * n + r reads row r's table."""
-        rows = lip_interp.TableStack(stack.net, np.zeros((n, 1) + stack.net.table.shape))
+        rows = lip_interp.TableStack(stack.net, np.zeros((n, 1) + stack.net.coeffs.shape))
         return rows, rows.lookup(self.q * n, np.tile(np.arange(n), self.q))
 
     def _state_lookup(self, stack, n):

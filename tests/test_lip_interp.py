@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 from charflow import lip_interp as li
 
 
+def hat_value(h, i, x):
+    """Direct formula for the hat, the oracle of hat1d."""
+    u = np.asarray(x, dtype=float) / h - i
+    return np.maximum(0.0, 1.0 - np.abs(u))
+
+
 def tensor_hat_value(indices, h, x):
     """Direct tensor-product formula of a tensor hat."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.ones(x.shape[0])
     for j, i in enumerate(indices):
-        out = out * li.hat_value(h, i, x[:, j])
+        out = out * hat_value(h, i, x[:, j])
     return out
 
 
@@ -30,7 +36,7 @@ class TestHat1d:
         net = li.hat1d(0.25, 1)
         xs = np.linspace(0.0, 1.0, 2001)
         np.testing.assert_allclose(
-            net.eval(xs[:, None])[:, 0], li.hat_value(0.25, 1, xs), atol=1e-14
+            net.eval(xs[:, None])[:, 0], hat_value(0.25, 1, xs), atol=1e-14
         )
 
     def test_support_and_lipschitz(self):
@@ -121,6 +127,12 @@ class TestClosedForm:
         x = np.concatenate([rng.uniform(-0.5, 1, 1000), np.arange(2**n + 1) / 2**n])
         got = li.square_values(x, n)
         np.testing.assert_allclose(got, li.square_net(n).eval(x[:, None])[:, 0], rtol=0, atol=1e-12)
+        # bit for bit the chord k^2 + (2k + 1) r of the knot cell, in units
+        # of 4^-n, as the net's layers give it
+        t = x * 2.0**n
+        k = np.clip(np.floor(t), 0.0, 2.0**n - 1.0)
+        chord = np.maximum(k * k + (t - k) * (2.0 * k + 1.0), 0.0) * 4.0**-n
+        np.testing.assert_array_equal(got, chord)
         # exact at the knots, zero on (-inf, 0]
         knots = np.arange(2**n + 1) / 2**n
         np.testing.assert_array_equal(li.square_values(knots, n), knots**2)
@@ -336,9 +348,9 @@ class TestForTolerance:
 
 
 def template_walk(net, u, tables, lead=None):
-    """Reference for InterpolantNet.weighted_sum: the hats of each cell
-    corner in turn, through the tensor-hat template network, the hat of
-    the node at 0 with h = 1 in local coordinates."""
+    """Reference for the s >= 2 lookup (:class:`li.CornerLookup`): the
+    hats of each cell corner in turn, through the tensor-hat template
+    network, the hat of the node at 0 with h = 1 in local coordinates."""
     q, s = net.grid.q, net.s
     template = li.compose(
         li.product_net(s, net.delta_inner), li.hat_bank([0] * s, 1.0)
@@ -363,8 +375,8 @@ def template_walk(net, u, tables, lead=None):
 
 
 def row_major_weighted_sum(net, u, tables, lead=None):
-    """Reference for InterpolantNet.weighted_sum in the row-major layout:
-    points ``u`` (n, s), tables (L,) + table shape + trailing, a result
+    """Reference for the s >= 2 lookup in the row-major layout: points
+    ``u`` (n, s), tables (L,) + (q + 1,) * s + trailing, a result
     (n,) + trailing, and every array with its short corner and axis
     dimensions innermost.  The corners' products are summed in corner
     order, as the lookup documents."""
@@ -387,7 +399,7 @@ def row_major_weighted_sum(net, u, tables, lead=None):
     hats = li.product_values(np.moveaxis(factor[:, bits, axes], -1, 0), net.sawtooth_depth)
     index = index[:, bits, axes].sum(axis=-1)
     if lead is not None:
-        index += (lead * net.table.size)[:, None]
+        index += (lead * (q + 1) ** s)[:, None]
     trailing = tables.shape[s + 1 :]
     coeff = tables.reshape((-1,) + trailing).take(index, axis=0)
     hats = hats.reshape(hats.shape + (1,) * len(trailing))
@@ -397,12 +409,58 @@ def row_major_weighted_sum(net, u, tables, lead=None):
     return out
 
 
-def entry_major_weighted_sum(net, u, tables, lead=None):
-    """InterpolantNet.weighted_sum on the row-major arguments of
-    :func:`row_major_weighted_sum`, with the result in its layout."""
-    trailing = tables.shape[net.s + 1 :]
-    entries = np.ascontiguousarray(tables.reshape(-1, math.prod(trailing)).T)
-    out = net.weighted_sum(np.ascontiguousarray(u.T), entries, lead)
+def weighted_sum(net, u, tables, lead=None):
+    """Reference for the s >= 2 lookup: the axis-major lookup that
+    preceded it, on tables without the ghost ring.
+
+    ``u`` (s, n) are points in grid units, ``tables`` (E, L * (q + 1)^s)
+    entry-major, and point r reads table ``lead[r]`` (table 0 if None).
+    Forms the hat factors of each axis's low and high node (2, s, n),
+    zero for a node off the grid, one :func:`li.product_values` over
+    the axes' factors broadcast to the corners' hats (2^s, n), the
+    corners' indices at node indices clipped to the grid, one gather
+    (E, 2^s, n), and sums the corners' products in corner order onto a
+    zero.  Returns (E, n).
+    """
+    s, n = u.shape
+    q = net.grid.q
+    size = (q + 1) ** s
+    steps = np.array([0.0, 1.0])[:, None, None]
+    offsets = (q + 1) ** np.arange(s)[::-1, None]
+    corner_axes = [tuple(2 if k == j else 1 for k in range(s)) for j in range(s)]
+    cell = np.floor(u)
+    factor = np.empty((2, s, n))
+    np.subtract(u, cell, out=factor[1])
+    np.subtract(1.0, factor[1], out=factor[0])
+    node = cell + steps
+    index = np.minimum(np.maximum(node, 0.0), q)
+    factor *= index == node
+    index = index.astype(np.intp) * offsets
+    # axis j's two nodes broadcast along axis j of the corners
+    along = [a + (n,) for a in corner_axes]
+    hats = li.product_values(
+        [factor[:, j].reshape(along[j]) for j in range(s)], net.sawtooth_depth
+    ).reshape(2**s, n)
+    corner = sum(index[:, j].reshape(along[j]) for j in range(s)).reshape(2**s, n)
+    if lead is not None:
+        corner += lead * size
+    coeff = tables.take(corner, axis=1)
+    coeff *= hats
+    out = np.zeros((len(tables), n))
+    for c in range(2**s):
+        out += coeff[:, c]
+    return out
+
+
+def stack_lookup(net, u, tables, lead=None):
+    """The s >= 2 lookup, :meth:`li.TableStack.lookup`, on the row-major
+    arguments of :func:`row_major_weighted_sum`, with the result in its
+    layout."""
+    s = net.s
+    trailing = tables.shape[s + 1 :]
+    entries = tables.reshape(tables.shape[: s + 1] + (-1,))
+    stack = li.TableStack(net, np.moveaxis(entries, -1, 1))
+    out = stack.lookup(len(u), lead)(np.ascontiguousarray(u.T))
     return out.T.reshape((len(u),) + trailing)
 
 
@@ -419,8 +477,11 @@ def weighted_sum_points(rng, s, q):
     return np.concatenate([inside, faces, ramps, far])
 
 
+LOOKUP_CASES = [(2, 6, 1e-3), (3, 3, 1e-2), (4, 2, 1e-7)]
+
+
 class TestWeightedSum:
-    @pytest.mark.parametrize("s,q,delta", [(2, 6, 1e-3), (3, 3, 1e-2), (4, 2, 1e-7)])
+    @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
     @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)], ids=["one", "contracted", "weighted_after"])
     def test_matches_template_walk(self, s, q, delta, trailing, rng):
         net = li.InterpolantNet(
@@ -430,7 +491,7 @@ class TestWeightedSum:
         u = weighted_sum_points(rng, s, q)
         lead = rng.integers(0, 3, len(u))
         for which in (None, lead):
-            got = entry_major_weighted_sum(net, u, tables, which)
+            got = stack_lookup(net, u, tables, which)
             assert got.shape == (len(u),) + trailing
             np.testing.assert_allclose(
                 got, template_walk(net, u, tables, which), rtol=0, atol=1e-12
@@ -438,7 +499,7 @@ class TestWeightedSum:
             # past the boundary hat ramps every corner is off the grid
             assert np.all(got[-50:] == 0.0)
 
-    @pytest.mark.parametrize("s,q,delta", [(2, 6, 1e-3), (3, 3, 1e-2), (4, 2, 1e-7)])
+    @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
     @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)], ids=["one", "contracted", "weighted_after"])
     def test_matches_row_major_reference(self, s, q, delta, trailing, rng):
         # the axis-major lookup makes every element's float operations of
@@ -451,9 +512,97 @@ class TestWeightedSum:
         lead = rng.integers(0, 3, len(u))
         for which in (None, lead):
             np.testing.assert_array_equal(
-                entry_major_weighted_sum(net, u, tables, which),
+                stack_lookup(net, u, tables, which),
                 row_major_weighted_sum(net, u, tables, which),
             )
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal zero signs."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestCornerLookup:
+    """The s >= 2 lookup equals :func:`weighted_sum`, the lookup it
+    replaced, bit for bit and zero sign for zero sign."""
+
+    @staticmethod
+    def make(rng, s, q, delta, n_tables=3, entries=2):
+        net = li.InterpolantNet(li.GridSpec(s, q), np.zeros((q + 1,) * s), delta_inner=delta)
+        coeffs = rng.standard_normal((n_tables, entries) + (q + 1,) * s)
+        # zero coefficients of both signs, and a table of negative zeros,
+        # whose every corner product is -0
+        coeffs.reshape(-1)[::5] = 0.0
+        coeffs.reshape(-1)[2::5] = -0.0
+        coeffs[-1, -1] = -0.0
+        flat = np.ascontiguousarray(coeffs.swapaxes(0, 1)).reshape(entries, -1)
+        return net, li.TableStack(net, coeffs), flat
+
+    @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
+    def test_prefix_after_full_call(self, s, q, delta, rng):
+        net, stack, flat = self.make(rng, s, q, delta)
+        u = np.ascontiguousarray(weighted_sum_points(rng, s, q).T)
+        p = u.shape[1]
+        which = rng.integers(0, 3, p)
+        lookup = stack.lookup(p, which)
+        for k in (p, p - 77, 1, p):
+            got = lookup(u[:, :k])
+            assert got.shape == (2, k) and np.shares_memory(got, lookup.out)
+            assert_same_bits(got, weighted_sum(net, u[:, :k], flat, which[:k]))
+        assert np.all(lookup(u)[:, -50:] == 0.0)
+
+    @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
+    def test_per_cell_tables(self, s, q, delta, rng):
+        # cell-major states, as a per-cell slab sweeps them: state
+        # i * n + r reads the table of quadrature cell i
+        cells, n = 4, 60
+        net, stack, flat = self.make(rng, s, q, delta, n_tables=cells)
+        u = np.ascontiguousarray(weighted_sum_points(rng, s, q)[: cells * n].T)
+        which = np.repeat(np.arange(cells), n)
+        got = stack.lookup(cells * n, which)(u)
+        assert_same_bits(got, weighted_sum(net, u, flat, which))
+        # and with which=None every state reads table 0
+        assert_same_bits(stack.lookup(cells * n)(u), weighted_sum(net, u, flat))
+
+    @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
+    def test_zero_signs(self, s, q, delta, rng):
+        # on nodes, on faces, on the ring and past it; the table of -0
+        # gives +0 everywhere, as 0 + c_0 + ... does
+        net, stack, flat = self.make(rng, s, q, delta)
+        nodes = rng.integers(-2, q + 3, (200, s)).astype(float)
+        u = np.ascontiguousarray(np.concatenate([nodes, weighted_sum_points(rng, s, q)]).T)
+        which = np.full(u.shape[1], 2)
+        got = stack.lookup(u.shape[1], which)(u)
+        want = weighted_sum(net, u, flat, which)
+        assert_same_bits(got, want)
+        assert np.all(got[-1] == 0.0) and not np.any(np.signbit(got[-1]))
+
+    @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
+    def test_corners_read_own_table(self, s, q, delta, rng):
+        # the clip to the ghost ring and the cap of the low node at q keep
+        # every corner of every point, far ones included, in the point's
+        # own table; a corner past the ring would read another table
+        net, stack, flat = self.make(rng, s, q, delta)
+        u = np.ascontiguousarray(weighted_sum_points(rng, s, q).T)
+        which = rng.integers(0, 3, u.shape[1])
+        lookup = stack.lookup(u.shape[1], which)
+        lookup(u)
+        size = (q + 3) ** s
+        assert np.all(lookup.index.reshape(2**s, -1) // size == which)
+
+    @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
+    def test_nan_state(self, s, q, delta, rng):
+        # as in the knot lookup: the cast of a NaN warns, its value is NaN
+        net, stack, flat = self.make(rng, s, q, delta)
+        u = np.ascontiguousarray(weighted_sum_points(rng, s, q).T)
+        u[-1, 5] = np.nan
+        lookup = stack.lookup(u.shape[1])
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            got = lookup(u)
+        assert np.all(np.isnan(got[:, 5]))
+        keep = np.arange(u.shape[1]) != 5
+        assert_same_bits(got[:, keep], weighted_sum(net, u[:, keep], flat))
 
 
 class TestTemplateCounts:
@@ -494,7 +643,7 @@ class TestTableStack:
             li.InterpolantNet(grid, rng.standard_normal((q + 1,) * s), delta_inner=1e-4)
             for _ in range(4)
         ]
-        stack = li.TableStack(nets[0], np.stack([net.table for net in nets])[:, None])
+        stack = li.TableStack(nets[0], np.stack([net.coeffs for net in nets])[:, None])
         x = stack_points(rng, grid)
         which = rng.integers(0, len(nets), len(x))
         got = stack(np.ascontiguousarray(grid.to_grid(x).T), which)
@@ -515,7 +664,7 @@ class TestTableStack:
             ]
             for _ in range(3)
         ]
-        stack = li.TableStack(nets[0][0], np.array([[n.table for n in per_l] for per_l in nets]))
+        stack = li.TableStack(nets[0][0], np.array([[n.coeffs for n in per_l] for per_l in nets]))
         assert stack.values.shape == (2, 3 * nets[0][0].table.size)
         x = stack_points(rng, grid)
         u = np.ascontiguousarray(grid.to_grid(x).T)
@@ -540,7 +689,7 @@ class TestTableStack:
         # s = 1: row r's table is sum_e w[r, e] * entry e, with its slopes
         grid = li.GridSpec(1, 7)
         nets = [li.InterpolantNet(grid, rng.standard_normal(8)) for _ in range(3)]
-        stack = li.TableStack(nets[0], np.array([[n.table for n in nets]]))
+        stack = li.TableStack(nets[0], np.array([[n.coeffs for n in nets]]))
         w = rng.standard_normal((5, 3))
         rows = stack.contracted(w)
         want = np.einsum("re,et->rt", w, [n.table for n in nets])
@@ -563,6 +712,46 @@ class TestTableStack:
                 li.TableStack.joined(stacks)
         joined = li.TableStack.joined([mixed[0], mixed[0]])
         np.testing.assert_array_equal(joined.values, np.vstack([mixed[0].values] * 2))
+
+
+class TestGhostRing:
+    """Every table sits in one ring of zero ghost nodes, written as the
+    stack is copied; sizes and depth read the coefficients alone."""
+
+    @pytest.mark.parametrize("s,q", [(2, 5), (3, 3)])
+    def test_stable_stack_ring(self, s, q, rng):
+        grid = li.GridSpec(s, q, box=np.tile([-0.5, 1.5], (s, 1)))
+        samples = rng.uniform(-1.0, 1.0, (3, 2, (q + 1) ** s))
+        samples[1, 0, ::3] = 0.0
+        stack, sizes, depth = li.stable_stack(grid, samples, 2.0, 0.5, 1.0)
+        net = stack.net
+        assert net.table.shape == net.table_shape == (q + 3,) * s
+        coeffs = samples.reshape((3, 2) + (q + 1,) * s)
+        tables = stack.values.reshape((2, 3) + net.table_shape)
+        interior = (slice(None),) * 2 + (slice(1, -1),) * s
+        np.testing.assert_array_equal(tables[interior], coeffs.swapaxes(0, 1))
+        ring = np.ones(tables.shape, dtype=bool)
+        ring[interior] = False
+        assert np.all(tables[ring] == 0.0) and not np.any(np.signbit(tables[ring]))
+        np.testing.assert_array_equal(net.table, np.pad(net.coeffs, 1))
+        # the sizes and depth count the coefficients, not the ring
+        np.testing.assert_array_equal(sizes, li.table_sizes(grid, coeffs, net.sawtooth_depth))
+        assert net.size() == per_axis_size(net) == sizes[0, 0]
+        assert depth == net.depth() == li.template_counts(s, net.sawtooth_depth)[1]
+
+    def test_joined_refuses_other_layouts(self, rng):
+        # one sawtooth depth, but another grid or dimension
+        def stack(s, q):
+            values = rng.uniform(-1.0, 1.0, (1, 1, (q + 1) ** s))
+            return li.stable_stack(li.GridSpec(s, q), values, 2.0, 0.5, 1.0)[0]
+
+        base = stack(2, 4)
+        for other in (stack(2, 5), stack(3, 4)):
+            assert other.net.sawtooth_depth == base.net.sawtooth_depth or other.net.s != 2
+            with pytest.raises(ValueError, match="one grid and sawtooth depth"):
+                li.TableStack.joined([base, other])
+        joined = li.TableStack.joined([base, stack(2, 4)])
+        assert joined.values.shape == (2, 7**2)
 
 
 class TestStableStack:

@@ -1127,7 +1127,8 @@ class TestBuildOnce:
         interp = net.slabs[0].interpolants
         nodes = (interp.grid.q + 1) ** conv.m
         assert builds == [(q, conv.m, nodes)] * (K * conv.d_y)
-        # the columns of that average are the tables of the m nets
+        # the columns of that average are the tables of the m nets, each
+        # in its ring of zero ghost nodes
         ((stack, js, _),) = interp.groups
         size = stack.net.table.size
         for j, comp in enumerate(conv.components):
@@ -1138,7 +1139,7 @@ class TestBuildOnce:
                         lambda pts: avg(pts)[:, c], interp.grid, comp.lip_x, comp.sup
                     )
                     table = stack.values[js.index(j) * conv.m + c, i * size : (i + 1) * size]
-                    np.testing.assert_array_equal(table, ref.values.ravel())
+                    np.testing.assert_array_equal(table, np.pad(ref.values, 1).ravel())
 
     def test_source_sampled_once(self):
         import dataclasses
@@ -1197,6 +1198,19 @@ class TestRhoGateSize:
 
 
 class TestCharNetwork:
+    @pytest.mark.parametrize(
+        "make_problem, eps, pinned",
+        [
+            (cosine_problem_m2, 0.2, (20487070889, 294, 601240.310388622)),
+            (cosine_problem_m3, 0.4, (366367500698, 456, 796426.662589722)),
+        ],
+    )
+    def test_tensor_hat_complexity_pinned(self, make_problem, eps, pinned):
+        # the s >= 2 tables' ghost ring leaves size, depth and predicted
+        # as they were counted on the coefficients alone
+        net = tc.build_char_net(make_problem(), eps)
+        assert (net.size(), net.depth(), net.report["predicted"]) == pinned
+
     def test_constant_parameter_field(self, rng):
         comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
         conv = tc.AffineConvection(1, 1, [1.0], comps)
@@ -1623,6 +1637,19 @@ class TestSolutionNetwork:
         assert sum(net.report["ledger"].values()) <= eps
         t, x, y = prob.sample_inputs(200, seed=16)
         ref = oracle.solution_oracle(prob, t, x, y)
+        assert np.abs(net.eval(t, x, y) - ref).max() <= eps
+
+    def test_m2_config_within_eps(self):
+        # configs/solution_m2_dy2.json at its coarse rung: an s >= 2 datum
+        # net, stacked s >= 2 source nets and an m = 2 backward chain
+        cfg = json.loads((CONFIGS / "solution_m2_dy2.json").read_text())
+        prob = config_problem("solution_m2_dy2")
+        eps = cfg["eps_ladder"][0]
+        net = tc.build_solution_net(prob, eps)
+        back = net.back_net.slabs[0].interpolants
+        assert net.u0_net.s == net.sources.net.s == back.grid.s == 2
+        t, x, y = prob.sample_inputs(cfg["n_samples"], cfg["seed"])
+        ref = oracle.solution_oracle(prob, t, x, y, oracle.OdeConfig(steps=32, tol=eps / 100))
         assert np.abs(net.eval(t, x, y) - ref).max() <= eps
 
     def test_report_carries_budget(self):
