@@ -670,13 +670,8 @@ class CornerLookup:
         # never changes a read; it lets take write into coef unbuffered
         self.values.take(index, axis=1, out=coef, mode="clip")
         # each element adds its corners' products in order onto a zero,
-        # as 0 + c_0 + c_1 + ... does.  einsum runs the corners in that
-        # order while the points are its contiguous inner axis; for one
-        # point the corners become the inner loop, which it may sum in
-        # another order, so then they are added one by one.
+        # as 0 + c_0 + c_1 + ... does
         out = self.out[: entries * k].reshape(entries, k)
-        if k > 1:
-            return np.einsum("eck,ck->ek", coef, v[0], out=out)
         coef *= v[0]
         np.add(coef[:, 0], 0.0, out=out)
         for c in range(1, corners):
@@ -715,14 +710,17 @@ class TableStack:
     several such arrays, whose entries are stacked in turn).  They
     are held entry-major, ``values`` (E, L * table size): row e is
     entry e of every node of the L tables, one table after another,
-    each table laid out as ``net.table``, the grid in a ring of zero
-    ghost nodes; for s = 1 with their :func:`knot_slopes` along the last
-    axis.  ``values`` is written when first read, the ring in the same
-    copy: a stack that is never looked up, such as the one-table stack
-    of :func:`lip_stable_net` or a stack that is only :meth:`joined` to
-    others, is never copied.  A lookup gives point r's hat sums (E,) in
-    table ``which[r]``: a :class:`KnotLookup` for s = 1, a
-    :class:`CornerLookup` for s >= 2.
+    each table of shape ``net.table_shape``: the grid in a ring of zero
+    ghost nodes, at -h and 1 + h on each axis.  For s = 1 the ghosts
+    carry the boundary hat ramps, and the stack holds the tables'
+    :func:`knot_slopes` along the last axis; for s >= 2 they put every
+    cell corner of a point in the ring on a node.  ``values`` is written
+    when first read, the ring in the same copy: a stack that is never
+    looked up, such as the one-table stack of :func:`lip_stable_net` or
+    a stack that is only :meth:`joined` to others, is never copied.
+    Until then the stack holds ``coeffs`` themselves, not a copy.  A
+    lookup gives point r's hat sums (E,) in table ``which[r]``: a
+    :class:`KnotLookup` for s = 1, a :class:`CornerLookup` for s >= 2.
     """
 
     def __init__(self, net, *coeffs):
@@ -750,18 +748,11 @@ class TableStack:
         """The s = 1 values' :func:`knot_slopes`."""
         return knot_slopes(self.values)
 
-    def _coeffs(self):
-        """The tables as (L, E) + ``net.coeffs.shape`` arrays, in turn."""
-        if self._parts is not None:
-            return self._parts
-        shape = (-1, self.n_tables) + self.net.table_shape
-        ring = (slice(None),) * 2 + (slice(1, -1),) * self.net.s
-        return (self.values.reshape(shape)[ring].swapaxes(0, 1),)
-
     @classmethod
     def joined(cls, stacks):
         """One stack of the entries of ``stacks`` in turn, E_0 + E_1 + ...
-        per node: stacks of as many tables of one grid and sawtooth depth."""
+        per node: stacks of as many tables of one grid and sawtooth depth,
+        none of them looked up yet."""
         layouts = {
             (part.n_tables, part.net.table_shape, part.net.sawtooth_depth)
             for part in stacks
@@ -770,7 +761,9 @@ class TableStack:
             raise ValueError("stacked nets need one grid and sawtooth depth")
         if len(stacks) == 1:
             return stacks[0]
-        return cls(stacks[0].net, *(coeffs for part in stacks for coeffs in part._coeffs()))
+        if any(part._parts is None for part in stacks):
+            raise ValueError("a stack that was looked up is no longer joined")
+        return cls(stacks[0].net, *(coeffs for part in stacks for coeffs in part._parts))
 
     def lookup(self, p, which=None):
         """The lookup of at most p points, a reusable callable.
@@ -841,11 +834,9 @@ class InterpolantNet:
 
     @functools.cached_property
     def table(self):
-        """The coefficients as a :class:`TableStack` holds them, shape
-        ``table_shape``: the grid in a ring of ghost zero-nodes, at -h and
-        1 + h on each axis.  For s = 1 they carry the boundary hat ramps;
-        for s >= 2 they put every cell corner of a point in the ring on a
-        node."""
+        """The coefficients as a :class:`TableStack` lays out a table,
+        shape ``table_shape``: the grid in its ring of zero ghost nodes.
+        Made at the first :meth:`eval` and read by every later one."""
         return np.pad(self.coeffs, 1)
 
     def point_floats(self, entries=1):
@@ -866,7 +857,10 @@ class InterpolantNet:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         u = np.ascontiguousarray(self.grid.to_grid(x).T)
-        out = TableStack(self, self.coeffs[None, None])(u)[0][:, None]
+        stack = TableStack(self, self.coeffs[None, None])
+        # the stack's one table is this net's, read with no copy
+        stack.values = self.table.reshape(1, -1)
+        out = stack(u)[0][:, None]
         return out[0] if single else out
 
     # -- exact structural accounting -------------------------------------
@@ -942,7 +936,9 @@ def stable_stack(grid, values, delta, lip, sup):
     :meth:`GridSpec.for_tolerance` gives for delta; a coarser grid
     raises :class:`GridTooCoarse`.  The inner product-net tolerance is
     min(delta, 1) * :func:`c_star`, so all nets share one sawtooth
-    depth.  The stack's ``net`` is the net of entry 0 of table 0.
+    depth.  The stack's ``net`` is the net of entry 0 of table 0.  The
+    stack keeps a reference to ``values`` until its first lookup
+    (:class:`TableStack`), so a caller must not rewrite them before.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")

@@ -527,14 +527,15 @@ def _field_on_grid(field, xs, Z, y):
 # the q evaluations.
 #
 # An affine block also holds at least MIN_STATES quadrature states.  An
-# m = 2 sweep is some 30 numpy calls per pass, 25 of them its corner
+# m = 2 sweep is some 35 numpy calls per pass, 29 of them its corner
 # lookup, and at the few rows the bytes rule allows it (12 rows of
 # q = 76 states on char_m2's field) their call overhead outweighs the
-# arithmetic: the floor's 28 rows evaluate char_m2's 150 queries in 14.0
-# ms against 18.6 ms, and 54 or 108 rows take 14.5 or 15.9 ms (medians
-# of 9 interleaved runs).  On the m = 1 slabs measured the bytes rule
-# gives more rows than the floor.  Neither bound depends on the number
-# of rows evaluated, so memory stays bounded.
+# arithmetic: the floor's 28 rows evaluate char_m2's 150 queries in 15.9
+# ms against 21.4 ms, 54 rows take 15.0-16.4 ms, no steady gain, and
+# 108 rows 17.4 ms (medians of 9 and 15 interleaved runs).  On the
+# m = 1 slabs measured the bytes rule gives more rows than the floor.
+# Neither bound depends on the number of rows evaluated, so memory
+# stays bounded.
 BLOCK_BYTES = 128 * 1024
 MIN_STATES = 2048
 

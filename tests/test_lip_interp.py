@@ -734,6 +734,12 @@ class TestGhostRing:
         ring[interior] = False
         assert np.all(tables[ring] == 0.0) and not np.any(np.signbit(tables[ring]))
         np.testing.assert_array_equal(net.table, np.pad(net.coeffs, 1))
+        # eval reads the net's own padded table, made once, with no copy
+        x = rng.uniform(-1.0, 2.0, (40, s))
+        want = stack(np.ascontiguousarray(grid.to_grid(x).T))[0]
+        np.testing.assert_array_equal(net.eval(x)[:, 0], want)
+        net.table *= 2.0
+        np.testing.assert_array_equal(net.eval(x)[:, 0], 2.0 * want)
         # the sizes and depth count the coefficients, not the ring
         np.testing.assert_array_equal(sizes, li.table_sizes(grid, coeffs, net.sawtooth_depth))
         assert net.size() == per_axis_size(net) == sizes[0, 0]
@@ -752,6 +758,10 @@ class TestGhostRing:
                 li.TableStack.joined([base, other])
         joined = li.TableStack.joined([base, stack(2, 4)])
         assert joined.values.shape == (2, 7**2)
+        # a stack that was looked up has let go of its coefficients
+        base.lookup(1)
+        with pytest.raises(ValueError, match="looked up"):
+            li.TableStack.joined([base, stack(2, 4)])
 
 
 class TestStableStack:
