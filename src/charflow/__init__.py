@@ -35,6 +35,7 @@ from .comp_calculus import (
     s_infinity,
     sum_reps,
 )
+from .budget import AFFINE, GENERAL, schedule, solution_schedule
 from .transport_core import (
     AffineConvection,
     CharNetwork,
@@ -43,13 +44,10 @@ from .transport_core import (
     SolutionNetwork,
     TransportProblem,
     build_char_net,
-    build_slab_net,
     build_solution_net,
     lipschitz_certificate,
     macro_grid,
     picard_numeric,
-    predicted_complexity,
-    schedule,
 )
 from .oracle import (
     OdeConfig,

@@ -839,6 +839,11 @@ class InterpolantNet:
         Made at the first :meth:`eval` and read by every later one."""
         return np.pad(self.coeffs, 1)
 
+    @functools.cached_property
+    def slopes(self):
+        """The s = 1 table's :func:`knot_slopes`, kept like ``table``."""
+        return knot_slopes(self.table.reshape(1, -1))
+
     def point_floats(self, entries=1):
         """Floats per point of the largest array of one evaluation.
 
@@ -858,8 +863,11 @@ class InterpolantNet:
         single = x.ndim == 1
         u = np.ascontiguousarray(self.grid.to_grid(x).T)
         stack = TableStack(self, self.coeffs[None, None])
-        # the stack's one table is this net's, read with no copy
+        # the stack's one table is this net's, read with no copy; the net
+        # keeps no stack, so no net -> stack -> net cycle forms
         stack.values = self.table.reshape(1, -1)
+        if self.s == 1:
+            stack.slopes = self.slopes
         out = stack(u)[0][:, None]
         return out[0] if single else out
 

@@ -135,13 +135,6 @@ def affine_net(weights, biases=None):
     return ReluNetwork([AffineLayer(weights, biases, IDENTITY)])
 
 
-def scale_net(net, c):
-    """Network for c * net(x); scales the output layer only."""
-    last = net.layers[-1]
-    scaled = AffineLayer(c * last.weights, c * last.biases, IDENTITY)
-    return ReluNetwork(list(net.layers[:-1]) + [scaled])
-
-
 # ---------------------------------------------------------------------------
 # composition algebra
 

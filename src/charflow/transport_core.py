@@ -8,13 +8,8 @@ for a logarithmic number of sweeps, and concatenated across slabs by
 freezing junction values.  Solution surrogates compose the backward
 characteristic network with data networks and a source quadrature.
 
-Each net kind certifies one error budget, a tuple of named terms:
-``AFFINE_TERMS`` (sweep contraction, quadrature, implant) and
-``GENERAL_TERMS`` (the same and the representation) for characteristic
-networks, ``SOLUTION_TERMS`` (u0 foot and net, source net and foot,
-source quadrature) for solutions.  :func:`schedule` solves a list for
-the build parameters, and each build evaluates it at the parameters
-chosen into ``report["ledger"]``.
+Each slab class carries its net kind's error budget (:mod:`charflow.budget`),
+which a build solves for its parameters and keeps in ``report["ledger"]``.
 
 Built networks are composite evaluators in the generous sense: exact
 multilinear gates (counted 1 each in the dependency-count complexity)
@@ -33,16 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, lip_interp
-from .comp_calculus import complexity, eval_width, gamma_inverse, implant
+from .budget import AFFINE, GENERAL, certify, char_ledger, schedule
+from .budget import solution_complexity, solution_schedule
+from .comp_calculus import complexity, eval_width, implant
 from .lip_interp import ResourceCeiling
 from .relu_net import difference_quotient, rho_values
 
-E_HALF = math.exp(0.5)
-
-# build budget: quadrature nodes per slab (and source nodes of a solution
-# net).  Interpolation grids have their own, lip_interp.NODE_CEILING nodes,
-# which GridSpec.for_tolerance applies to every grid sized from a tolerance.
-Q_CEILING = 200_000
 # guard added to the evaluation box for the network's own speed excess
 BOX_MARGIN = 0.1
 
@@ -246,7 +237,7 @@ class TransportProblem:
 
 
 # ---------------------------------------------------------------------------
-# macro grid and schedule
+# macro grid
 
 
 @dataclass(frozen=True)
@@ -281,187 +272,6 @@ class MacroGrid:
 
 def macro_grid(T_hat, a_norm):
     return MacroGrid(T_hat, a_norm)
-
-
-# ---------------------------------------------------------------------------
-# error budgets
-#
-# A net kind certifies eps as a sum of named error terms, held in one
-# tuple.  A characteristic term is (name, share of eps, parameter,
-# solve(budget, conv, slab_length), bound(sched, conv)): solve gives the
-# parameter that holds the term's error to its budget, and bound the
-# error at the schedule's parameters.  The sweep contraction, first,
-# errs per slab; the other terms per application of the one-step map,
-# and grow by e^(1/2) within the slab.  A slab's error grows by
-# e^(|I| L) <= e^(1/2) at each later junction, so errors e on K slabs
-# end within e e^(K/2) / (e^(1/2) - 1).  The sweeps and the one-step
-# terms have half of eps each, eta per slab and tau = eta / e^(1/2) per
-# step, and a term of share s gets 2 s of its half's budget.
-#
-# An affine slab quadratures the slab-averaged components and
-# interpolates them to delta, which the weights y_j omega_j carry into
-# |omega|_1 |I| delta.  A general slab quadratures the field itself, at
-# twice the cost, and implants a representation that itself errs by
-# |I| a_norm / gamma(N), with the implant's budget split between them.
-# Every net kind's shares sum to 1.
-
-
-def _sweeps(eta, conv, sl):
-    """mu with 2^-mu / 2 <= eta: a seed errs by A |I| <= 1/2, and each
-    sweep contracts the error by |I| L <= 1/2."""
-    return max(1, int(math.ceil(abs(math.log2(1.0 / (2.0 * eta))))))
-
-
-SWEEP_CONTRACTION = ("sweep contraction", 0.5, "mu", _sweeps, lambda s, conv: 0.5 * 2.0**-s.mu)
-
-AFFINE_TERMS = (
-    SWEEP_CONTRACTION,
-    (
-        "quadrature", 0.25, "q",
-        lambda b, conv, sl: max(1, int(math.ceil(conv.A * sl / b))),
-        lambda s, conv: conv.A * s.slab_length / s.q,
-    ),
-    (
-        "implant", 0.25, "delta",
-        lambda b, conv, sl: b / (sl * conv.omega1) if conv.omega1 > 0 else math.inf,
-        lambda s, conv: conv.omega1 * s.slab_length * s.delta if conv.omega1 > 0 else 0.0,
-    ),
-)
-
-GENERAL_TERMS = (
-    SWEEP_CONTRACTION,
-    (
-        "quadrature", 0.25, "q",
-        lambda b, conv, sl: max(1, int(math.ceil(2.0 * conv.A * sl / b))),
-        lambda s, conv: 2.0 * conv.A * s.slab_length / s.q,
-    ),
-    (
-        "implant", 0.125, "delta",
-        lambda b, conv, sl: b / conv.a_norm,
-        lambda s, conv: conv.a_norm * s.delta,
-    ),
-    (
-        "representation", 0.125, "N",
-        lambda b, conv, sl: int(math.ceil(gamma_inverse(conv.gf, sl * conv.a_norm / b))),
-        lambda s, conv: s.slab_length * conv.a_norm / float(conv.gf(s.N)),
-    ),
-)
-
-
-def _slab_budget(eps, K):
-    """Error per slab that the junction telescoping over K slabs keeps
-    within eps."""
-    return (E_HALF - 1.0) * eps * math.exp(-K / 2.0)
-
-
-def char_ledger(terms, sched, conv):
-    """Each term's error at the schedule's parameters, carried to the
-    net's output: name -> float."""
-    carry = math.exp(sched.K / 2.0) / (E_HALF - 1.0)
-    (name, _, _, _, bound), *steps = terms
-    ledger = {name: bound(sched, conv) * carry}
-    for name, _, _, _, bound in steps:
-        ledger[name] = bound(sched, conv) * E_HALF * carry
-    return ledger
-
-
-# The solution's terms at the flow and data accuracy e = eps_tilde and q
-# source nodes: (name, solve(e, problem), bound(e, q, problem)).  A
-# backward foot off by e moves a datum by its Lipschitz constant times
-# e, and a data net errs by e; the source adds both over [0, T].
-# eps_tilde = eps / (7 T M) gives foot and net a seventh of eps each, and
-# the source quadrature, solved for q from eps_tilde, the other three.
-
-
-def _source_quadrature_error(e, q, p):
-    """Midpoint rule on q nodes for the source along the backward flow,
-    whose integrand is l_g-Lipschitz in time, plus the feet's drift."""
-    if p.f is None:
-        return 0.0
-    T, A = p.T_hat, p.convection.A
-    l_g = p.f.lip_t + p.f.lip_x * (A + 1.0)
-    return T**2 * l_g / (2.0 * q) + p.f.lip_x * A * (T / q) ** 2 / 2.0
-
-
-SOLUTION_TERMS = (
-    ("u0 foot + net", None, lambda e, q, p: p.u0.lip_x * e + e if p.u0 is not None else 0.0),
-    (
-        "source net + foot", None,
-        lambda e, q, p: p.T_hat * (e + p.f.lip_x * e) if p.f is not None else 0.0,
-    ),
-    (
-        "source quadrature",
-        lambda e, p: int(math.ceil(p.T_hat / (2.0 * e))) if p.f is not None else 0,
-        _source_quadrature_error,
-    ),
-)
-
-
-def _certify(ledger, eps, what):
-    """The ledger's sum; :class:`ResourceCeiling` if it exceeds eps."""
-    total = sum(ledger.values())
-    if total > eps:
-        raise ResourceCeiling(f"{what} bound {total:.3g} exceeds target {eps}", total)
-    return total
-
-
-@dataclass
-class Schedule:
-    """All build parameters derived from a target accuracy."""
-
-    eps: float
-    eps_internal: float
-    K: int
-    slab_length: float
-    eta: float
-    mu: int
-    tau: float
-    q: int
-    delta: float
-    N: int = None  # general fields only
-
-
-def schedule(eps, grid, problem):
-    """Solve the net kind's error terms for a public accuracy target.
-
-    The sweeps get eps/2 (``eps_internal``), eta per slab, and the
-    one-step map the other half, tau per step.  Refuses with the
-    predicted cost when the quadrature count or the interpolation grids
-    exceed the ceilings.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    (_, share, _, sweeps, _), *_ = _slab_class(problem.convection).terms
-    eps_int = eps / 2.0
-    eta = _slab_budget(eps_int, grid.K)
-    sl = grid.slab_length
-    mu = sweeps(eta * (2.0 * share), problem.convection, sl)
-    tau = eta / E_HALF
-    step = _solve_step(problem, sl, tau, mu * grid.K, f"schedule for eps={eps}")
-    return Schedule(eps, eps_int, grid.K, sl, eta, mu, tau, **step)
-
-
-def _solve_step(problem, sl, tau, sweeps, label):
-    """The one-step terms' parameters for slabs of length ``sl`` whose
-    one-step map errs by at most ``tau``: {"q": q, "delta": delta[, "N": N]}.
-
-    Refuses with :class:`ResourceCeiling` when the interpolation grid
-    exceeds its node ceiling (:meth:`lip_interp.GridSpec.for_tolerance`)
-    or the quadrature count exceeds ``Q_CEILING``; the latter's predicted
-    cost counts ``sweeps`` slab sweeps.
-    """
-    conv = problem.convection
-    _, *steps = _slab_class(conv).terms
-    step = {param: solve(tau * (2.0 * share), conv, sl) for _, share, param, solve, _ in steps}
-    q = step["q"]
-    lip = conv.Lam if isinstance(conv, AffineConvection) else conv.L
-    grid = lip_interp.GridSpec.for_tolerance(problem.eval_box, lip, step["delta"])
-    if q > Q_CEILING:
-        raise ResourceCeiling(
-            f"{label} needs q={q}, grid knots={grid.q}",
-            q * problem.d_y * grid.q * sweeps,
-        )
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +748,7 @@ class AffineSlabNet(SlabNet):
     with the slab's :class:`SlabInterpolants` as the networks N.
     """
 
-    terms = AFFINE_TERMS
+    budget = AFFINE
 
     def __init__(self, conv, interval, sched, interpolants):
         super().__init__(conv, interval, sched)
@@ -987,7 +797,7 @@ class AffineSlabNet(SlabNet):
 class GeneralSlabNet(SlabNet):
     """One-slab network for a general field via implanted representations."""
 
-    terms = GENERAL_TERMS
+    budget = GENERAL
 
     def __init__(self, conv, interval, sched, charge):
         super().__init__(conv, interval, sched)
@@ -1017,7 +827,7 @@ class GeneralSlabNet(SlabNet):
         A slab refuses an implant whose bound exceeds the ``charge`` of
         the implant term.
         """
-        charge = next(bound for name, *_, bound in cls.terms if name == "implant")
+        charge = next(bound for name, *_, bound in cls.budget.terms if name == "implant")
         return [cls(conv, iv, sched, charge(sched, conv)) for iv in intervals]
 
     def _sweep_plan(self, y, work=None):
@@ -1062,19 +872,6 @@ def _rho_gate_size(interval, q):
     taus = lo + (hi - lo) * np.arange(q + 1) / q
     nnz_b = int(np.count_nonzero(taus[:-1])) + int(np.count_nonzero(taus[1:]))
     return 2 * q + nnz_b + 2 * q
-
-
-def build_slab_net(problem, interval, tau, mu=1):
-    """One-step map with certified |Phi - net| <= tau on the slab.
-
-    Convenience wrapper used for single-application studies; the full
-    pipeline goes through :func:`build_char_net`.
-    """
-    conv = problem.convection
-    sl = interval[1] - interval[0]
-    step = _solve_step(problem, sl, tau, mu, f"slab for tau={tau}")
-    sched = Schedule(tau, tau, 1, sl, tau, mu, tau, **step)
-    return _slab_class(conv).chain(conv, [interval], sched, problem.eval_box)[0]
 
 
 def _slab_class(conv):
@@ -1176,10 +973,10 @@ def build_char_net(problem, eps, direction="forward"):
             conv, problem.T_hat, problem.domain, problem.u0, problem.f
         )
     grid = macro_grid(problem.T_hat, max(1.0, conv.norm))
-    sched = schedule(eps, grid, problem)
-    slab_class = _slab_class(conv)
-    ledger = char_ledger(slab_class.terms, sched, conv)
-    _certify(ledger, eps, "characteristic")
+    slab_class = _slab_class(conv)  # the net kind: its slabs and budget
+    sched = schedule(eps, grid, problem, slab_class.budget)
+    ledger = char_ledger(slab_class.budget.terms, sched, conv)
+    certify(ledger, eps, "characteristic")
     intervals = [grid.slab(k) for k in range(grid.K)]
     slabs = slab_class.chain(conv, intervals, sched, problem.eval_box)
     net = CharNetwork(problem, grid, sched, slabs, direction)
@@ -1193,52 +990,10 @@ def build_char_net(problem, eps, direction="forward"):
         "tau": sched.tau,
         "size": net.size(),
         "depth": net.depth(),
-        "predicted": predicted_complexity(problem, eps, "char"),
+        "predicted": slab_class.budget.complexity(problem, eps),
         "ledger": ledger,
     }
     return net
-
-
-def predicted_complexity(problem, eps, kind):
-    """Closed-form complexity predictions for plotting against measurements.
-
-    kind='char': affine fields use the d_y-linear bound
-    d_y m^2 A T (e^(LT)/eps)^(m+1) log2(e^(LT)/eps)^2; general fields
-    the growth-law branches.  kind='solution' uses the m+1+beta power
-    with beta = max(1, (m+1)/alpha) at data smoothness alpha = m+1.
-    """
-    conv = problem.convection
-    m, d_y, T = problem.m, problem.d_y, problem.T_hat
-    ratio = math.exp(conv.norm * T) / eps
-    if kind == "char":
-        if isinstance(conv, AffineConvection):
-            return d_y * m**2 * conv.A * T * ratio ** (m + 1) * math.log2(
-                ratio
-            ) ** 2
-        gf = conv.gf
-        s = m  # dimension-sparsity of the builder reps
-        base = conv.A * T * 2**s * conv.a_norm ** (2 * s)
-        if gf.kind == "alg":
-            return (
-                base
-                * gf.C ** (-1.0 / gf.alpha)
-                * ratio ** ((1 + s) * (1 + gf.alpha) / gf.alpha)
-                * math.log2(ratio) ** 2
-            )
-        return (
-            base
-            * gf.alpha ** (-(1 + s))
-            * ratio ** (1 + s)
-            * math.log2(ratio) ** (3 + s)
-        )
-    if kind == "solution":
-        beta = solution_beta(m, float(m + 1))
-        return d_y * ratio ** (m + 1 + beta) * math.log2(ratio) ** 2
-    raise ValueError("kind must be 'char' or 'solution'")
-
-
-def solution_beta(m, alpha):
-    return max(1.0, (m + 1) / alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1249,13 +1004,11 @@ def lipschitz_certificate(net, n_samples=4000, seed=0):
     """Sampled Lipschitz lower bounds vs the theory thresholds.
 
     Samples difference quotients separately in t (frozen x, y) and in
-    (x, y) jointly (frozen t).  PASS requires the (x,y) bound below
-    e^(L_hat * T) with L_hat = A + 1/T + c3 (1 + A_circ) Lam |omega|_1,
-    and the t bound below A + |omega|_1 * delta; c3 is the calibrated
-    Lipschitz amplification constant.
+    (x, y) jointly (frozen t).  PASS requires each bound below its
+    threshold in the net kind's budget, at c3, the calibrated Lipschitz
+    amplification constant.
     """
     problem = net.problem
-    conv = problem.convection
     c3 = lip_interp.CALIBRATED["c3"]
     rng = np.random.default_rng(seed)
     n = n_samples
@@ -1268,25 +1021,16 @@ def lipschitz_certificate(net, n_samples=4000, seed=0):
     x2 = np.clip(x + dx[:, : problem.m], problem.domain[:, 0], problem.domain[:, 1])
     y2 = np.clip(y + dx[:, problem.m :], -1.0, 1.0)
     t2 = np.clip(t + rng.uniform(-scale, scale, size=n), 0.0, problem.T_hat)
-    # two junction chains: (x, y) at {t, t2} and (x2, y2) at t
-    z, z_t2 = net.eval(np.stack([t, t2]), x, y)
+    # one junction chain of 2n rows: (x, y) at {t, t2} and (x2, y2) at
+    # {t, t}; a row's values do not depend on the other rows
+    times = np.stack([np.tile(t, 2), np.concatenate([t2, t])])
+    at_t, at_t2 = net.eval(times, np.vstack([x, x2]), np.vstack([y, y2]))
+    z, z_x2, z_t2 = at_t[:n], at_t[n:], at_t2[:n]
 
-    lip_xy = difference_quotient(np.hstack([x, y]), np.hstack([x2, y2]), z, net.eval(t, x2, y2))
+    lip_xy = difference_quotient(np.hstack([x, y]), np.hstack([x2, y2]), z, z_x2)
     lip_t = difference_quotient(t[:, None], t2[:, None], z, z_t2)
 
-    T = problem.T_hat
-    if isinstance(conv, AffineConvection):
-        delta = net.sched.delta if np.isfinite(net.sched.delta) else 0.0
-        l_hat = conv.A + 1.0 / T + c3 * (1.0 + conv.A_circ) * conv.Lam * conv.omega1
-        xy_threshold = math.exp(l_hat * T)
-        t_threshold = conv.A + conv.omega1 * delta
-        pessimistic = False
-    else:
-        n_budget = net.sched.N or 1
-        l_hat = (c3 * (1.0 + conv.A) * conv.a_norm) ** n_budget
-        xy_threshold = math.exp(min(l_hat, 700.0 / max(T, 1e-9)) * T)
-        t_threshold = conv.a_norm * (1.0 + net.sched.delta)
-        pessimistic = True
+    xy_threshold, t_threshold, pessimistic = net.slabs[0].budget.thresholds(problem, net.sched, c3)
     return {
         "lip_xy": lip_xy,
         "lip_t": lip_t,
@@ -1422,28 +1166,17 @@ def _source_stack(problem, tol, q_src):
 def build_solution_net(problem, eps):
     """Certified solution surrogate with sup error <= eps.
 
-    Follows the composed-representation assembly: eps_tilde =
-    eps / (7 T M), backward characteristics and data networks at
-    accuracy eps_tilde, and the source quadrature's nodes solved from
-    ``SOLUTION_TERMS``.  ``report["ledger"]`` holds those terms at the
-    chosen accuracy and nodes, and their sum, ``certified_bound``, is
-    refused with :class:`ResourceCeiling` above eps.
+    Follows the composed-representation assembly: backward
+    characteristics and data networks at the accuracy eps_tilde, with the
+    source quadrature's nodes, as :func:`budget.solution_schedule` solves
+    them; ``report["ledger"]`` holds its terms, ``certified_bound`` their sum.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    T, M = problem.T_hat, problem.M
-    eps_t = eps / (7.0 * T * M)
     if not problem.convection.time_independent():
         raise NotImplementedError(
             "solution assembly anchors backward flows at the query time; "
             "time-dependent convection needs per-anchor builds"
         )
-    # the source quadrature is the one term with a parameter of its own
-    (q_src,) = (solve(eps_t, problem) for _, solve, _ in SOLUTION_TERMS if solve)
-    if q_src > Q_CEILING:
-        raise ResourceCeiling("source quadrature too fine", q_src)
-    ledger = {name: bound(eps_t, q_src, problem) for name, _, bound in SOLUTION_TERMS}
-    bound = _certify(ledger, eps, "solution")
+    eps_t, q_src, ledger, bound = solution_schedule(eps, problem)
     back = build_char_net(problem, eps_t, direction="backward")
     u0_net, data_size = (
         _datum_net(problem, problem.u0, eps_t) if problem.u0 is not None else (None, 0)
@@ -1463,7 +1196,7 @@ def build_solution_net(problem, eps):
     net = SolutionNetwork(problem, back, u0_net, sources, q_src, report, data_size)
     report["size"] = net.size()
     report["depth"] = net.depth()
-    report["predicted"] = predicted_complexity(problem, eps, "solution")
+    report["predicted"] = solution_complexity(problem, eps)
     return net
 
 

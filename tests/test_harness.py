@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charflow import harness
+from charflow import budget, harness
 from charflow import transport_core as tc
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -105,7 +105,7 @@ class TestConvergence:
         problem = tc.problem_from_dict(cfg.problem)
         grid = tc.macro_grid(problem.T_hat, problem.convection.norm)
         with pytest.raises(tc.ResourceCeiling, match="9720 cells per axis") as exc:
-            tc.schedule(0.002, grid, problem)
+            budget.schedule(0.002, grid, problem, budget.AFFINE)
         assert exc.value.predicted_cost == 9721**2
         assert tc.ResourceCeiling is tc.lip_interp.ResourceCeiling
 

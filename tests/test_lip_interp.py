@@ -685,6 +685,22 @@ class TestTableStack:
                 )
         assert np.all(lookup(u)[:, -50:] == 0.0)
 
+    def test_s1_eval_keeps_its_slopes(self, rng):
+        # an s = 1 net makes its table's knot slopes once, beside the
+        # table, and hands both to the stack of each eval; its values are
+        # a fresh stack's, bit for bit, and the net keeps no stack
+        grid = li.GridSpec(1, 9, box=np.array([[-0.5, 1.5]]))
+        net = li.InterpolantNet(grid, rng.standard_normal(10))
+        x = stack_points(rng, grid)
+        fresh = li.TableStack(net, net.coeffs[None, None])
+        want = fresh(np.ascontiguousarray(grid.to_grid(x).T))[0]
+        np.testing.assert_array_equal(net.eval(x)[:, 0], want)
+        slopes = net.slopes
+        np.testing.assert_array_equal(slopes[0], li.knot_slopes(net.table))
+        np.testing.assert_array_equal(net.eval(x)[:, 0], want)
+        assert net.slopes is slopes
+        assert not any(isinstance(v, li.TableStack) for v in vars(net).values())
+
     def test_contracted_rows(self, rng):
         # s = 1: row r's table is sum_e w[r, e] * entry e, with its slopes
         grid = li.GridSpec(1, 7)

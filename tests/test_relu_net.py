@@ -6,6 +6,13 @@ from hypothesis import strategies as st
 from charflow import relu_net as rn
 
 
+def scale_net(net, c):
+    """Network for c * net(x); scales the output layer only."""
+    last = net.layers[-1]
+    scaled = rn.AffineLayer(c * last.weights, c * last.biases, rn.IDENTITY)
+    return rn.ReluNetwork(list(net.layers[:-1]) + [scaled])
+
+
 def random_net(rng, in_dim, out_dim, depth, width=6):
     layers = []
     dims = [in_dim] + [int(rng.integers(2, width)) for _ in range(depth - 1)] + [out_dim]
@@ -116,7 +123,7 @@ class TestParallelSum:
 
     def test_sum_with_negation_is_zero(self, rng):
         net = random_net(rng, 2, 2, 3)
-        zero = rn.sum_nets([net, rn.scale_net(net, -1.0)])
+        zero = rn.sum_nets([net, scale_net(net, -1.0)])
         xs = rng.normal(size=(100, 2))
         assert np.abs(zero.eval(xs)).max() <= 1e-12
 

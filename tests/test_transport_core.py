@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charflow import catalog, oracle
+from charflow import budget, catalog, oracle
 from charflow import comp_calculus as cc
 from charflow import transport_core as tc
+from charflow.relu_net import difference_quotient
 
 
 def cosine_problem(d_y=4, freq=0.2, T_hat=1.0, u0_spec=None, f_spec=None):
@@ -56,6 +57,21 @@ def config_problem(stem):
     """The problem of configs/<stem>.json."""
     cfg = CONFIGS / f"{stem}.json"
     return tc.problem_from_dict(json.loads(cfg.read_text())["problem"])
+
+
+def build_slab_net(problem, interval, tau, mu=1):
+    """One-step map with certified |Phi - net| <= tau on the slab.
+
+    A single slab of the problem's net kind, for single-application
+    studies: the one-step terms solved for tau, as a char net's slabs
+    solve them for the schedule's tau.
+    """
+    conv = problem.convection
+    slab_class = tc._slab_class(conv)
+    sl = interval[1] - interval[0]
+    step = budget._solve_step(problem, sl, tau, mu, f"slab for tau={tau}", slab_class.budget)
+    sched = budget.Schedule(tau, tau, 1, sl, tau, mu, tau, **step)
+    return slab_class.chain(conv, [interval], sched, problem.eval_box)[0]
 
 
 def time_dependent_problem():
@@ -166,6 +182,23 @@ def four_chain_lipschitz(net, n_samples, seed):
     num = np.abs(net.eval(t2, x, y) - net.eval(t, x, y)).max(axis=1)
     den = np.abs(t2 - t)
     lip_t = float((num[den > 0] / den[den > 0]).max())
+    return lip_xy, lip_t
+
+
+def two_chain_lipschitz(net, n_samples, seed):
+    """Reference (lip_xy, lip_t) in two junction chains: (x, y) at
+    {t, t2}, then (x2, y2) at t, the samples of lipschitz_certificate."""
+    problem = net.problem
+    rng = np.random.default_rng(seed)
+    t, x, y = problem.sample_inputs(n_samples, seed)
+    dx = rng.uniform(-1, 1, size=(n_samples, problem.m + problem.d_y))
+    dx *= 1e-4 / np.maximum(np.abs(dx).max(axis=1, keepdims=True), 1e-300)
+    x2 = np.clip(x + dx[:, : problem.m], problem.domain[:, 0], problem.domain[:, 1])
+    y2 = np.clip(y + dx[:, problem.m :], -1.0, 1.0)
+    t2 = np.clip(t + rng.uniform(-1e-4, 1e-4, size=n_samples), 0.0, problem.T_hat)
+    z, z_t2 = net.eval(np.stack([t, t2]), x, y)
+    lip_xy = difference_quotient(np.hstack([x, y]), np.hstack([x2, y2]), z, net.eval(t, x2, y2))
+    lip_t = difference_quotient(t[:, None], t2[:, None], z, z_t2)
     return lip_xy, lip_t
 
 
@@ -336,23 +369,23 @@ class TestSchedule:
     def test_eta_example(self):
         # the sweeps' half of eps = 0.2, telescoped over K = 2 slabs
         prob = constant_problem()
-        sched = tc.schedule(0.2, tc.macro_grid(1.0, 1.0), prob)
+        sched = budget.schedule(0.2, tc.macro_grid(1.0, 1.0), prob, budget.AFFINE)
         assert sched.K == 2
         assert sched.eta == pytest.approx((math.exp(0.5) - 1) * 0.1 * math.exp(-1))
 
     def test_mu_example(self):
-        _, share, param, solve, bound = term(tc.AFFINE_TERMS, "sweep contraction")
+        _, share, param, solve, bound = term(budget.AFFINE_TERMS, "sweep contraction")
         assert (share, param) == (0.5, "mu")
         conv = constant_problem().convection
         assert solve(1 / 8, conv, 0.5) == 2
-        assert bound(tc.Schedule(0.2, 0.1, 2, 0.5, 1 / 8, 2, 1 / 8, 1, 1.0), conv) == 1 / 8
+        assert bound(budget.Schedule(0.2, 0.1, 2, 0.5, 1 / 8, 2, 1 / 8, 1, 1.0), conv) == 1 / 8
 
     def test_tau_and_q_example(self):
         prob = constant_problem()
-        sched = tc.schedule(0.2, tc.macro_grid(1.0, 1.0), prob)
+        sched = budget.schedule(0.2, tc.macro_grid(1.0, 1.0), prob, budget.AFFINE)
         assert sched.tau == pytest.approx(math.exp(-0.5) * sched.eta)
         # the quadrature term's share, 1/4 of eps, is half of tau
-        _, share, param, solve, bound = term(tc.AFFINE_TERMS, "quadrature")
+        _, share, param, solve, bound = term(budget.AFFINE_TERMS, "quadrature")
         assert (share, param) == (0.25, "q")
         assert solve(sched.tau / 2, prob.convection, 0.5) == 70 == sched.q
         assert bound(sched, prob.convection) <= sched.tau / 2
@@ -360,7 +393,7 @@ class TestSchedule:
     def test_schedule_certifies_internal_half(self):
         prob = cosine_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        sched = tc.schedule(0.1, grid, prob)
+        sched = budget.schedule(0.1, grid, prob, budget.AFFINE)
         assert sched.eps_internal == 0.05
         assert sched.q >= 1 and sched.mu >= 1
         assert sched.delta < 1
@@ -369,7 +402,7 @@ class TestSchedule:
         prob = cosine_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
         with pytest.raises(tc.ResourceCeiling) as exc:
-            tc.schedule(1e-7, grid, prob)
+            budget.schedule(1e-7, grid, prob, budget.AFFINE)
         assert exc.value.predicted_cost > 0
 
     def test_slab_build_obeys_ceilings(self):
@@ -379,7 +412,7 @@ class TestSchedule:
         conv = tc.AffineConvection(1, 1, [1.0], comps)
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
         with pytest.raises(tc.ResourceCeiling, match="q=666667, grid knots=1"):
-            tc.build_slab_net(prob, (0.0, 1.0 / 3.0), tau=1e-6)
+            build_slab_net(prob, (0.0, 1.0 / 3.0), tau=1e-6)
 
 
 def halved_quadrature(terms):
@@ -405,19 +438,19 @@ class TestLedger:
     def test_within_eps_on_every_rung(self, stem):
         cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
         prob = config_problem(stem)
-        char_names = [t[0] for t in tc.AFFINE_TERMS]
+        char_names = [t[0] for t in budget.AFFINE_TERMS]
         for eps in cfg["eps_ladder"]:
             if cfg["kind"] == "char":
                 self.assert_ledger(tc.build_char_net(prob, eps).report, char_names, eps)
                 continue
             net = tc.build_solution_net(prob, eps)
-            self.assert_ledger(net.report, [t[0] for t in tc.SOLUTION_TERMS], eps)
+            self.assert_ledger(net.report, [t[0] for t in budget.SOLUTION_TERMS], eps)
             assert net.report["certified_bound"] == sum(net.report["ledger"].values())
             self.assert_ledger(net.report["char_report"], char_names, net.report["eps_tilde"])
 
     @pytest.mark.parametrize("terms", ["AFFINE_TERMS", "GENERAL_TERMS"])
     def test_shares_sum_to_one(self, terms):
-        assert sum(share for _, share, *_ in getattr(tc, terms)) == 1.0
+        assert sum(share for _, share, *_ in getattr(budget, terms)) == 1.0
 
     @pytest.mark.parametrize("make_problem", [cosine_problem, cosine_problem_m2], ids=["m1", "m2"])
     def test_coarse_eps_builds(self, make_problem):
@@ -426,7 +459,7 @@ class TestLedger:
         prob = make_problem()
         net = tc.build_char_net(prob, 10.0)
         assert net.report["delta"] > 0.5
-        self.assert_ledger(net.report, [t[0] for t in tc.AFFINE_TERMS], 10.0)
+        self.assert_ledger(net.report, [t[0] for t in budget.AFFINE_TERMS], 10.0)
         t, x, y = prob.sample_inputs(200, seed=4)
         ref, _ = oracle.rk4_char(net.oracle_field(), np.zeros(len(t)), t, x, y)
         assert np.abs(net.eval(t, x, y) - ref).max() <= 10.0
@@ -435,11 +468,12 @@ class TestLedger:
         # the representation term is charged too
         prob = tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]])
         report = tc.build_char_net(prob, 0.2).report
-        self.assert_ledger(report, [t[0] for t in tc.GENERAL_TERMS], 0.2)
+        self.assert_ledger(report, [t[0] for t in budget.GENERAL_TERMS], 0.2)
         assert report["ledger"]["representation"] > 0.0
 
     def test_half_quadrature_refused(self, monkeypatch):
-        monkeypatch.setattr(tc.AffineSlabNet, "terms", halved_quadrature(tc.AFFINE_TERMS))
+        halved = budget.AFFINE._replace(terms=halved_quadrature(budget.AFFINE_TERMS))
+        monkeypatch.setattr(tc.AffineSlabNet, "budget", halved)
         with pytest.raises(tc.ResourceCeiling, match="characteristic bound"):
             tc.build_char_net(config_problem("affine_m1_dy4"), 0.1)
         # the solution's backward net
@@ -450,9 +484,9 @@ class TestLedger:
         # one source node leaves the quadrature term alone above eps
         terms = [
             (name, (lambda e, p: 1) if solve else None, bound)
-            for name, solve, bound in tc.SOLUTION_TERMS
+            for name, solve, bound in budget.SOLUTION_TERMS
         ]
-        monkeypatch.setattr(tc, "SOLUTION_TERMS", tuple(terms))
+        monkeypatch.setattr(budget, "SOLUTION_TERMS", tuple(terms))
         with pytest.raises(tc.ResourceCeiling, match="solution bound"):
             tc.build_solution_net(config_problem("solution_affine"), 0.1)
 
@@ -489,7 +523,7 @@ class TestPicardNumeric:
 class TestSlabNet:
     def test_zero_field_identity(self, rng):
         prob = zero_field_problem()
-        slab = tc.build_slab_net(prob, (0.0, 0.5), tau=0.01)
+        slab = build_slab_net(prob, (0.0, 0.5), tau=0.01)
         t = rng.uniform(0, 0.5, 20)
         w = rng.uniform(0, 1, (20, 1))
         y = rng.uniform(-1, 1, (20, 1))
@@ -501,7 +535,7 @@ class TestSlabNet:
         comps = [catalog.make_component({"kind": "constant", "value": 1.0})]
         conv = tc.AffineConvection(1, 1, [1.0], [comp for comp in comps])
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
-        slab = tc.build_slab_net(prob, (0.0, 0.5), tau=0.01)
+        slab = build_slab_net(prob, (0.0, 0.5), tau=0.01)
         t = rng.uniform(0, 0.5, 50)
         w = rng.uniform(0, 1, (50, 1))
         y = rng.uniform(-1, 1, (50, 1))
@@ -516,7 +550,7 @@ class TestSlabNet:
         grid = tc.macro_grid(1.0, conv.norm)
         interval = grid.slab(0)
         tau = 0.01
-        slab = tc.build_slab_net(prob, interval, tau)
+        slab = build_slab_net(prob, interval, tau)
         field = lambda t, x, y: conv.eval(t, x, y)
         n = 1000
         w = rng.uniform(0, 1, (n, 1))
@@ -528,19 +562,19 @@ class TestSlabNet:
     def test_one_step_bound_formula(self):
         prob = cosine_problem(d_y=2)
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(0), tau=0.02)
+        slab = build_slab_net(prob, grid.slab(0), tau=0.02)
         # the one-step terms at the slab's q and delta: A |I| / q and
         # |omega|_1 |I| delta, a half of tau each
         sl = grid.slab_length
-        sched = tc.Schedule(0.02, 0.02, 1, sl, 0.02, slab.mu, 0.02, slab.q, slab.delta)
-        bounds = [bound(sched, prob.convection) for *_, bound in tc.AFFINE_TERMS[1:]]
+        sched = budget.Schedule(0.02, 0.02, 1, sl, 0.02, slab.mu, 0.02, slab.q, slab.delta)
+        bounds = [bound(sched, prob.convection) for *_, bound in budget.AFFINE_TERMS[1:]]
         assert max(bounds) <= 0.01 + 1e-12
         assert sum(bounds) <= 0.02 + 1e-12
 
     def test_naive_reference_agreement(self, rng):
         prob = cosine_problem(d_y=2)
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(0), tau=0.05, mu=3)
+        slab = build_slab_net(prob, grid.slab(0), tau=0.05, mu=3)
         t = np.concatenate([rng.uniform(*grid.slab(0), 4), edge_times(slab.interval, slab.q)])
         w = rng.uniform(0, 1, (len(t), 1))
         y = rng.uniform(-1, 1, (len(t), 2))
@@ -562,7 +596,7 @@ class TestSlabNet:
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
         net = tc.build_char_net(prob, eps)
         sched = net.sched
-        slab = tc.build_slab_net(prob, net.grid.slab(0), tau=sched.tau, mu=sched.mu)
+        slab = build_slab_net(prob, net.grid.slab(0), tau=sched.tau, mu=sched.mu)
         assert type(slab) is type(net.slabs[0])
         for built in net.slabs:
             assert (slab.q, slab.delta, slab.mu) == (built.q, built.delta, built.mu)
@@ -576,7 +610,7 @@ class TestSlabNet:
         # ramp_gate(..., out=) is the one gate formula, computed in place:
         # it adds the increments in sweep units, or scaled by the grid
         # spacing to add them to x
-        slab = tc.build_slab_net(cosine_problem(d_y=2), (0.0, 0.5), tau=0.05)
+        slab = build_slab_net(cosine_problem(d_y=2), (0.0, 0.5), tau=0.05)
         n, q = 7, slab.q
         if f == "midpoint":
             f, w, shape = 0.5, rng.uniform(0, 1, (n, 1, 1)), (n, q, 1)
@@ -600,7 +634,7 @@ class TestSlabNet:
         # two sweeps from distinct quadrature-state seeds contract by >= 2
         prob = cosine_problem(d_y=1)
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(0), tau=0.01)
+        slab = build_slab_net(prob, grid.slab(0), tau=0.01)
         # in the slab's sweep units and cell-major (m, q, n) layout, as
         # the sweeps run
         u = slab._states(rng.uniform(0, 1, (30, 1))).T[:, None, :]
@@ -659,7 +693,7 @@ class TestRunningSums:
         # a shared slab's first sweep looks up one seed per row and
         # broadcasts it along the cells: the lanes read that view as it is
         prob = cosine_problem(d_y=2)
-        slab = tc.build_slab_net(prob, (0.0, 0.5), tau=0.05)
+        slab = build_slab_net(prob, (0.0, 0.5), tau=0.05)
         assert slab._shared
         u = slab._states(rng.uniform(0, 1, (n, 1)))
         plan = slab._sweep_plan(rng.uniform(-1, 1, (n, prob.d_y)))
@@ -674,7 +708,7 @@ class TestRunningSums:
     def test_forward_odd_rows(self, rng, make_problem, tau):
         # an odd row count: the last row's sums are its own cumsum
         prob = make_problem()
-        slab = tc.build_slab_net(prob, (0.0, 0.25), tau=tau, mu=2)
+        slab = build_slab_net(prob, (0.0, 0.25), tau=tau, mu=2)
         n = 7
         w = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
         V, S = slab._forward(slab._states(w), rng.uniform(-1, 1, (n, prob.d_y)), slab.q)
@@ -701,7 +735,7 @@ class TestFusedSweep:
     def test_naive_reference_agreement(self, rng, make_problem, tau):
         prob = make_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
+        slab = build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
         assert slab._shared == prob.convection.time_independent()
         # one group, weighted after the lookup
         ((stack, js, contract),) = slab.interpolants.groups
@@ -759,7 +793,7 @@ class TestFusedSweep:
         # past them get exactly np.interp's values, zero
         prob = cosine_problem(d_y=3)
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(0), tau=0.05)
+        slab = build_slab_net(prob, grid.slab(0), tau=0.05)
         interp = slab.interpolants
         # the stack's net is that of component 0, subinterval 0, output 0
         net = interp.groups[0][0].net
@@ -794,7 +828,7 @@ class TestFusedSweep:
         # with weights omega_j y_j * cell / spacing, in grid units
         prob = make_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(0), tau=tau)
+        slab = build_slab_net(prob, grid.slab(0), tau=tau)
         interp = slab.interpolants
         ((stack, js, contract),) = interp.groups
         assert contract == contracted
@@ -881,7 +915,7 @@ class TestFusedSweep:
         # sweeping q copies of them, bit for bit
         prob = make_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(1), tau=tau, mu=3)
+        slab = build_slab_net(prob, grid.slab(1), tau=tau, mu=3)
         assert slab._shared
         n = 9
         w = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
@@ -918,7 +952,7 @@ class TestFusedSweep:
         # slab's networks differ by cell, so it sweeps all q states
         prob = make_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(0), tau=tau, mu=3)
+        slab = build_slab_net(prob, grid.slab(0), tau=tau, mu=3)
         assert slab._shared == shared
         plan_of = slab._sweep_plan
         states = []
@@ -1024,7 +1058,7 @@ class TestCausalTruncation:
     def test_sweeps_stop_at_last_gated_cell(self, rng, make_problem, tau):
         prob = make_problem()
         grid = tc.macro_grid(1.0, prob.convection.norm)
-        slab = tc.build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
+        slab = build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
         (lo, hi), q = slab.interval, slab.q
         n, step = 60, 7  # blocks of 7 rows, the last one partial
         times = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (2, n))
@@ -1389,6 +1423,30 @@ class TestCharNetwork:
         cert = tc.lipschitz_certificate(net, n_samples=300, seed=7)
         assert (cert["lip_xy"], cert["lip_t"]) == four_chain_lipschitz(net, 300, 7)
 
+    @pytest.mark.parametrize(
+        "make_net",
+        [
+            lambda: tc.build_char_net(cosine_problem(d_y=2, freq=1.0), 0.1),
+            lambda: tc.build_char_net(cosine_problem_m2(), 0.4),
+            lambda: tc.build_char_net(cosine_problem(d_y=2), 0.1, direction="backward"),
+            lambda: tc.build_char_net(
+                tc.TransportProblem(TestGeneralConvection.make_general(), 1.0, [[0.0, 1.0]]), 0.2
+            ),
+        ],
+        ids=["affine_m1", "affine_m2", "backward", "general"],
+    )
+    def test_certificate_is_one_chain(self, monkeypatch, make_net):
+        # one junction chain of 2n rows gives the two-chain quotients bit
+        # for bit: a row's values do not depend on the other rows
+        net = make_net()
+        want = two_chain_lipschitz(net, 300, 7)
+        calls = []
+        chain = tc.CharNetwork.eval
+        monkeypatch.setattr(tc.CharNetwork, "eval", lambda *a: calls.append(1) or chain(*a))
+        cert = tc.lipschitz_certificate(net, n_samples=300, seed=7)
+        assert (cert["lip_xy"], cert["lip_t"]) == want
+        assert len(calls) == 1
+
     def test_zero_field_certificate(self, rng):
         prob = zero_field_problem()
         net = tc.build_char_net(prob, 0.1)
@@ -1479,7 +1537,7 @@ class TestGeneralConvection:
         conv = self.make_general(L_t=0.5)
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
         grid = tc.macro_grid(1.0, conv.norm)
-        slab = tc.build_slab_net(prob, grid.slab(0), tau=0.05, mu=2)
+        slab = build_slab_net(prob, grid.slab(0), tau=0.05, mu=2)
         assert not slab._shared and len(slab._nets) == slab.q
         calls = []
         for net in slab._nets:
@@ -1538,7 +1596,7 @@ class TestPredictedComplexity:
     def test_affine_arithmetic(self):
         prob = cosine_problem(d_y=4)
         prob.convection.L = 1.0  # match the stated example: L = 1
-        val = tc.predicted_complexity(prob, 0.1, "char")
+        val = budget.AFFINE.complexity(prob, 0.1)
         ratio = math.exp(1.0) / 0.1
         expect = 4 * 1 * 1 * 1 * ratio**2 * math.log2(ratio) ** 2
         assert val == pytest.approx(expect, rel=1e-12)
@@ -1548,13 +1606,13 @@ class TestPredictedComplexity:
         p2 = cosine_problem(d_y=2)
         p4 = cosine_problem(d_y=4)
         # identical A, L by the omega = 1/d_y normalization
-        assert tc.predicted_complexity(p4, 0.05, "char") == pytest.approx(
-            2 * tc.predicted_complexity(p2, 0.05, "char")
+        assert budget.AFFINE.complexity(p4, 0.05) == pytest.approx(
+            2 * budget.AFFINE.complexity(p2, 0.05)
         )
 
     def test_solution_beta(self):
-        assert tc.solution_beta(1, 2.0) == 1.0
-        assert tc.solution_beta(1, 0.5) == 4.0
+        assert budget.solution_beta(1, 2.0) == 1.0
+        assert budget.solution_beta(1, 0.5) == 4.0
 
 
 class TestSolutionNetwork:
