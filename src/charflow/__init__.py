@@ -5,11 +5,7 @@ from .relu_net import (
     ReluNetwork,
     affine_net,
     compose,
-    identity_net,
-    lip_lower_bound,
     parallelize,
-    rho_gate,
-    sum_nets,
 )
 from .lip_interp import (
     GridSpec,
@@ -46,7 +42,6 @@ from .transport_core import (
     build_char_net,
     build_solution_net,
     lipschitz_certificate,
-    macro_grid,
     picard_numeric,
 )
 from .oracle import (

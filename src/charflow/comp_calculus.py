@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lip_interp
-from .relu_net import affine_net, compose, difference_quotient, identity_net, parallelize
+from .relu_net import difference_quotient
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +270,6 @@ class CompRep:
             z = f.eval(z)
         return z
 
-    def to_relu_network(self):
-        """One monolithic network; only identity, linear and implanted
-        factors have a ReLU realization."""
-        net = None
-        for f in self.factors:
-            stage = _factor_as_net(f)
-            net = stage if net is None else compose(stage, net)
-        return net
-
 
 def s_infinity(rep):
     """Dimension-sparsity: max component dependency over non-final factors.
@@ -432,23 +423,6 @@ class ImplantedFactor:
 
     def complexity(self):
         return sum(net.size() for net in self.nets)
-
-
-def _factor_as_net(f):
-    if isinstance(f, IdentityFactor):
-        return identity_net(f.dim)
-    if isinstance(f, LinearFactor):
-        return affine_net(f.matrix)
-    if isinstance(f, ImplantedFactor):
-        nets = []
-        for i, interp in enumerate(f.nets):
-            deps = list(f.source.dep_sets[i])
-            sel = np.zeros((len(deps), f.in_dim))
-            for r, dcol in enumerate(deps):
-                sel[r, dcol] = 1.0
-            nets.append(compose(interp.materialize(), affine_net(sel)))
-        return parallelize(nets)
-    raise ValueError(f"factor {type(f).__name__} has no exact ReLU realization")
 
 
 def eval_width(f):

@@ -282,7 +282,7 @@ def check_contraction(seed=0, n_seeds=50):
         catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0, "phase": 0.3})
     ]
     conv = tc.AffineConvection(1, 1, [1.0], comps)
-    grid = tc.macro_grid(1.0, conv.norm)
+    grid = tc.MacroGrid(1.0, conv.norm)
     interval = grid.slab(0)
     field = lambda t, x, y: conv.eval(t, x, y)
     worst = 0.0

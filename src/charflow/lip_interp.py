@@ -35,7 +35,6 @@ from .relu_net import (
     compose,
     difference_quotient,
     parallelize,
-    sum_nets,
 )
 
 # Constants measured by the `calibrate` harness command on this
@@ -242,8 +241,8 @@ def product_net(s, delta):
 
 
 def sawtooth(t, k, w, n, capped=..., guard=True):
-    """The value of :func:`square_net` (n) times 4^n, in place: the one
-    sawtooth formula of the closed forms.
+    """The value of :func:`square_net` (n) times 4^n, in place: the
+    sawtooth formula of the closed form that :class:`CornerLookup` runs.
 
     ``t`` holds x 2^n and becomes k^2 + (2k+1) r, with the knot cell
     k = clip(floor(x 2^n), 0, 2^n - 1) and r = x 2^n - k; ``k`` and
@@ -265,52 +264,6 @@ def sawtooth(t, k, w, n, capped=..., guard=True):
     if guard:
         np.maximum(t, 0.0, out=t)
     return t
-
-
-def square_values(x, n):
-    """Elementwise values of :func:`square_net` (n) at an array ``x`` <= 1.
-
-    On the knot cell k = clip(floor(x 2^n), 0, 2^n - 1) the net is the
-    chord of x^2, max((2k+1) x / 2^n - k (k+1) / 4^n, 0), computed here
-    as (k^2 + (2k+1) r) / 4^n with r = x 2^n - k (:func:`sawtooth`), a
-    sum of nonnegative terms on [0, 1]: exactly zero at 0 and for x < 0.
-    (Beyond 1 the net rises like x, but its callers only feed [0, 1].)
-    """
-    t = np.empty(np.shape(x))
-    np.multiply(x, 2.0**n, out=t)
-    sawtooth(t, np.empty_like(t), np.empty_like(t), n)
-    t *= 4.0**-n
-    return t
-
-
-def product_values(v, n):
-    """Elementwise values of :func:`product_net` over the factors ``v``.
-
-    ``v`` is a sequence of the s factors, arrays that broadcast together
-    (the rows of an (s, ...) array are one); ``n`` is the sawtooth depth
-    :func:`product_depth_param` picks.  The twin of the net's layers:
-    clamp to [0, 1], then a pairwise tree of products
-    S((a + b) / 2) - S(|a - b| / 2) with S = :func:`square_values`, an
-    odd last factor passed through to the next level.  A zero factor
-    makes the product exactly zero, because both square arguments of
-    its pair coincide.  Factors that vary along different axes give the
-    outer product: each pair is formed once per combination of its two
-    factors, and every element sees the same operations.
-    :class:`CornerLookup` runs the same tree on hat factors, which lie
-    in [0, 1] already, with the clamp and sign guards left out and
-    power-of-two scalings folded.
-    """
-    v = [np.minimum(np.maximum(f, 0.0), 1.0) for f in v]
-    while len(v) > 1:
-        level = []
-        for a, b in zip(v[0::2], v[1::2]):
-            prod = square_values((a + b) * 0.5, n)
-            prod -= square_values(np.abs(a - b) * 0.5, n)
-            level.append(prod)
-        if len(v) % 2:
-            level.append(v[-1])
-        v = level
-    return v[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +290,9 @@ def tensor_hat(indices, h, delta):
     exact arithmetic; float evaluation of its layers leaves sub-1e-13
     dust), so the support is contained in the support of the exact
     tensor hat by construction, with no separate gating.  Interpolants
-    evaluate its closed form instead (:func:`product_values`, which
-    :class:`CornerLookup` runs on the 2^s corners of a point's cell),
-    which gives literal zeros outside the support.
+    evaluate its closed form instead, which :class:`CornerLookup` runs
+    on the 2^s corners of a point's cell, and which gives literal zeros
+    outside the support.
     """
     indices = list(indices)
     s = len(indices)
@@ -515,10 +468,10 @@ def knot_slopes(values, out=None):
 class KnotLookup:
     """s = 1 hat sums over stacked knot tables, for at most p points.
 
-    ``values`` (E, L * (q + 3)) are the L tables of a :class:`TableStack`
-    on ``grid``, E values per knot, and ``slopes`` their
-    :func:`knot_slopes`.  Point r of p reads the table that starts at
-    entry ``starts[r]``.  Everything but the points is fixed here, so a
+    ``values`` (E, L * (q + 3)) are the L tables of an
+    :class:`InterpolantNet` on ``grid``, E values per knot, and
+    ``slopes`` their :func:`knot_slopes`.  Point r of p reads the table
+    that starts at entry ``starts[r]``.  Everything but the points is fixed here, so a
     call is one in-place pass over work buffers made once.  A call may
     pass k < p points: its points are the first k.
     """
@@ -539,18 +492,18 @@ class KnotLookup:
         self.base = np.empty(len(values) * p)
 
     def __call__(self, x):
-        """Hat sums (E, k) at the points ``x`` (k,) in grid units.
+        """Hat sums (E, k) at the points ``x`` (1, k) in grid units.
 
         The two cell ends are the only active hats, with exact weights:
         values[:, l] + slopes[:, l] * (u - cell) at grid coordinate u.
         The result is a view of a buffer that the next call rewrites.
         """
-        k = len(x)
+        k = x.shape[1]
         u, cell, index = self.u[:k], self.cell[:k], self.index[:k]
         # clipping to the ghost knots gives literal zeros beyond them: the
         # top state q + 1 reads its table's last entry, whose value and
         # slope are both zero
-        np.clip(x, -1.0, self.top, out=u)
+        np.clip(x[0], -1.0, self.top, out=u)
         np.floor(u, out=cell)
         np.copyto(index, cell, casting="unsafe")
         index += self.origin[:k]
@@ -573,7 +526,7 @@ class CornerLookup:
     """s >= 2 hat sums over stacked tensor tables, for at most p points.
 
     The twin of :class:`KnotLookup`.  ``values`` (E, L * (q + 3)^s) are
-    the L tables of a :class:`TableStack` on ``grid``, each in its ring
+    the L tables of an :class:`InterpolantNet` on ``grid``, each in its ring
     of zero ghost nodes, E values per node, and ``depth`` is the nets'
     sawtooth depth.  Point r of p reads the table that starts at entry
     ``starts[r]``.  The table strides, the corners' offsets and the
@@ -623,8 +576,11 @@ class CornerLookup:
         corners and corners whose hat factor is 0, a literal 0.  The hat
         factors of each axis, 1 - f at the low node and f at the high
         one for the fraction f of the cell, lie in [0, 1], so the
-        product tree (:func:`product_values`) runs without its clamp and
-        sign guards, which would change no bit.  The corners' products
+        product tree runs without the clamp to [0, 1] of
+        :func:`product_net` and the sign guards of :func:`sawtooth`,
+        which would change no bit.  Each pair is S((a + b) / 2) -
+        S(|a - b| / 2) with S the value of :func:`square_net`, and an
+        odd last factor passes to the next level.  The corners' products
         are summed in corner order 0, ..., 2^s - 1 onto a zero.  The
         result is a view of a buffer that the next call rewrites.
         """
@@ -702,40 +658,60 @@ class CornerLookup:
         return prod
 
 
-class TableStack:
-    """Stacked coefficient tables: the one layout that every lookup reads.
+class InterpolantNet:
+    """Tensor-hat interpolant networks on one grid: L tables of E entries.
 
-    ``coeffs`` (L, E) + ``net.coeffs.shape`` are L tables of nets with
-    ``net``'s grid and sawtooth depth, each node holding E values (or
-    several such arrays, whose entries are stacked in turn).  They
-    are held entry-major, ``values`` (E, L * table size): row e is
-    entry e of every node of the L tables, one table after another,
-    each table of shape ``net.table_shape``: the grid in a ring of zero
-    ghost nodes, at -h and 1 + h on each axis.  For s = 1 the ghosts
-    carry the boundary hat ramps, and the stack holds the tables'
+    Each net is a weighted sum of tensor-hat networks over a uniform
+    grid, functionally identical to the monolithic ReLU network that
+    parallelizes its tensor hats and fuses the weighted sum into the
+    output layers (assembled in the tests as a cross-check), but stored
+    as its coefficients and evaluated from the closed form of the <= 2^s
+    hats active at each point.  ``coeffs`` (L, E) + (q + 1,) * s are the
+    coefficients of L tables on ``grid``, each node holding E values (or
+    several such arrays, whose entries are stacked in turn, as
+    :meth:`joined` makes); one net is the case L = E = 1, and its
+    (q + 1)^s coefficients may come in any shape.  ``sawtooth_depth`` is
+    the depth n of the hats' product network (None for s = 1), set by
+    ``delta_inner``, which s >= 2 needs.
+
+    The tables are held entry-major, ``values`` (E, L * table size): row
+    e is entry e of every node of the L tables, one table after another,
+    each of shape ``table_shape``: the grid in a ring of zero ghost
+    nodes, at -h and 1 + h on each axis.  For s = 1 the ghosts carry the
+    boundary hat ramps, and the net holds the tables'
     :func:`knot_slopes` along the last axis; for s >= 2 they put every
     cell corner of a point in the ring on a node.  ``values`` is written
-    when first read, the ring in the same copy: a stack that is never
-    looked up, such as the one-table stack of :func:`lip_stable_net` or
-    a stack that is only :meth:`joined` to others, is never copied.
-    Until then the stack holds ``coeffs`` themselves, not a copy.  A
-    lookup gives point r's hat sums (E,) in table ``which[r]``: a
-    :class:`KnotLookup` for s = 1, a :class:`CornerLookup` for s >= 2.
+    when first read, the ring in the same copy: a net that is never
+    looked up, such as one that is only :meth:`joined` to others, is
+    never copied.  Until then the net holds ``coeffs`` themselves, not a
+    copy.  A lookup gives point r's hat sums (E,) in table ``which[r]``:
+    a :class:`KnotLookup` for s = 1, a :class:`CornerLookup` for s >= 2.
+    ``size()`` and ``depth()`` report the exact monolithic counts
+    through :func:`template_counts`; nothing here builds a network.
     """
 
-    def __init__(self, net, *coeffs):
-        # more than one part: their entries in turn, as :meth:`joined`
-        self.net = net
-        self.n_tables = len(coeffs[0])
-        self._parts = coeffs
+    def __init__(self, grid, *coeffs, delta_inner=None):
+        self.grid = grid
+        self.s = grid.s
+        one = (1, 1) + (grid.q + 1,) * grid.s
+        parts = [np.asarray(part, dtype=float) for part in coeffs]
+        self._parts = [p if p.ndim == grid.s + 2 else p.reshape(one) for p in parts]
+        self.n_tables = len(self._parts[0])
+        self.delta_inner = delta_inner
+        self.sawtooth_depth = None
+        self.table_shape = (grid.q + 3,) * grid.s
+        if grid.s > 1:
+            if delta_inner is None:
+                raise ValueError("s >= 2 interpolants need delta_inner")
+            self.sawtooth_depth = product_depth_param(grid.s, delta_inner)
 
     @functools.cached_property
     def values(self):
         # the coefficients of every part, in one copy, into their rings
         parts, self._parts = self._parts, None
         entries = sum(part.shape[1] for part in parts)
-        values = np.zeros((entries, self.n_tables) + self.net.table_shape)
-        ring = (slice(1, -1),) * self.net.s
+        values = np.zeros((entries, self.n_tables) + self.table_shape)
+        ring = (slice(1, -1),) * self.s
         lo = 0
         for part in parts:
             hi = lo + part.shape[1]
@@ -749,21 +725,19 @@ class TableStack:
         return knot_slopes(self.values)
 
     @classmethod
-    def joined(cls, stacks):
-        """One stack of the entries of ``stacks`` in turn, E_0 + E_1 + ...
-        per node: stacks of as many tables of one grid and sawtooth depth,
-        none of them looked up yet."""
-        layouts = {
-            (part.n_tables, part.net.table_shape, part.net.sawtooth_depth)
-            for part in stacks
-        }
+    def joined(cls, nets):
+        """One net of the entries of ``nets`` in turn, E_0 + E_1 + ... per
+        node: nets of as many tables of one grid and sawtooth depth, none
+        of them looked up yet."""
+        layouts = {(net.n_tables, net.table_shape, net.sawtooth_depth) for net in nets}
         if len(layouts) > 1:
             raise ValueError("stacked nets need one grid and sawtooth depth")
-        if len(stacks) == 1:
-            return stacks[0]
-        if any(part._parts is None for part in stacks):
-            raise ValueError("a stack that was looked up is no longer joined")
-        return cls(stacks[0].net, *(coeffs for part in stacks for coeffs in part._parts))
+        if len(nets) == 1:
+            return nets[0]
+        if any(net._parts is None for net in nets):
+            raise ValueError("a net that was looked up is no longer joined")
+        parts = [part for net in nets for part in net._parts]
+        return cls(nets[0].grid, *parts, delta_inner=nets[0].delta_inner)
 
     def lookup(self, p, which=None):
         """The lookup of at most p points, a reusable callable.
@@ -776,24 +750,20 @@ class TableStack:
         :class:`KnotLookup` for s = 1, a :class:`CornerLookup` for
         s >= 2.
         """
-        net = self.net
-        size = math.prod(net.table_shape)
+        size = math.prod(self.table_shape)
         starts = np.zeros(p, dtype=np.intp) if which is None else which * size
-        if net.s > 1:
-            return CornerLookup(net.grid, net.sawtooth_depth, self.values, starts)
-        knots = KnotLookup(net.grid, self.values, self.slopes, starts)
-        return lambda u: knots(u[0])
+        if self.s > 1:
+            return CornerLookup(self.grid, self.sawtooth_depth, self.values, starts)
+        return KnotLookup(self.grid, self.values, self.slopes, starts)
 
-    def contracted(self, w, out=None):
-        """The s = 1 stack with one table per row: table r is
-        sum_e w[r, e] * entry e of this stack's one table.
+    def contracted(self, w, out):
+        """The s = 1 net with one table per row: table r is
+        sum_e w[r, e] * entry e of this net's one table.
 
-        ``w`` is (n, E); the result is written into ``out``, a stack this
-        method made for n rows, if given.
+        ``w`` is (n, E); the result is written into ``out``, a net of n
+        tables of one entry on this grid, and returned.
         """
         n = len(w)
-        if out is None:
-            out = TableStack(self.net, np.zeros((n, 1) + self.net.coeffs.shape))
         np.einsum("re,et->rt", w, self.values, out=out.values.reshape(n, -1))
         knot_slopes(out.values, out=out.slopes)
         return out
@@ -802,109 +772,39 @@ class TableStack:
         """One lookup of the points ``u`` (s, k): (E, k)."""
         return self.lookup(u.shape[1], which)(u)
 
-
-class InterpolantNet:
-    """Weighted sum of tensor-hat networks over a uniform grid.
-
-    Functionally identical to the monolithic ReLU network obtained by
-    parallelizing all tensor hats and fusing the weighted sum into the
-    output layers (see :meth:`materialize`, cross-checked in tests),
-    but stores the coefficient array and evaluates only the <= 2^s hats
-    active at each point, from the closed form of their networks.
-    ``table`` is the coefficient array as a :class:`TableStack` holds
-    it, in a ring of zero ghost nodes; ``sawtooth_depth`` is the depth n
-    of the hats' product network (None for s = 1).  ``size()`` and
-    ``depth()`` report the exact monolithic counts through
-    :func:`template_counts`; only :meth:`materialize` builds networks.
-    """
-
-    def __init__(self, grid, coeffs, delta_inner=None):
-        self.grid = grid
-        self.coeffs = np.asarray(coeffs, dtype=float).reshape(
-            (grid.q + 1,) * grid.s
-        )
-        self.s = grid.s
-        self.delta_inner = delta_inner
-        self.sawtooth_depth = None
-        self.table_shape = (grid.q + 3,) * grid.s
-        if grid.s > 1:
-            if delta_inner is None:
-                raise ValueError("s >= 2 interpolants need delta_inner")
-            self.sawtooth_depth = product_depth_param(grid.s, delta_inner)
-
-    @functools.cached_property
-    def table(self):
-        """The coefficients as a :class:`TableStack` lays out a table,
-        shape ``table_shape``: the grid in its ring of zero ghost nodes.
-        Made at the first :meth:`eval` and read by every later one."""
-        return np.pad(self.coeffs, 1)
-
-    @functools.cached_property
-    def slopes(self):
-        """The s = 1 table's :func:`knot_slopes`, kept like ``table``."""
-        return knot_slopes(self.table.reshape(1, -1))
-
     def point_floats(self, entries=1):
         """Floats per point of the largest array of one evaluation.
 
-        ``entries`` is the number of values each table entry holds, E of
-        a :class:`TableStack`.  For s = 1 that array is one entry per
-        point.  For s >= 2 the largest are the corners' gathered entries,
-        E * 2^s per point, and the work arrays of the product tree's last
-        pair, its sum and difference squares of the 2^s corners,
-        2^(s+1) per point (:class:`CornerLookup`): 2^s * max(2, entries).
+        ``entries`` is the number of values each table entry holds, E.
+        For s = 1 that array is one entry per point.  For s >= 2 the
+        largest are the corners' gathered entries, E * 2^s per point,
+        and the work arrays of the product tree's last pair, its sum and
+        difference squares of the 2^s corners, 2^(s+1) per point
+        (:class:`CornerLookup`): 2^s * max(2, entries).
         """
         if self.s == 1:
             return entries
         return 2**self.s * max(2, entries)
 
     def eval(self, x):
+        """The values (n, E) of table 0 at the points ``x`` (n, s), or (E,)
+        at one point (s,): a lookup of the net's own tables."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        u = np.ascontiguousarray(self.grid.to_grid(x).T)
-        stack = TableStack(self, self.coeffs[None, None])
-        # the stack's one table is this net's, read with no copy; the net
-        # keeps no stack, so no net -> stack -> net cycle forms
-        stack.values = self.table.reshape(1, -1)
-        if self.s == 1:
-            stack.slopes = self.slopes
-        out = stack(u)[0][:, None]
+        out = self(np.ascontiguousarray(self.grid.to_grid(x).T)).T
         return out[0] if single else out
 
     # -- exact structural accounting -------------------------------------
 
     def size(self):
-        return int(table_sizes(self.grid, self.coeffs, self.sawtooth_depth))
+        """The summed exact size of the L * E nets (:func:`table_sizes`),
+        counted on their tables' interiors."""
+        tables = self.values.reshape((len(self.values), self.n_tables) + self.table_shape)
+        coeffs = tables[(slice(None),) * 2 + (slice(1, -1),) * self.s]
+        return int(table_sizes(self.grid, coeffs, self.sawtooth_depth).sum())
 
     def depth(self):
         return template_counts(self.s, self.sawtooth_depth)[1]
-
-    def materialize(self, max_nodes=2000):
-        """Assemble the literal monolithic ReLU network (small grids only).
-
-        The dense block-diagonal layers grow quadratically with the
-        active-node count, so large interpolants refuse; the structured
-        evaluator is the production representation.
-        """
-        mask = self.coeffs != 0.0
-        n_active = int(mask.sum())
-        if n_active > max_nodes:
-            raise ResourceWarning(
-                f"materializing {n_active} tensor hats exceeds the {max_nodes} cap"
-            )
-        nets, weights = [], []
-        for idx in np.argwhere(mask):
-            nets.append(self._global_hat(tuple(idx)))
-            weights.append(self.coeffs[tuple(idx)])
-        return sum_nets(nets, weights)
-
-    def _global_hat(self, indices):
-        # tensor hat in original x coordinates: unit-map fused into hats
-        widths = self.grid.box[:, 1] - self.grid.box[:, 0]
-        scale = np.diag(1.0 / widths)
-        shift = -self.grid.box[:, 0] / widths
-        to_unit = affine_net(scale, shift)
-        return compose(tensor_hat(indices, self.grid.h, self.delta_inner), to_unit)
 
 
 def table_sizes(grid, coeffs, sawtooth_depth):
@@ -937,16 +837,15 @@ def stable_stack(grid, values, delta, lip, sup):
 
     ``values`` (L, E, nodes) are samples at ``grid.nodes()`` of L tables
     of E entries each, every entry a ``lip``-Lipschitz function bounded
-    by ``sup``.  Returns ``(stack, sizes, depth)``: the
-    :class:`TableStack` of the L tables, the exact size of each entry's
-    net (L, E) (:func:`table_sizes`) and the nets' one depth.  Certified
-    sup error <= delta requires the cells per axis that
+    by ``sup``.  Returns ``(net, sizes, depth)``: the
+    :class:`InterpolantNet` of the L tables, the exact size of each
+    entry's net (L, E) (:func:`table_sizes`) and the nets' one depth.
+    Certified sup error <= delta requires the cells per axis that
     :meth:`GridSpec.for_tolerance` gives for delta; a coarser grid
     raises :class:`GridTooCoarse`.  The inner product-net tolerance is
     min(delta, 1) * :func:`c_star`, so all nets share one sawtooth
-    depth.  The stack's ``net`` is the net of entry 0 of table 0.  The
-    stack keeps a reference to ``values`` until its first lookup
-    (:class:`TableStack`), so a caller must not rewrite them before.
+    depth.  The net keeps a reference to ``values`` until its first
+    lookup, so a caller must not rewrite them before.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -956,9 +855,9 @@ def stable_stack(grid, values, delta, lip, sup):
     values = np.asarray(values, dtype=float)
     coeffs = values.reshape(values.shape[:2] + (grid.q + 1,) * grid.s)
     delta_inner = None if grid.s == 1 else min(delta, 1.0) * c_star(grid.s, sup)
-    net = InterpolantNet(grid, coeffs[0, 0], delta_inner=delta_inner)
+    net = InterpolantNet(grid, coeffs, delta_inner=delta_inner)
     sizes = table_sizes(grid, coeffs, net.sawtooth_depth)
-    return TableStack(net, coeffs), sizes, net.depth()
+    return net, sizes, net.depth()
 
 
 def lip_stable_net(sf, delta):
@@ -969,18 +868,18 @@ def lip_stable_net(sf, delta):
     carries h, the inner product-net tolerance and exact size and depth.
     """
     grid = sf.grid
-    stack, sizes, depth = stable_stack(
+    net, sizes, depth = stable_stack(
         grid, sf.values[None, None], delta, sf.lip_bound, sf.sup_bound
     )
     report = {
         "s": grid.s,
         "h": grid.h,
         "delta": delta,
-        "delta_inner": stack.net.delta_inner,
+        "delta_inner": net.delta_inner,
         "size": int(sizes[0, 0]),
         "depth": depth,
     }
-    return stack.net, report
+    return net, report
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Networks are immutable stacks of affine layers with ReLU or identity
 activation; the output layer is always affine (identity activation).
-All constructors and combinators below are exact: composing, stacking
-and summing networks never changes the represented function beyond
-float rounding, and ``size()`` counts nonzero weights and biases of
+All constructors and combinators below are exact: composing and
+stacking networks never changes the represented function beyond float
+rounding, and ``size()`` counts nonzero weights and biases of
 the stored matrices.
 """
 
@@ -122,11 +122,6 @@ class ReluNetwork:
 # basic constructors
 
 
-def identity_net(dim):
-    """Network computing x -> x exactly."""
-    return ReluNetwork([AffineLayer(np.eye(dim), np.zeros(dim), IDENTITY)])
-
-
 def affine_net(weights, biases=None):
     """Single-layer network for x -> Wx + b."""
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -159,16 +154,6 @@ def compose(outer, inner):
     return ReluNetwork(list(inner.layers[:-1]) + [fused] + list(outer.layers[1:]))
 
 
-def passthrough_cost(net, depth):
-    """Exact extra nonzeros pad_to_depth(net, depth) will introduce."""
-    extra = depth - net.depth()
-    if extra <= 0:
-        return 0
-    final = net.layers[-1]
-    # negated copy of the final layer + identity ReLU chain + recombination
-    return final.size() + (extra - 1) * 2 * net.out_dim + 2 * net.out_dim
-
-
 def pad_to_depth(net, depth):
     """Deepen a network without changing its function.
 
@@ -198,9 +183,9 @@ def pad_to_depth(net, depth):
 def parallelize(nets):
     """Stack networks over a shared input: out_dim is the sum of out_dims.
 
-    Nets of different depth are padded via :func:`pad_to_depth`; the
-    size overhead over the plain sum of sizes is exactly the sum of
-    :func:`passthrough_cost` values.
+    Nets of different depth are padded via :func:`pad_to_depth`, whose
+    added nonzeros are the only size overhead over the plain sum of
+    sizes.
     """
     nets = list(nets)
     if not nets:
@@ -233,53 +218,8 @@ def parallelize(nets):
     return ReluNetwork(layers)
 
 
-def sum_nets(nets, weights=None):
-    """Weighted sum of networks with equal in- and output dimensions.
-
-    Realized as a linear readout fused onto the parallelization, so
-    the result adds no depth and no extra nonzeros beyond padding.
-    """
-    nets = list(nets)
-    if not nets:
-        raise ValueError("sum of empty list")
-    m = nets[0].out_dim
-    if any(n.out_dim != m for n in nets):
-        raise ValueError("sum requires equal output dims")
-    if weights is None:
-        weights = [1.0] * len(nets)
-    summer = np.hstack([w * np.eye(m) for w in weights])
-    return compose(affine_net(summer), parallelize(nets))
-
-
 # ---------------------------------------------------------------------------
 # quadrature gates
-
-
-def rho_gate(interval, q):
-    """Clamped-ramp quadrature gates for an interval split into q cells.
-
-    Output i (1-based i, 0-based index i-1) is
-    ``relu(t - tau_{i-1}) - relu(t - tau_i)`` with breakpoints
-    ``tau_i = lo + i*|I|/q``: zero left of its cell, a unit ramp on the
-    cell, and the constant cell width to the right.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not q >= 1:
-        raise ValueError("q must be >= 1")
-    if not hi > lo:
-        raise ValueError("interval must have positive length")
-    taus = lo + (hi - lo) * np.arange(q + 1) / q
-    w1 = np.ones((2 * q, 1))
-    b1 = np.empty(2 * q)
-    b1[0::2] = -taus[:-1]
-    b1[1::2] = -taus[1:]
-    w2 = np.zeros((q, 2 * q))
-    for i in range(q):
-        w2[i, 2 * i] = 1.0
-        w2[i, 2 * i + 1] = -1.0
-    return ReluNetwork(
-        [AffineLayer(w1, b1, RELU), AffineLayer(w2, np.zeros(q), IDENTITY)]
-    )
 
 
 def rho_values(interval, q, t):
@@ -292,35 +232,6 @@ def rho_values(interval, q, t):
 
 # ---------------------------------------------------------------------------
 # sampled Lipschitz estimation
-
-
-def lip_lower_bound(net, box, n_samples, seed):
-    """Sampled lower bound for the max-norm Lipschitz constant on a box.
-
-    Uses half global random pairs and half short-step pairs; exact for
-    piecewise-linear nets whenever some sampled pair lies inside a
-    single linear piece of maximal slope.  Deterministic per seed.
-    """
-    box = np.asarray(box, dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    if np.any(hi <= lo):
-        raise ValueError("degenerate box")
-    if len(lo) != net.in_dim:
-        raise ValueError("box dim != network in_dim")
-    rng = np.random.default_rng(seed)
-    n_glob = max(1, n_samples // 2)
-    n_loc = max(1, n_samples - n_glob)
-
-    a = rng.uniform(lo, hi, size=(n_glob, len(lo)))
-    b = rng.uniform(lo, hi, size=(n_glob, len(lo)))
-    best = difference_quotient(a, b, net.eval(a), net.eval(b))
-
-    h = 1e-3 * np.min(hi - lo)
-    base = rng.uniform(lo, hi, size=(n_loc, len(lo)))
-    step = rng.uniform(-1.0, 1.0, size=(n_loc, len(lo)))
-    step *= h / np.maximum(np.abs(step).max(axis=1, keepdims=True), 1e-300)
-    other = np.clip(base + step, lo, hi)
-    return max(best, difference_quotient(base, other, net.eval(base), net.eval(other)))
 
 
 def difference_quotient(a_in, b_in, a_out, b_out):

@@ -263,15 +263,8 @@ class MacroGrid:
     def slab_length(self):
         return self.T_hat / self.K
 
-    def junctions(self):
-        return np.linspace(0.0, self.T_hat, self.K + 1)
-
     def slab(self, k):
         return (k * self.slab_length, (k + 1) * self.slab_length)
-
-
-def macro_grid(T_hat, a_norm):
-    return MacroGrid(T_hat, a_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +461,7 @@ class SlabNet:
     the n rows of a block innermost.  Each array of a sweep then runs
     along the rows, the running sums over the cells take two rows per
     step (:func:`running_sums`), and the interpolants' lookups
-    (:meth:`lip_interp.TableStack.lookup`) read the states as points
+    (:meth:`lip_interp.InterpolantNet.lookup`) read the states as points
     (m, p * n) with no transpose.
 
     A slab sweeps in its own units: states u with x = x_0 + ``unit`` * u
@@ -620,7 +613,7 @@ class SlabInterpolants:
     so one sweep visits the active hats once for every interpolant.
     Components of one sawtooth depth, which is all a lookup reads of a
     net besides the grid, form a group ``(stack, js, contract)`` of the
-    k components ``js``: ``stack`` is a :class:`lip_interp.TableStack`
+    k components ``js``: ``stack`` is a :class:`lip_interp.InterpolantNet`
     of one table per subinterval, whose entry j * m + c holds output c
     of component ``js[j]``.  An m = 1 group with one table is contracted
     with the row weights before the lookup (``contract``) when a row's
@@ -650,20 +643,20 @@ class SlabInterpolants:
             )
             self.size += int(sizes.sum())
             self.depth = max(self.depth, depth)
-            by_depth.setdefault(stack.net.sawtooth_depth, []).append((j, stack))
+            by_depth.setdefault(stack.sawtooth_depth, []).append((j, stack))
         m, L = conv.m, len(subintervals)
         self.groups = []
         self.point_width = float(m)
         for members in by_depth.values():
             js = [j for j, _ in members]
-            stack = lip_interp.TableStack.joined([part for _, part in members])
-            size = math.prod(stack.net.table_shape)
+            stack = lip_interp.InterpolantNet.joined([part for _, part in members])
+            size = math.prod(stack.table_shape)
             contract = m == 1 and L == 1 and size < 2 * q
             self.groups.append((stack, js, contract))
             # a contracted group's per-row table counts per state too
             entries = m if contract else m * len(js)
             self.point_width = max(
-                self.point_width, stack.net.point_floats(entries), size / q if contract else 0
+                self.point_width, stack.point_floats(entries), size / q if contract else 0
             )
 
     def plan(self, weights, cell, work=None):
@@ -725,11 +718,11 @@ class SlabInterpolants:
         return sweep
 
     def _row_lookup(self, stack, n):
-        """A contracted group's stack of n row tables, which
-        :meth:`lip_interp.TableStack.contracted` rewrites for each block,
-        and its lookup for the q states of each row, cell-major: state
-        i * n + r reads row r's table."""
-        rows = lip_interp.TableStack(stack.net, np.zeros((n, 1) + stack.net.coeffs.shape))
+        """A contracted group's net of n row tables, which
+        :meth:`lip_interp.InterpolantNet.contracted` rewrites for each
+        block, and its lookup for the q states of each row, cell-major:
+        state i * n + r reads row r's table."""
+        rows = lip_interp.InterpolantNet(stack.grid, np.zeros((n, 1, stack.grid.q + 1)))
         return rows, rows.lookup(self.q * n, np.tile(np.arange(n), self.q))
 
     def _state_lookup(self, stack, n):
@@ -867,7 +860,9 @@ class GeneralSlabNet(SlabNet):
 
 
 def _rho_gate_size(interval, q):
-    """Exact nonzero count of rho_gate(interval, q) without building it."""
+    """Exact nonzero count of the quadrature gate network of q cells on
+    ``interval``, without building it: output i is the clamped ramp
+    relu(t - tau_{i-1}) - relu(t - tau_i) at tau_i = lo + i |I| / q."""
     lo, hi = interval
     taus = lo + (hi - lo) * np.arange(q + 1) / q
     nnz_b = int(np.count_nonzero(taus[:-1])) + int(np.count_nonzero(taus[1:]))
@@ -972,7 +967,7 @@ def build_char_net(problem, eps, direction="forward"):
         problem = TransportProblem(
             conv, problem.T_hat, problem.domain, problem.u0, problem.f
         )
-    grid = macro_grid(problem.T_hat, max(1.0, conv.norm))
+    grid = MacroGrid(problem.T_hat, max(1.0, conv.norm))
     slab_class = _slab_class(conv)  # the net kind: its slabs and budget
     sched = schedule(eps, grid, problem, slab_class.budget)
     ledger = char_ledger(slab_class.budget.terms, sched, conv)
@@ -1057,7 +1052,7 @@ class SolutionNetwork:
 
     u(t,x,y) ~ N_u0(B(t,x,y)) + sum_i rho_i(t) N_f,i(B(t-xi_i,x,y))
     where B is the backward characteristic network.  ``sources`` is the
-    :class:`lip_interp.TableStack` of the q_src source nets N_f,i, one
+    :class:`lip_interp.InterpolantNet` of the q_src source nets N_f,i, one
     table per source time xi_i (None without a source), gated like the
     slabs by :func:`ramp_gate`.  ``data_size`` is the summed size of the
     data nets, counted once at build.
@@ -1105,7 +1100,7 @@ class SolutionNetwork:
             return u0_part, np.zeros(n)
         # V_i: source net i at the feet of node i
         q = self.q_src
-        u = self.sources.net.grid.to_grid(feet[1:].reshape(-1, m))
+        u = self.sources.grid.to_grid(feet[1:].reshape(-1, m))
         V = self.sources(np.ascontiguousarray(u.T), np.repeat(np.arange(q), n))
         V = V.reshape(q, n)
         S = running_sums(V, np.empty_like(V))
@@ -1131,7 +1126,7 @@ class SolutionNetwork:
         if self.u0_net is not None:
             d += self.u0_net.depth()
         if self.sources is not None:
-            d += self.sources.net.depth()
+            d += self.sources.depth()
         return d
 
 

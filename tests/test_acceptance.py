@@ -59,7 +59,7 @@ def test_criterion_01_picard_contraction():
     t0 = time.time()
     comp = catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0})
     conv = tc.AffineConvection(1, 1, [1.0], [comp])
-    grid = tc.macro_grid(1.0, conv.norm)  # |I| L = 1/2 with L = 2
+    grid = tc.MacroGrid(1.0, conv.norm)  # |I| L = 1/2 with L = 2
     interval = grid.slab(0)
     field = lambda t, x, y: conv.eval(t, x, y)
     rng = np.random.default_rng(42)

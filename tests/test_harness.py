@@ -103,7 +103,7 @@ class TestConvergence:
         # axis, 9721^2 nodes per table: the schedule refuses it
         cfg = harness.ExperimentConfig.from_file(CONFIG_DIR / "cosine_m2_dy2.json")
         problem = tc.problem_from_dict(cfg.problem)
-        grid = tc.macro_grid(problem.T_hat, problem.convection.norm)
+        grid = tc.MacroGrid(problem.T_hat, problem.convection.norm)
         with pytest.raises(tc.ResourceCeiling, match="9720 cells per axis") as exc:
             budget.schedule(0.002, grid, problem, budget.AFFINE)
         assert exc.value.predicted_cost == 9721**2

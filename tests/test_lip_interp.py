@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from charflow import lip_interp as li
 
 
@@ -44,9 +45,7 @@ class TestHat1d:
         net = li.hat1d(h, i)
         outside = np.array([[(i - 1) * h - 1e-9], [(i + 1) * h + 1e-9]])
         assert np.abs(net.eval(outside)).max() <= 1e-14
-        from charflow.relu_net import lip_lower_bound
-
-        low = lip_lower_bound(net, [[0, 1]], 4000, seed=2)
+        low = reference.lip_lower_bound(net, [[0, 1]], 4000, seed=2)
         assert 1 / h - 0.1 <= low <= 1 / h + 1e-9
 
 
@@ -125,7 +124,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 14])
     def test_square_values(self, n, rng):
         x = np.concatenate([rng.uniform(-0.5, 1, 1000), np.arange(2**n + 1) / 2**n])
-        got = li.square_values(x, n)
+        got = reference.square_values(x, n)
         np.testing.assert_allclose(got, li.square_net(n).eval(x[:, None])[:, 0], rtol=0, atol=1e-12)
         # bit for bit the chord k^2 + (2k + 1) r of the knot cell, in units
         # of 4^-n, as the net's layers give it
@@ -135,14 +134,14 @@ class TestClosedForm:
         np.testing.assert_array_equal(got, chord)
         # exact at the knots, zero on (-inf, 0]
         knots = np.arange(2**n + 1) / 2**n
-        np.testing.assert_array_equal(li.square_values(knots, n), knots**2)
-        assert np.all(li.square_values(np.array([-3.0, -1e-300, 0.0]), n) == 0.0)
+        np.testing.assert_array_equal(reference.square_values(knots, n), knots**2)
+        assert np.all(reference.square_values(np.array([-3.0, -1e-300, 0.0]), n) == 0.0)
 
     @pytest.mark.parametrize("n", [1, 4, 11])
     def test_mult2(self, n, rng):
         uv = closed_form_points(rng, n, 2)
         np.testing.assert_allclose(
-            li.product_values(uv.T, n), li.mult2_net(n).eval(uv)[:, 0], rtol=0, atol=1e-12
+            reference.product_values(uv.T, n), li.mult2_net(n).eval(uv)[:, 0], rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5])
@@ -150,14 +149,14 @@ class TestClosedForm:
     def test_product_values(self, s, delta, rng):
         n = li.product_depth_param(s, delta)
         v = closed_form_points(rng, 6, s)
-        got = li.product_values(v.T, n)
+        got = reference.product_values(v.T, n)
         np.testing.assert_allclose(got, li.product_net(s, delta).eval(v)[:, 0], rtol=0, atol=1e-12)
         # the zero faces give a literal zero, the net only rounding dust
         assert np.all(got[np.any(v == 0.0, axis=1)] == 0.0)
         # the net clamps its inputs to [0, 1] first
         wide = rng.uniform(-0.5, 1.5, (300, s))
         np.testing.assert_allclose(
-            li.product_values(wide.T, n), li.product_net(s, delta).eval(wide)[:, 0],
+            reference.product_values(wide.T, n), li.product_net(s, delta).eval(wide)[:, 0],
             rtol=0, atol=1e-12,
         )
 
@@ -261,7 +260,7 @@ class TestLipStableNet:
         )
         sf = li.SampledFunction.from_function(fn, g, lip_bound=1.0)
         net, _ = li.lip_stable_net(sf, delta)
-        mono = net.materialize()
+        mono = reference.materialize(net)
         pts = rng.uniform(-0.3, 1.3, size=(500, s))
         np.testing.assert_allclose(net.eval(pts), mono.eval(pts), atol=1e-12)
         assert net.size() == mono.size()
@@ -272,7 +271,7 @@ class TestLipStableNet:
         fn = lambda x: 0.2 * np.abs(x[:, 0]) + 0.1 * x[:, 1]
         sf = li.SampledFunction.from_function(fn, g, lip_bound=0.2)
         net, _ = li.lip_stable_net(sf, 0.25)
-        mono = net.materialize()
+        mono = reference.materialize(net)
         pts = rng.uniform([-1.2, 0.3], [2.2, 1.7], size=(400, 2))
         np.testing.assert_allclose(net.eval(pts), mono.eval(pts), atol=1e-12)
         assert net.size() == mono.size()
@@ -396,7 +395,7 @@ def row_major_weighted_sum(net, u, tables, lead=None):
     factor *= index == node
     index = index.astype(np.intp) * offsets
     # (n, 2^s): the corners' hat values and table indices
-    hats = li.product_values(np.moveaxis(factor[:, bits, axes], -1, 0), net.sawtooth_depth)
+    hats = reference.product_values(np.moveaxis(factor[:, bits, axes], -1, 0), net.sawtooth_depth)
     index = index[:, bits, axes].sum(axis=-1)
     if lead is not None:
         index += (lead * (q + 1) ** s)[:, None]
@@ -416,7 +415,7 @@ def weighted_sum(net, u, tables, lead=None):
     ``u`` (s, n) are points in grid units, ``tables`` (E, L * (q + 1)^s)
     entry-major, and point r reads table ``lead[r]`` (table 0 if None).
     Forms the hat factors of each axis's low and high node (2, s, n),
-    zero for a node off the grid, one :func:`li.product_values` over
+    zero for a node off the grid, one :func:`reference.product_values` over
     the axes' factors broadcast to the corners' hats (2^s, n), the
     corners' indices at node indices clipped to the grid, one gather
     (E, 2^s, n), and sums the corners' products in corner order onto a
@@ -438,7 +437,7 @@ def weighted_sum(net, u, tables, lead=None):
     index = index.astype(np.intp) * offsets
     # axis j's two nodes broadcast along axis j of the corners
     along = [a + (n,) for a in corner_axes]
-    hats = li.product_values(
+    hats = reference.product_values(
         [factor[:, j].reshape(along[j]) for j in range(s)], net.sawtooth_depth
     ).reshape(2**s, n)
     corner = sum(index[:, j].reshape(along[j]) for j in range(s)).reshape(2**s, n)
@@ -453,13 +452,13 @@ def weighted_sum(net, u, tables, lead=None):
 
 
 def stack_lookup(net, u, tables, lead=None):
-    """The s >= 2 lookup, :meth:`li.TableStack.lookup`, on the row-major
-    arguments of :func:`row_major_weighted_sum`, with the result in its
-    layout."""
+    """The s >= 2 lookup, :meth:`li.InterpolantNet.lookup`, of ``tables``
+    on ``net``'s grid and sawtooth depth, on the row-major arguments of
+    :func:`row_major_weighted_sum`, with the result in its layout."""
     s = net.s
     trailing = tables.shape[s + 1 :]
     entries = tables.reshape(tables.shape[: s + 1] + (-1,))
-    stack = li.TableStack(net, np.moveaxis(entries, -1, 1))
+    stack = li.InterpolantNet(net.grid, np.moveaxis(entries, -1, 1), delta_inner=net.delta_inner)
     out = stack.lookup(len(u), lead)(np.ascontiguousarray(u.T))
     return out.T.reshape((len(u),) + trailing)
 
@@ -529,7 +528,6 @@ class TestCornerLookup:
 
     @staticmethod
     def make(rng, s, q, delta, n_tables=3, entries=2):
-        net = li.InterpolantNet(li.GridSpec(s, q), np.zeros((q + 1,) * s), delta_inner=delta)
         coeffs = rng.standard_normal((n_tables, entries) + (q + 1,) * s)
         # zero coefficients of both signs, and a table of negative zeros,
         # whose every corner product is -0
@@ -537,11 +535,11 @@ class TestCornerLookup:
         coeffs.reshape(-1)[2::5] = -0.0
         coeffs[-1, -1] = -0.0
         flat = np.ascontiguousarray(coeffs.swapaxes(0, 1)).reshape(entries, -1)
-        return net, li.TableStack(net, coeffs), flat
+        return li.InterpolantNet(li.GridSpec(s, q), coeffs, delta_inner=delta), flat
 
     @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
     def test_prefix_after_full_call(self, s, q, delta, rng):
-        net, stack, flat = self.make(rng, s, q, delta)
+        stack, flat = self.make(rng, s, q, delta)
         u = np.ascontiguousarray(weighted_sum_points(rng, s, q).T)
         p = u.shape[1]
         which = rng.integers(0, 3, p)
@@ -549,7 +547,7 @@ class TestCornerLookup:
         for k in (p, p - 77, 1, p):
             got = lookup(u[:, :k])
             assert got.shape == (2, k) and np.shares_memory(got, lookup.out)
-            assert_same_bits(got, weighted_sum(net, u[:, :k], flat, which[:k]))
+            assert_same_bits(got, weighted_sum(stack, u[:, :k], flat, which[:k]))
         assert np.all(lookup(u)[:, -50:] == 0.0)
 
     @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
@@ -557,24 +555,24 @@ class TestCornerLookup:
         # cell-major states, as a per-cell slab sweeps them: state
         # i * n + r reads the table of quadrature cell i
         cells, n = 4, 60
-        net, stack, flat = self.make(rng, s, q, delta, n_tables=cells)
+        stack, flat = self.make(rng, s, q, delta, n_tables=cells)
         u = np.ascontiguousarray(weighted_sum_points(rng, s, q)[: cells * n].T)
         which = np.repeat(np.arange(cells), n)
         got = stack.lookup(cells * n, which)(u)
-        assert_same_bits(got, weighted_sum(net, u, flat, which))
+        assert_same_bits(got, weighted_sum(stack, u, flat, which))
         # and with which=None every state reads table 0
-        assert_same_bits(stack.lookup(cells * n)(u), weighted_sum(net, u, flat))
+        assert_same_bits(stack.lookup(cells * n)(u), weighted_sum(stack, u, flat))
 
     @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
     def test_zero_signs(self, s, q, delta, rng):
         # on nodes, on faces, on the ring and past it; the table of -0
         # gives +0 everywhere, as 0 + c_0 + ... does
-        net, stack, flat = self.make(rng, s, q, delta)
+        stack, flat = self.make(rng, s, q, delta)
         nodes = rng.integers(-2, q + 3, (200, s)).astype(float)
         u = np.ascontiguousarray(np.concatenate([nodes, weighted_sum_points(rng, s, q)]).T)
         which = np.full(u.shape[1], 2)
         got = stack.lookup(u.shape[1], which)(u)
-        want = weighted_sum(net, u, flat, which)
+        want = weighted_sum(stack, u, flat, which)
         assert_same_bits(got, want)
         assert np.all(got[-1] == 0.0) and not np.any(np.signbit(got[-1]))
 
@@ -583,7 +581,7 @@ class TestCornerLookup:
         # the clip to the ghost ring and the cap of the low node at q keep
         # every corner of every point, far ones included, in the point's
         # own table; a corner past the ring would read another table
-        net, stack, flat = self.make(rng, s, q, delta)
+        stack, flat = self.make(rng, s, q, delta)
         u = np.ascontiguousarray(weighted_sum_points(rng, s, q).T)
         which = rng.integers(0, 3, u.shape[1])
         lookup = stack.lookup(u.shape[1], which)
@@ -594,7 +592,7 @@ class TestCornerLookup:
     @pytest.mark.parametrize("s,q,delta", LOOKUP_CASES)
     def test_nan_state(self, s, q, delta, rng):
         # as in the knot lookup: the cast of a NaN warns, its value is NaN
-        net, stack, flat = self.make(rng, s, q, delta)
+        stack, flat = self.make(rng, s, q, delta)
         u = np.ascontiguousarray(weighted_sum_points(rng, s, q).T)
         u[-1, 5] = np.nan
         lookup = stack.lookup(u.shape[1])
@@ -602,7 +600,7 @@ class TestCornerLookup:
             got = lookup(u)
         assert np.all(np.isnan(got[:, 5]))
         keep = np.arange(u.shape[1]) != 5
-        assert_same_bits(got[:, keep], weighted_sum(net, u[:, keep], flat))
+        assert_same_bits(got[:, keep], weighted_sum(stack, u[:, keep], flat))
 
 
 class TestTemplateCounts:
@@ -636,14 +634,14 @@ def stack_points(rng, grid):
 
 
 class TestTableStack:
+    """Stacked tables: L tables of E entries in one :class:`li.InterpolantNet`."""
+
     @pytest.mark.parametrize("s,q", [(1, 9), (2, 5), (3, 3)])
     def test_equals_per_net_eval(self, s, q, rng):
         grid = li.GridSpec(s, q, box=np.tile([-0.5, 1.5], (s, 1)))
-        nets = [
-            li.InterpolantNet(grid, rng.standard_normal((q + 1,) * s), delta_inner=1e-4)
-            for _ in range(4)
-        ]
-        stack = li.TableStack(nets[0], np.stack([net.coeffs for net in nets])[:, None])
+        coeffs = rng.standard_normal((4,) + (q + 1,) * s)
+        nets = [li.InterpolantNet(grid, c, delta_inner=1e-4) for c in coeffs]
+        stack = li.InterpolantNet(grid, coeffs[:, None], delta_inner=1e-4)
         x = stack_points(rng, grid)
         which = rng.integers(0, len(nets), len(x))
         got = stack(np.ascontiguousarray(grid.to_grid(x).T), which)
@@ -657,15 +655,10 @@ class TestTableStack:
         # L = 3 tables of E = 2 entries per node: entry e of table l is
         # net [l][e]; a lookup made for p points serves a prefix of them
         grid = li.GridSpec(s, q, box=np.tile([-0.5, 1.5], (s, 1)))
-        nets = [
-            [
-                li.InterpolantNet(grid, rng.standard_normal((q + 1,) * s), delta_inner=1e-4)
-                for _ in range(2)
-            ]
-            for _ in range(3)
-        ]
-        stack = li.TableStack(nets[0][0], np.array([[n.coeffs for n in per_l] for per_l in nets]))
-        assert stack.values.shape == (2, 3 * nets[0][0].table.size)
+        coeffs = rng.standard_normal((3, 2) + (q + 1,) * s)
+        nets = [[li.InterpolantNet(grid, c, delta_inner=1e-4) for c in per_l] for per_l in coeffs]
+        stack = li.InterpolantNet(grid, coeffs, delta_inner=1e-4)
+        assert stack.values.shape == (2, 3 * nets[0][0].values.size)
         x = stack_points(rng, grid)
         u = np.ascontiguousarray(grid.to_grid(x).T)
         p, k = len(x), len(x) - 60
@@ -683,32 +676,46 @@ class TestTableStack:
                 np.testing.assert_array_equal(
                     first(u[:, :points])[e], nets[0][e].eval(x[:points])[:, 0]
                 )
+        # eval gives every entry of table 0
+        np.testing.assert_array_equal(stack.eval(x), first(u).T)
         assert np.all(lookup(u)[:, -50:] == 0.0)
 
-    def test_s1_eval_keeps_its_slopes(self, rng):
-        # an s = 1 net makes its table's knot slopes once, beside the
-        # table, and hands both to the stack of each eval; its values are
-        # a fresh stack's, bit for bit, and the net keeps no stack
+    def test_s1_eval_keeps_its_slopes(self, rng, monkeypatch):
+        # an s = 1 net lays out its table and the table's knot slopes
+        # once, and every eval looks up those same arrays; its values are
+        # a fresh net's, bit for bit, and the net keeps no lookup
         grid = li.GridSpec(1, 9, box=np.array([[-0.5, 1.5]]))
-        net = li.InterpolantNet(grid, rng.standard_normal(10))
+        coeffs = rng.standard_normal(10)
+        net = li.InterpolantNet(grid, coeffs)
         x = stack_points(rng, grid)
-        fresh = li.TableStack(net, net.coeffs[None, None])
+        fresh = li.InterpolantNet(grid, coeffs)
         want = fresh(np.ascontiguousarray(grid.to_grid(x).T))[0]
         np.testing.assert_array_equal(net.eval(x)[:, 0], want)
-        slopes = net.slopes
-        np.testing.assert_array_equal(slopes[0], li.knot_slopes(net.table))
-        np.testing.assert_array_equal(net.eval(x)[:, 0], want)
-        assert net.slopes is slopes
-        assert not any(isinstance(v, li.TableStack) for v in vars(net).values())
+        values, slopes = net.values, net.slopes
+        np.testing.assert_array_equal(slopes[0], li.knot_slopes(np.pad(coeffs, 1)))
+        read = []
+        init = li.KnotLookup.__init__
+
+        def recording_init(lookup, grid, values, slopes, starts):
+            read.append((values, slopes))
+            init(lookup, grid, values, slopes, starts)
+
+        monkeypatch.setattr(li.KnotLookup, "__init__", recording_init)
+        for _ in range(2):
+            np.testing.assert_array_equal(net.eval(x)[:, 0], want)
+        assert len(read) == 2 and all(v is values and d is slopes for v, d in read)
+        assert net.values is values and net.slopes is slopes
+        lookups = (li.KnotLookup, li.CornerLookup, li.InterpolantNet)
+        assert not any(isinstance(v, lookups) for v in vars(net).values())
 
     def test_contracted_rows(self, rng):
         # s = 1: row r's table is sum_e w[r, e] * entry e, with its slopes
         grid = li.GridSpec(1, 7)
-        nets = [li.InterpolantNet(grid, rng.standard_normal(8)) for _ in range(3)]
-        stack = li.TableStack(nets[0], np.array([[n.coeffs for n in nets]]))
+        coeffs = rng.standard_normal((3, 8))
+        stack = li.InterpolantNet(grid, coeffs[None])
         w = rng.standard_normal((5, 3))
-        rows = stack.contracted(w)
-        want = np.einsum("re,et->rt", w, [n.table for n in nets])
+        rows = stack.contracted(w, li.InterpolantNet(grid, np.zeros((5, 1, 8))))
+        want = np.einsum("re,et->rt", w, np.pad(coeffs, ((0, 0), (1, 1))))
         np.testing.assert_array_equal(rows.values, want.reshape(1, -1))
         np.testing.assert_array_equal(rows.slopes, li.knot_slopes(rows.values))
         # rewritten in place for other weights of as many rows
@@ -717,48 +724,52 @@ class TestTableStack:
         np.testing.assert_array_equal(rows.values, 2.0 * want.reshape(1, -1))
 
     def test_refuses_mixed_nets(self):
-        # stacks of one grid join only at one sawtooth depth and table count
+        # nets of one grid join only at one sawtooth depth and table count
         grid = li.GridSpec(2, 3)
         values = np.ones((2, 1, 16))
         mixed = [li.stable_stack(grid, values, 0.5, 0.5, sup)[0] for sup in (1.0, 1e6)]
-        assert len({stack.net.sawtooth_depth for stack in mixed}) == 2
+        assert len({stack.sawtooth_depth for stack in mixed}) == 2
         fewer = li.stable_stack(grid, values[:1], 0.5, 0.5, 1.0)[0]
         for stacks in (mixed, [mixed[0], fewer]):
             with pytest.raises(ValueError, match="one grid and sawtooth depth"):
-                li.TableStack.joined(stacks)
-        joined = li.TableStack.joined([mixed[0], mixed[0]])
+                li.InterpolantNet.joined(stacks)
+        joined = li.InterpolantNet.joined([mixed[0], mixed[0]])
         np.testing.assert_array_equal(joined.values, np.vstack([mixed[0].values] * 2))
 
 
 class TestGhostRing:
     """Every table sits in one ring of zero ghost nodes, written as the
-    stack is copied; sizes and depth read the coefficients alone."""
+    tables are laid out; sizes and depth read the coefficients alone."""
 
     @pytest.mark.parametrize("s,q", [(2, 5), (3, 3)])
     def test_stable_stack_ring(self, s, q, rng):
         grid = li.GridSpec(s, q, box=np.tile([-0.5, 1.5], (s, 1)))
         samples = rng.uniform(-1.0, 1.0, (3, 2, (q + 1) ** s))
         samples[1, 0, ::3] = 0.0
-        stack, sizes, depth = li.stable_stack(grid, samples, 2.0, 0.5, 1.0)
-        net = stack.net
-        assert net.table.shape == net.table_shape == (q + 3,) * s
+        net, sizes, depth = li.stable_stack(grid, samples, 2.0, 0.5, 1.0)
+        assert net.table_shape == (q + 3,) * s
+        assert net.values.shape == (2, 3 * (q + 3) ** s)
         coeffs = samples.reshape((3, 2) + (q + 1,) * s)
-        tables = stack.values.reshape((2, 3) + net.table_shape)
+        tables = net.values.reshape((2, 3) + net.table_shape)
         interior = (slice(None),) * 2 + (slice(1, -1),) * s
         np.testing.assert_array_equal(tables[interior], coeffs.swapaxes(0, 1))
         ring = np.ones(tables.shape, dtype=bool)
         ring[interior] = False
         assert np.all(tables[ring] == 0.0) and not np.any(np.signbit(tables[ring]))
-        np.testing.assert_array_equal(net.table, np.pad(net.coeffs, 1))
-        # eval reads the net's own padded table, made once, with no copy
+        np.testing.assert_array_equal(tables[0, 0], np.pad(coeffs[0, 0], 1))
+        np.testing.assert_array_equal(reference.coefficients(net), coeffs)
+        # eval reads the net's own tables, laid out once, with no copy
         x = rng.uniform(-1.0, 2.0, (40, s))
-        want = stack(np.ascontiguousarray(grid.to_grid(x).T))[0]
-        np.testing.assert_array_equal(net.eval(x)[:, 0], want)
-        net.table *= 2.0
-        np.testing.assert_array_equal(net.eval(x)[:, 0], 2.0 * want)
+        fresh = li.InterpolantNet(grid, coeffs, delta_inner=net.delta_inner)
+        want = fresh(np.ascontiguousarray(grid.to_grid(x).T))
+        np.testing.assert_array_equal(net.eval(x), want.T)
+        net.values *= 2.0
+        np.testing.assert_array_equal(net.eval(x), 2.0 * want.T)
         # the sizes and depth count the coefficients, not the ring
         np.testing.assert_array_equal(sizes, li.table_sizes(grid, coeffs, net.sawtooth_depth))
-        assert net.size() == per_axis_size(net) == sizes[0, 0]
+        assert net.size() == per_axis_size(net) == sizes.sum()
+        one = li.InterpolantNet(grid, coeffs[0, 0], delta_inner=net.delta_inner)
+        assert one.size() == per_axis_size(one) == sizes[0, 0]
         assert depth == net.depth() == li.template_counts(s, net.sawtooth_depth)[1]
 
     def test_joined_refuses_other_layouts(self, rng):
@@ -769,15 +780,15 @@ class TestGhostRing:
 
         base = stack(2, 4)
         for other in (stack(2, 5), stack(3, 4)):
-            assert other.net.sawtooth_depth == base.net.sawtooth_depth or other.net.s != 2
+            assert other.sawtooth_depth == base.sawtooth_depth or other.s != 2
             with pytest.raises(ValueError, match="one grid and sawtooth depth"):
-                li.TableStack.joined([base, other])
-        joined = li.TableStack.joined([base, stack(2, 4)])
+                li.InterpolantNet.joined([base, other])
+        joined = li.InterpolantNet.joined([base, stack(2, 4)])
         assert joined.values.shape == (2, 7**2)
-        # a stack that was looked up has let go of its coefficients
+        # a net that was looked up has let go of its coefficients
         base.lookup(1)
         with pytest.raises(ValueError, match="looked up"):
-            li.TableStack.joined([base, stack(2, 4)])
+            li.InterpolantNet.joined([base, stack(2, 4)])
 
 
 class TestStableStack:
@@ -788,16 +799,16 @@ class TestStableStack:
         stack, sizes, depth = li.stable_stack(grid, values, tol, lip, sup)
         n_tables, entries = values.shape[:2]
         assert sizes.shape == (n_tables, entries)
-        size = stack.net.table.size
+        size = math.prod(stack.table_shape)
         for i in range(n_tables):
             for e in range(entries):
                 sf = li.SampledFunction(grid, values[i, e], lip, sup)
                 net, rep = li.lip_stable_net(sf, tol)
                 assert (rep["size"], rep["depth"]) == (sizes[i, e], depth)
                 assert net.size() == per_axis_size(net) == sizes[i, e]
-                assert net.sawtooth_depth == stack.net.sawtooth_depth
+                assert net.sawtooth_depth == stack.sawtooth_depth
                 table = stack.values[e, i * size : (i + 1) * size]
-                np.testing.assert_array_equal(table, net.table.ravel())
+                np.testing.assert_array_equal(table, net.values.ravel())
         if grid.s == 1:
             np.testing.assert_array_equal(stack.slopes, li.knot_slopes(stack.values))
         return stack, sizes
@@ -824,7 +835,7 @@ class TestStableStack:
         # node i of each axis on these grids (q is a multiple of 4 on
         # [-0.5, 1.5]), and the count subtracts it
         assert grid.q % 4 == 0 or lo == 0.0
-        hat = li.template_counts(s, stack.net.sawtooth_depth)[0]
+        hat = li.template_counts(s, stack.sawtooth_depth)[0]
         full = (values != 0.0).sum(axis=2) * hat
         assert np.all(sizes[full > 0] < full[full > 0])
 
@@ -846,14 +857,14 @@ class TestStableStack:
 
 
 def per_axis_size(net):
-    """Reference size count of one net: its active nodes' hats less the
-    zero fused hat-layer biases, summed axis by axis over every node
-    index."""
-    mask = net.coeffs != 0.0
+    """Reference size count of the nets of ``net``'s tables: their active
+    nodes' hats less the zero fused hat-layer biases, summed axis by
+    axis over every node index."""
+    mask = reference.coefficients(net) != 0.0
     total = int(mask.sum()) * li.template_counts(net.s, net.sawtooth_depth)[0]
     i = np.arange(net.grid.q + 1)
     for j, (lo, hi) in enumerate(net.grid.box):
-        counts = mask.sum(axis=tuple(d for d in range(net.s) if d != j))
+        counts = mask.sum(axis=tuple(d for d in range(mask.ndim) if d != 2 + j))
         zeros = sum(k - i - lo / (net.grid.h * (hi - lo)) == 0.0 for k in (1, 0, -1))
         total -= int(zeros @ counts)
     return total

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from charflow import relu_net as rn
 
 
@@ -43,7 +44,7 @@ def naive_forward(net, x):
 
 class TestEval:
     def test_identity(self):
-        net = rn.identity_net(2)
+        net = reference.identity_net(2)
         np.testing.assert_array_equal(net.eval(np.array([1.0, -2.0])), [1.0, -2.0])
 
     def test_hat_form(self):
@@ -84,7 +85,7 @@ class TestEval:
         np.testing.assert_array_equal(net.eval(xs[4]), batch[4])
 
     def test_dim_mismatch(self):
-        net = rn.identity_net(2)
+        net = reference.identity_net(2)
         with pytest.raises(ValueError):
             net.eval(np.zeros(3))
 
@@ -92,7 +93,7 @@ class TestEval:
 class TestCompose:
     def test_identity_neutral(self, rng):
         net = random_net(rng, 2, 3, 3)
-        comp = rn.compose(rn.identity_net(3), net)
+        comp = rn.compose(reference.identity_net(3), net)
         xs = rng.normal(size=(100, 2))
         np.testing.assert_allclose(comp.eval(xs), net.eval(xs), atol=1e-12)
 
@@ -118,12 +119,12 @@ class TestCompose:
 
 class TestParallelSum:
     def test_parallel_identities(self):
-        net = rn.parallelize([rn.identity_net(1), rn.identity_net(1)])
+        net = rn.parallelize([reference.identity_net(1), reference.identity_net(1)])
         np.testing.assert_array_equal(net.eval(np.array([3.0])), [3.0, 3.0])
 
     def test_sum_with_negation_is_zero(self, rng):
         net = random_net(rng, 2, 2, 3)
-        zero = rn.sum_nets([net, scale_net(net, -1.0)])
+        zero = reference.sum_nets([net, scale_net(net, -1.0)])
         xs = rng.normal(size=(100, 2))
         assert np.abs(zero.eval(xs)).max() <= 1e-12
 
@@ -139,7 +140,7 @@ class TestParallelSum:
         shallow = random_net(rng, 2, 2, 2)
         deep = random_net(rng, 2, 1, 4)
         par = rn.parallelize([shallow, deep])
-        assert par.size() - (shallow.size() + deep.size()) == rn.passthrough_cost(shallow, 4)
+        assert par.size() - (shallow.size() + deep.size()) == reference.passthrough_cost(shallow, 4)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -148,7 +149,7 @@ class TestParallelSum:
 
 class TestRhoGate:
     def test_branch_values(self):
-        net = rn.rho_gate((0.0, 1.0), 2)
+        net = reference.rho_gate((0.0, 1.0), 2)
         np.testing.assert_allclose(net.eval(np.array([-1.0])), [0.0, 0.0], atol=0)
         np.testing.assert_allclose(net.eval(np.array([0.25])), [0.25, 0.0], atol=0)
         np.testing.assert_allclose(net.eval(np.array([0.9])), [0.5, 0.4], atol=1e-15)
@@ -160,7 +161,7 @@ class TestRhoGate:
     )
     @settings(max_examples=80, deadline=None)
     def test_gate_identities(self, t, tp, q):
-        net = rn.rho_gate((0.0, 1.0), q)
+        net = reference.rho_gate((0.0, 1.0), q)
         rho_t = net.eval(np.array([t]))
         rho_tp = net.eval(np.array([tp]))
         assert rho_t.sum() == pytest.approx(np.clip(t, 0, 1), abs=1e-12)
@@ -170,7 +171,7 @@ class TestRhoGate:
 
     def test_closed_form_matches_net(self, rng):
         q = 7
-        net = rn.rho_gate((0.3, 1.1), q)
+        net = reference.rho_gate((0.3, 1.1), q)
         ts = rng.uniform(-0.5, 2.0, 200)
         np.testing.assert_allclose(
             net.eval(ts[:, None]), rn.rho_values((0.3, 1.1), q, ts), atol=1e-14
@@ -180,21 +181,21 @@ class TestRhoGate:
 class TestLipLowerBound:
     def test_constant_net(self):
         net = rn.affine_net([[0.0]], [5.0])
-        assert rn.lip_lower_bound(net, [[0, 1]], 100, seed=1) == 0.0
+        assert reference.lip_lower_bound(net, [[0, 1]], 100, seed=1) == 0.0
 
     def test_affine_slope(self):
         net = rn.affine_net([[3.0]])
-        assert rn.lip_lower_bound(net, [[0, 1]], 10_000, seed=1) >= 2.99
+        assert reference.lip_lower_bound(net, [[0, 1]], 10_000, seed=1) >= 2.99
 
     def test_hat_slope(self):
         from charflow.lip_interp import hat1d
 
         net = hat1d(0.1, 5)
-        assert rn.lip_lower_bound(net, [[0, 1]], 10_000, seed=1) >= 9.9
+        assert reference.lip_lower_bound(net, [[0, 1]], 10_000, seed=1) >= 9.9
 
     def test_degenerate_box(self):
         with pytest.raises(ValueError):
-            rn.lip_lower_bound(rn.identity_net(1), [[1, 1]], 10, seed=0)
+            reference.lip_lower_bound(reference.identity_net(1), [[1, 1]], 10, seed=0)
 
 
 class TestLayerSize:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from charflow import budget, catalog, oracle
 from charflow import comp_calculus as cc
 from charflow import transport_core as tc
@@ -119,7 +120,7 @@ def assert_time_sets_match_single_calls(net, rng, n=12):
     prob, grid = net.problem, net.grid
     x = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
     y = rng.uniform(-1, 1, (n, prob.d_y))
-    junctions = grid.junctions()
+    junctions = reference.junctions(grid)
     times = np.stack(
         [
             rng.uniform(0.0, prob.T_hat, n),
@@ -146,9 +147,9 @@ def per_node_eval_parts(net, t, x, y):
             lambda pts: prob.f.f(np.full(len(pts), xi), pts), grid, prob.f.lip_x, prob.f.sup
         )
         f_net = tc.lip_interp.lip_stable_net(sf, tol)[0]
-        size = f_net.table.size
+        size = f_net.values.size
         np.testing.assert_array_equal(
-            net.sources.values[0, i * size : (i + 1) * size], f_net.table.ravel()
+            net.sources.values[0, i * size : (i + 1) * size], f_net.values.ravel()
         )
         f_nets.append(f_net)
     foot = net.back_net.eval(t, x, y)
@@ -337,18 +338,18 @@ def zero_field_problem():
 
 class TestMacroGrid:
     def test_unit_case(self):
-        g = tc.macro_grid(1.0, 1.0)
+        g = tc.MacroGrid(1.0, 1.0)
         assert g.interval_length == 0.5 and g.K == 2
 
     def test_fractional(self):
-        g = tc.macro_grid(2.0, 3.0)
+        g = tc.MacroGrid(2.0, 3.0)
         assert g.interval_length == pytest.approx(1 / 6) and g.K == 12
 
     def test_single_slab(self):
-        assert tc.macro_grid(0.5, 1.0).K == 1
+        assert tc.MacroGrid(0.5, 1.0).K == 1
 
     def test_slabs_cover_horizon(self):
-        g = tc.macro_grid(1.3, 2.0)
+        g = tc.MacroGrid(1.3, 2.0)
         assert g.K * g.slab_length == pytest.approx(1.3)
         assert g.slab_length <= g.interval_length + 1e-15
 
@@ -369,7 +370,7 @@ class TestSchedule:
     def test_eta_example(self):
         # the sweeps' half of eps = 0.2, telescoped over K = 2 slabs
         prob = constant_problem()
-        sched = budget.schedule(0.2, tc.macro_grid(1.0, 1.0), prob, budget.AFFINE)
+        sched = budget.schedule(0.2, tc.MacroGrid(1.0, 1.0), prob, budget.AFFINE)
         assert sched.K == 2
         assert sched.eta == pytest.approx((math.exp(0.5) - 1) * 0.1 * math.exp(-1))
 
@@ -382,7 +383,7 @@ class TestSchedule:
 
     def test_tau_and_q_example(self):
         prob = constant_problem()
-        sched = budget.schedule(0.2, tc.macro_grid(1.0, 1.0), prob, budget.AFFINE)
+        sched = budget.schedule(0.2, tc.MacroGrid(1.0, 1.0), prob, budget.AFFINE)
         assert sched.tau == pytest.approx(math.exp(-0.5) * sched.eta)
         # the quadrature term's share, 1/4 of eps, is half of tau
         _, share, param, solve, bound = term(budget.AFFINE_TERMS, "quadrature")
@@ -392,7 +393,7 @@ class TestSchedule:
 
     def test_schedule_certifies_internal_half(self):
         prob = cosine_problem()
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         sched = budget.schedule(0.1, grid, prob, budget.AFFINE)
         assert sched.eps_internal == 0.05
         assert sched.q >= 1 and sched.mu >= 1
@@ -400,7 +401,7 @@ class TestSchedule:
 
     def test_resource_refusal(self):
         prob = cosine_problem()
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         with pytest.raises(tc.ResourceCeiling) as exc:
             budget.schedule(1e-7, grid, prob, budget.AFFINE)
         assert exc.value.predicted_cost > 0
@@ -505,7 +506,7 @@ class TestPicardNumeric:
     def test_error_halves_per_sweep(self, rng):
         comp = catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0})
         conv = tc.AffineConvection(1, 1, [1.0], [comp])
-        grid = tc.macro_grid(1.0, conv.norm)
+        grid = tc.MacroGrid(1.0, conv.norm)
         interval = grid.slab(0)
         field = lambda t, x, y: conv.eval(t, x, y)
         n = 200
@@ -547,7 +548,7 @@ class TestSlabNet:
         comp = catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0})
         conv = tc.AffineConvection(1, 1, [1.0], [comp])
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
-        grid = tc.macro_grid(1.0, conv.norm)
+        grid = tc.MacroGrid(1.0, conv.norm)
         interval = grid.slab(0)
         tau = 0.01
         slab = build_slab_net(prob, interval, tau)
@@ -561,7 +562,7 @@ class TestSlabNet:
 
     def test_one_step_bound_formula(self):
         prob = cosine_problem(d_y=2)
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=0.02)
         # the one-step terms at the slab's q and delta: A |I| / q and
         # |omega|_1 |I| delta, a half of tau each
@@ -573,7 +574,7 @@ class TestSlabNet:
 
     def test_naive_reference_agreement(self, rng):
         prob = cosine_problem(d_y=2)
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=0.05, mu=3)
         t = np.concatenate([rng.uniform(*grid.slab(0), 4), edge_times(slab.interval, slab.q)])
         w = rng.uniform(0, 1, (len(t), 1))
@@ -633,7 +634,7 @@ class TestSlabNet:
     def test_contraction_of_sweeps(self, rng):
         # two sweeps from distinct quadrature-state seeds contract by >= 2
         prob = cosine_problem(d_y=1)
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=0.01)
         # in the slab's sweep units and cell-major (m, q, n) layout, as
         # the sweeps run
@@ -734,7 +735,7 @@ class TestFusedSweep:
     )
     def test_naive_reference_agreement(self, rng, make_problem, tau):
         prob = make_problem()
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
         assert slab._shared == prob.convection.time_independent()
         # one group, weighted after the lookup
@@ -792,16 +793,16 @@ class TestFusedSweep:
         # the ghost knots at -h and 1+h end the boundary hat ramps: states
         # past them get exactly np.interp's values, zero
         prob = cosine_problem(d_y=3)
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=0.05)
         interp = slab.interpolants
-        # the stack's net is that of component 0, subinterval 0, output 0
-        net = interp.groups[0][0].net
+        # entry 0 of the group's table 0: component 0, subinterval 0, output 0
+        net = interp.groups[0][0]
         h = net.grid.h
         lo, hi = net.grid.box[0]
         xu = np.array([-5.0, -2 * h, -h, -h * (1 - 1e-9), 1 + h * (1 - 1e-9), 1 + h, 1 + 3 * h, 7.0])
         knots = np.concatenate(([-h], np.arange(net.grid.q + 1) * h, [1 + h]))
-        ref = np.interp(xu, knots, np.concatenate(([0.0], net.coeffs, [0.0])))
+        ref = np.interp(xu, knots, np.concatenate(([0.0], reference.coefficients(net)[0, 0], [0.0])))
         got = net.eval(lo + xu[:, None] * (hi - lo))[:, 0]
         outside = (xu <= -h) | (xu >= 1 + h)
         np.testing.assert_array_equal(got[outside], ref[outside])
@@ -827,7 +828,7 @@ class TestFusedSweep:
         # entries from its own row's table and lerp base + (next - base) * frac,
         # with weights omega_j y_j * cell / spacing, in grid units
         prob = make_problem()
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=tau)
         interp = slab.interpolants
         ((stack, js, contract),) = interp.groups
@@ -886,7 +887,7 @@ class TestFusedSweep:
         slopes = tc.lip_interp.knot_slopes(values)
         starts = np.array([0, 7, 0, 7, 0, 7])
         lookup = tc.lip_interp.KnotLookup(grid, values, slopes, starts)
-        out = lookup(np.array([5.0, 4.0, 3.5, 9.0, 1e9, 5.0]))
+        out = lookup(np.array([[5.0, 4.0, 3.5, 9.0, 1e9, 5.0]]))
         np.testing.assert_array_equal(lookup.index, [6, 12, 4, 13, 6, 13])
         np.testing.assert_array_equal(out, [[0.0, -5.0, 4.5, 0.0, 0.0, 0.0]])
 
@@ -914,7 +915,7 @@ class TestFusedSweep:
         # a shared slab sweeps its constant seeds once per row; that equals
         # sweeping q copies of them, bit for bit
         prob = make_problem()
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(1), tau=tau, mu=3)
         assert slab._shared
         n = 9
@@ -951,7 +952,7 @@ class TestFusedSweep:
         # a shared slab's first sweep looks up one seed per row; a per-cell
         # slab's networks differ by cell, so it sweeps all q states
         prob = make_problem()
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=tau, mu=3)
         assert slab._shared == shared
         plan_of = slab._sweep_plan
@@ -1029,7 +1030,7 @@ class TestCausalTruncation:
         assert net.grid.K >= 2
         # 0, T_hat, the junctions, cell boundaries of every slab, and random
         edges = [edge_times(slab.interval, slab.q)[:5] for slab in net.slabs]
-        special = np.concatenate([[0.0, prob.T_hat], net.grid.junctions(), *edges])
+        special = np.concatenate([[0.0, prob.T_hat], reference.junctions(net.grid), *edges])
         t = np.concatenate([special, rng.uniform(0.0, prob.T_hat, 20)])
         n = len(t)
         x = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
@@ -1057,7 +1058,7 @@ class TestCausalTruncation:
     )
     def test_sweeps_stop_at_last_gated_cell(self, rng, make_problem, tau):
         prob = make_problem()
-        grid = tc.macro_grid(1.0, prob.convection.norm)
+        grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
         (lo, hi), q = slab.interval, slab.q
         n, step = 60, 7  # blocks of 7 rows, the last one partial
@@ -1164,7 +1165,7 @@ class TestBuildOnce:
         # the columns of that average are the tables of the m nets, each
         # in its ring of zero ghost nodes
         ((stack, js, _),) = interp.groups
-        size = stack.net.table.size
+        size = math.prod(stack.table_shape)
         for j, comp in enumerate(conv.components):
             for i, sub in enumerate(net.slabs[0].subintervals):
                 avg = comp.slab_average(sub)
@@ -1185,7 +1186,7 @@ class TestBuildOnce:
         counted = tc.TransportProblem(prob.convection, prob.T_hat, prob.domain, prob.u0, f)
         net = tc.build_solution_net(counted, 0.1)
         # every source time at every node of the source grid, in one call
-        assert calls == [net.q_src * (net.sources.net.grid.q + 1)]
+        assert calls == [net.q_src * (net.sources.grid.q + 1)]
 
     def test_size_once_per_net(self, monkeypatch):
         builds, counts, sized = [], [], []
@@ -1226,9 +1227,7 @@ class TestBuildOnce:
 class TestRhoGateSize:
     @pytest.mark.parametrize("interval,q", [((0.0, 0.5), 7), ((0.3, 1.1), 12), ((0.0, 1.0), 1)])
     def test_analytic_count_matches_built_net(self, interval, q):
-        from charflow.relu_net import rho_gate
-
-        assert tc._rho_gate_size(interval, q) == rho_gate(interval, q).size()
+        assert tc._rho_gate_size(interval, q) == reference.rho_gate(interval, q).size()
 
 
 class TestCharNetwork:
@@ -1536,7 +1535,7 @@ class TestGeneralConvection:
         # states of a row, so 200 rows take one block: mu * q evaluations
         conv = self.make_general(L_t=0.5)
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
-        grid = tc.macro_grid(1.0, conv.norm)
+        grid = tc.MacroGrid(1.0, conv.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=0.05, mu=2)
         assert not slab._shared and len(slab._nets) == slab.q
         calls = []
@@ -1577,7 +1576,7 @@ class TestGridSizing:
         prob = config_problem("solution_affine")
         net = tc.build_solution_net(prob, 0.1)
         e = net.report["eps_tilde"]
-        for grid, datum, q in [(net.u0_net.grid, prob.u0, 448), (net.sources.net.grid, prob.f, 112)]:
+        for grid, datum, q in [(net.u0_net.grid, prob.u0, 448), (net.sources.grid, prob.f, 112)]:
             want = tc.lip_interp.GridSpec.for_tolerance(prob.eval_box, datum.lip_x, e)
             assert grid.q == want.q == q
 
@@ -1705,7 +1704,7 @@ class TestSolutionNetwork:
         eps = cfg["eps_ladder"][0]
         net = tc.build_solution_net(prob, eps)
         back = net.back_net.slabs[0].interpolants
-        assert net.u0_net.s == net.sources.net.s == back.grid.s == 2
+        assert net.u0_net.s == net.sources.s == back.grid.s == 2
         t, x, y = prob.sample_inputs(cfg["n_samples"], cfg["seed"])
         ref = oracle.solution_oracle(prob, t, x, y, oracle.OdeConfig(steps=32, tol=eps / 100))
         assert np.abs(net.eval(t, x, y) - ref).max() <= eps
