@@ -667,10 +667,9 @@ class InterpolantNet:
     output layers (assembled in the tests as a cross-check), but stored
     as its coefficients and evaluated from the closed form of the <= 2^s
     hats active at each point.  ``coeffs`` (L, E) + (q + 1,) * s are the
-    coefficients of L tables on ``grid``, each node holding E values (or
-    several such arrays, whose entries are stacked in turn, as
-    :meth:`joined` makes); one net is the case L = E = 1, and its
-    (q + 1)^s coefficients may come in any shape.  ``sawtooth_depth`` is
+    coefficients of L tables on ``grid``, each node holding E values;
+    one net is the case L = E = 1, and its (q + 1)^s coefficients may
+    come in any shape.  ``sawtooth_depth`` is
     the depth n of the hats' product network (None for s = 1), set by
     ``delta_inner``, which s >= 2 needs.
 
@@ -682,21 +681,21 @@ class InterpolantNet:
     :func:`knot_slopes` along the last axis; for s >= 2 they put every
     cell corner of a point in the ring on a node.  ``values`` is written
     when first read, the ring in the same copy: a net that is never
-    looked up, such as one that is only :meth:`joined` to others, is
-    never copied.  Until then the net holds ``coeffs`` themselves, not a
-    copy.  A lookup gives point r's hat sums (E,) in table ``which[r]``:
+    looked up is never copied.  Until then the net holds ``coeffs``
+    themselves, not a copy.  A lookup gives point r's hat sums (E,) in table ``which[r]``:
     a :class:`KnotLookup` for s = 1, a :class:`CornerLookup` for s >= 2.
     ``size()`` and ``depth()`` report the exact monolithic counts
     through :func:`template_counts`; nothing here builds a network.
     """
 
-    def __init__(self, grid, *coeffs, delta_inner=None):
+    def __init__(self, grid, coeffs, delta_inner=None):
         self.grid = grid
         self.s = grid.s
-        one = (1, 1) + (grid.q + 1,) * grid.s
-        parts = [np.asarray(part, dtype=float) for part in coeffs]
-        self._parts = [p if p.ndim == grid.s + 2 else p.reshape(one) for p in parts]
-        self.n_tables = len(self._parts[0])
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != grid.s + 2:
+            coeffs = coeffs.reshape((1, 1) + (grid.q + 1,) * grid.s)
+        self._coeffs = coeffs
+        self.n_tables = len(coeffs)
         self.delta_inner = delta_inner
         self.sawtooth_depth = None
         self.table_shape = (grid.q + 3,) * grid.s
@@ -707,37 +706,17 @@ class InterpolantNet:
 
     @functools.cached_property
     def values(self):
-        # the coefficients of every part, in one copy, into their rings
-        parts, self._parts = self._parts, None
-        entries = sum(part.shape[1] for part in parts)
+        # the coefficients, in one copy, into their rings
+        coeffs, self._coeffs = self._coeffs, None
+        entries = coeffs.shape[1]
         values = np.zeros((entries, self.n_tables) + self.table_shape)
-        ring = (slice(1, -1),) * self.s
-        lo = 0
-        for part in parts:
-            hi = lo + part.shape[1]
-            values[(slice(lo, hi), slice(None)) + ring] = part.swapaxes(0, 1)
-            lo = hi
+        values[(slice(None),) * 2 + (slice(1, -1),) * self.s] = coeffs.swapaxes(0, 1)
         return values.reshape(entries, -1)
 
     @functools.cached_property
     def slopes(self):
         """The s = 1 values' :func:`knot_slopes`."""
         return knot_slopes(self.values)
-
-    @classmethod
-    def joined(cls, nets):
-        """One net of the entries of ``nets`` in turn, E_0 + E_1 + ... per
-        node: nets of as many tables of one grid and sawtooth depth, none
-        of them looked up yet."""
-        layouts = {(net.n_tables, net.table_shape, net.sawtooth_depth) for net in nets}
-        if len(layouts) > 1:
-            raise ValueError("stacked nets need one grid and sawtooth depth")
-        if len(nets) == 1:
-            return nets[0]
-        if any(net._parts is None for net in nets):
-            raise ValueError("a net that was looked up is no longer joined")
-        parts = [part for net in nets for part in net._parts]
-        return cls(nets[0].grid, *parts, delta_inner=nets[0].delta_inner)
 
     def lookup(self, p, which=None):
         """The lookup of at most p points, a reusable callable.

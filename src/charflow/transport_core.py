@@ -14,8 +14,9 @@ which a build solves for its parameters and keeps in ``report["ledger"]``.
 Built networks are composite evaluators in the generous sense: exact
 multilinear gates (counted 1 each in the dependency-count complexity)
 coupling ReLU subnetworks.  Evaluation computes the same function as
-the literal layered assembly: the interpolants of a slab share one grid
-and are summed in one fused sweep, which agrees with per-interpolant
+the literal layered assembly: the interpolants of an affine slab are one
+set of tables on one grid, built by one :func:`lip_interp.stable_stack`
+call and summed in one fused sweep, which agrees with per-interpolant
 evaluation up to float rounding; tests cross-check it against a naive
 per-sample reference.
 """
@@ -471,7 +472,7 @@ class SlabNet:
     the spatial networks and supply ``chain(conv, intervals, sched,
     eval_box)``, which builds the slabs on consecutive intervals,
     ``_states(w)``, the states of seeds ``w`` (n, m),
-    ``_sweep_plan(y, work=None)``, the sweep of one row block with
+    ``_sweep_plan(y, work)``, the sweep of one row block with
     parameters y: a function from states Z (m, p, n), the states of the
     first p <= q quadrature cells or p = 1 seed per row, to the
     increments at them, (m, p, n) with a contiguous last axis, which may
@@ -498,7 +499,7 @@ class SlabNet:
     def _states(self, w):
         return w
 
-    def _forward(self, u, y, p, work=None):
+    def _forward(self, u, y, p, work):
         """Run mu sweeps over the first p cells from seed states ``u`` (n, m).
 
         Returns the increments V (m, p, n) at the quadrature states of
@@ -514,8 +515,7 @@ class SlabNet:
         ``work`` (:class:`SweepWork`), which the blocks of one
         evaluation share; V and S are views of them.
         """
-        work = SweepWork() if work is None else work
-        sweep = self._sweep_plan(y, work=work)
+        sweep = self._sweep_plan(y, work)
         n, m = u.shape
         seeds = np.ascontiguousarray(u.T)[:, None, :]
         Z, S = (work.prefix(key, n, m * self.q * n, (m, p, n)) for key in "ZS")
@@ -603,153 +603,44 @@ class SlabNet:
         )
 
 
-class SlabInterpolants:
-    """Interpolant networks of one affine slab, stacked for a fused sweep.
-
-    Each component's nets, output c of its average over subinterval i
-    for every i and c, are built in one :func:`lip_interp.stable_stack`
-    call from one average per subinterval on the grid nodes.  All share
-    one grid on the evaluation box, whose units the sweep states keep,
-    so one sweep visits the active hats once for every interpolant.
-    Components of one sawtooth depth, which is all a lookup reads of a
-    net besides the grid, form a group ``(stack, js, contract)`` of the
-    k components ``js``: ``stack`` is a :class:`lip_interp.InterpolantNet`
-    of one table per subinterval, whose entry j * m + c holds output c
-    of component ``js[j]``.  An m = 1 group with one table is contracted
-    with the row weights before the lookup (``contract``) when a row's
-    table is smaller than the entries its q states gather.  Every table
-    sits in a ring of zero ghost nodes, so an m >= 2 group's lookup is
-    one :class:`lip_interp.CornerLookup` over the states' cell corners,
-    with no mask.  ``size`` and
-    ``depth`` are the nets' summed size and largest depth.  :meth:`plan`
-    makes the sweep of one row block.
-    """
-
-    def __init__(self, conv, subintervals, eval_box, delta, q):
-        self.q = q
-        self.per_cell = len(subintervals) > 1
-        self.grid = lip_interp.GridSpec.for_tolerance(eval_box, conv.Lam, delta)
-        nodes = self.grid.nodes()
-        self.size = self.depth = 0
-        by_depth = {}
-        for j, comp in enumerate(conv.components):
-            # the component's tables (subinterval, output, node): one
-            # average on the nodes gives all m output columns
-            avgs = np.empty((len(subintervals), conv.m, len(nodes)))
-            for avg, sub in zip(avgs, subintervals):
-                avg[...] = comp.slab_average(sub)(nodes).T
-            stack, sizes, depth = lip_interp.stable_stack(
-                self.grid, avgs, delta, comp.lip_x, comp.sup
-            )
-            self.size += int(sizes.sum())
-            self.depth = max(self.depth, depth)
-            by_depth.setdefault(stack.sawtooth_depth, []).append((j, stack))
-        m, L = conv.m, len(subintervals)
-        self.groups = []
-        self.point_width = float(m)
-        for members in by_depth.values():
-            js = [j for j, _ in members]
-            stack = lip_interp.InterpolantNet.joined([part for _, part in members])
-            size = math.prod(stack.table_shape)
-            contract = m == 1 and L == 1 and size < 2 * q
-            self.groups.append((stack, js, contract))
-            # a contracted group's per-row table counts per state too
-            entries = m if contract else m * len(js)
-            self.point_width = max(
-                self.point_width, stack.point_floats(entries), size / q if contract else 0
-            )
-
-    def plan(self, weights, cell, work=None):
-        """The sweep of one row block: states Z (m, p, n) -> V (m, p, n).
-
-        Z holds the states of the first p <= q quadrature cells of each
-        of the n rows, or p = 1 seed per row if the interpolants are
-        shared by all cells, in grid units
-        (:meth:`lip_interp.GridSpec.to_grid`), cell-major as
-        :class:`SlabNet` keeps them.  V[:, i, r] = sum_j weights[r, j] *
-        N_{j,i}(Z[:, i, r]) * cell / spacing for row weights ``weights``
-        (n, d_y): the increments of cells of length ``cell`` in grid
-        units.  What does not depend on the states is made here, once
-        per row block: the weights with the cell length folded in and a
-        contracted group's per-row tables.  Each group's lookup, made for
-        all q cells with the table each state reads, and its weighted
-        sums are kept in ``work`` (:class:`SweepWork`, made here if None)
-        per row count, so the blocks of one evaluation reuse them and
-        each sweep is one pass; V is a view of one buffer, rewritten by
-        every call.
-
-        A sweep reads the states as the points (m, p * n) of the
-        lookups, with no copy, so that every array of a lookup runs
-        along the states.  A contracted group's lookup reads each state's
-        row table and gives the increments.  Any other group's lookup
-        gives the k * m values (k, m, p, n) of its k components'
-        interpolants, read from the state's cell's table if the tables
-        are per cell; one einsum multiplies them by the row weights
-        (k, m, n) and sums over j in the order of j, for all output axes
-        at once.  The groups' sums are V, already in state order.
-        """
-        work = SweepWork() if work is None else work
-        n, m, q = len(weights), self.grid.s, self.q
-        steps = []
-        for g, (stack, js, contract) in enumerate(self.groups):
-            w = weights[:, None, js] * (cell / self.grid.spacing)[:, None]
-            if contract:
-                rows, lookup = work.keep(g, n, lambda: self._row_lookup(stack, n))
-                stack.contracted(w[:, 0], out=rows)
-                steps.append((g, lookup, None))
-            else:
-                lookup = work.keep(g, n, lambda: self._state_lookup(stack, n))
-                steps.append((g, lookup, np.ascontiguousarray(w.transpose(2, 1, 0))))
-
-        def sweep(Z):
-            p = Z.shape[1]
-            u = Z.reshape(m, p * n)
-            V = None
-            for g, lookup, w in steps:
-                vals = lookup(u)
-                if w is None:
-                    vals = vals.reshape(m, p, n)
-                else:
-                    out = work.prefix(("V", g), n, m * q * n, (m, p, n))
-                    vals = np.einsum("kapn,kan->apn", vals.reshape(-1, m, p, n), w, out=out)
-                V = vals if V is None else V + vals
-            return V
-
-        return sweep
-
-    def _row_lookup(self, stack, n):
-        """A contracted group's net of n row tables, which
-        :meth:`lip_interp.InterpolantNet.contracted` rewrites for each
-        block, and its lookup for the q states of each row, cell-major:
-        state i * n + r reads row r's table."""
-        rows = lip_interp.InterpolantNet(stack.grid, np.zeros((n, 1, stack.grid.q + 1)))
-        return rows, rows.lookup(self.q * n, np.tile(np.arange(n), self.q))
-
-    def _state_lookup(self, stack, n):
-        """A group's lookup for the q states of n rows, cell-major: state
-        i * n + r reads cell i's table if the tables are per cell."""
-        which = np.repeat(np.arange(self.q), n) if self.per_cell else None
-        return stack.lookup(self.q * n, which)
-
-
 class AffineSlabNet(SlabNet):
     """One-slab network for an affine field.
 
     The spatial networks are interpolants of the slab-averaged
     components, coupled by the exact trilinear gate
-    x + sum_i rho_i(t) sum_j y_j omega_j N_{j,i}(z_i),
-    with the slab's :class:`SlabInterpolants` as the networks N.
+    x + sum_i rho_i(t) sum_j y_j omega_j N_{j,i}(z_i).
+    ``tables`` are what :func:`lip_interp.stable_stack` gives for all of
+    them, built once by :meth:`chain`: ``net``, a
+    :class:`lip_interp.InterpolantNet` of one table per subinterval
+    whose entry j * m + c holds output c of component j, its exact sizes
+    and its depth.  They share one grid on the evaluation box (``grid``),
+    whose units the sweep states keep, and one sawtooth depth, so one
+    sweep visits the active hats once for every interpolant.  An m = 1
+    net with one table is contracted with the row weights before the
+    lookup (``contract``) when a row's table is smaller than the entries
+    its q states gather.  Every table sits in a ring of zero ghost
+    nodes, so an m >= 2 lookup is one :class:`lip_interp.CornerLookup`
+    over the states' cell corners, with no mask.
     """
 
     budget = AFFINE
 
-    def __init__(self, conv, interval, sched, interpolants):
+    def __init__(self, conv, interval, sched, tables):
         super().__init__(conv, interval, sched)
-        self.interpolants = interpolants
+        self.net, sizes, self.net_depth = tables
+        self.net_size = int(sizes.sum())
+        self.grid = self.net.grid
         # sweeps run in the interpolation grid's units
-        self.unit = interpolants.grid.spacing
-        # one fused evaluation covers all q states of a row
-        self.row_floats = self.q * interpolants.point_width
+        self.unit = self.grid.spacing
+        m, size = conv.m, math.prod(self.net.table_shape)
+        self.contract = m == 1 and self.net.n_tables == 1 and size < 2 * self.q
+        # one fused evaluation covers all q states of a row; a contracted
+        # net's per-row table counts per state too
+        entries = m if self.contract else m * conv.d_y
+        point_width = max(
+            float(m), self.net.point_floats(entries), size / self.q if self.contract else 0
+        )
+        self.row_floats = self.q * point_width
 
     def block_rows(self):
         # and at least MIN_STATES quadrature states per block
@@ -759,32 +650,89 @@ class AffineSlabNet(SlabNet):
     def chain(cls, conv, intervals, sched, eval_box):
         """Slabs on ``intervals``.
 
-        A time-independent component is its own slab average, so all
-        slabs of such a field share one set of interpolants.
+        A slab's tables are one :func:`lip_interp.stable_stack` call, on
+        one average of each component per subinterval, sampled on the
+        grid nodes for all m outputs at once.  A time-independent
+        component is its own slab average, so all slabs of such a field
+        share one set of tables.
         """
-        box = np.asarray(eval_box, dtype=float)
+        grid = lip_interp.GridSpec.for_tolerance(
+            np.asarray(eval_box, dtype=float), conv.Lam, sched.delta
+        )
+        nodes = grid.nodes()
+        m, d_y = conv.m, conv.d_y
 
-        def interpolants(interval):
+        def tables(interval):
             subs = _subintervals(conv, interval, sched.q)
-            return SlabInterpolants(conv, subs, box, sched.delta, sched.q)
+            avgs = np.empty((len(subs), d_y * m, len(nodes)))
+            per_comp = avgs.reshape(len(subs), d_y, m, len(nodes))
+            for j, comp in enumerate(conv.components):
+                for i, sub in enumerate(subs):
+                    per_comp[i, j] = comp.slab_average(sub)(nodes).T
+            return lip_interp.stable_stack(grid, avgs, sched.delta, conv.Lam, conv.A_circ)
 
         if conv.time_independent():
-            shared = interpolants(intervals[0])
+            shared = tables(intervals[0])
             return [cls(conv, iv, sched, shared) for iv in intervals]
-        return [cls(conv, iv, sched, interpolants(iv)) for iv in intervals]
+        return [cls(conv, iv, sched, tables(iv)) for iv in intervals]
 
     def _states(self, w):
-        return self.interpolants.grid.to_grid(w)
+        return self.grid.to_grid(w)
 
-    def _sweep_plan(self, y, work=None):
-        return self.interpolants.plan(self.conv.omega * y, self.cell, work)
+    def _sweep_plan(self, y, work):
+        """The sweep of one row block: states Z (m, p, n) -> V (m, p, n).
+
+        Z holds the states of the first p <= q quadrature cells of each
+        of the n rows, or p = 1 seed per row if the tables are shared by
+        all cells, in grid units, cell-major as :class:`SlabNet` keeps
+        them.  V[:, i, r] = sum_j omega_j y[r, j] N_{j,i}(Z[:, i, r]) *
+        cell / spacing: the increments in grid units.  The weights, with
+        the cell length folded in, and a contracted slab's per-row tables
+        are made here, once per row block.  The lookup, made for all q
+        cells, and V's buffer are kept in ``work`` (:class:`SweepWork`)
+        per row count, so the blocks of one evaluation reuse them and a
+        sweep is one pass; V is rewritten by every call.
+
+        A sweep reads the states as the points (m, p * n) of the lookup,
+        with no copy.  A contracted lookup reads each state's row table
+        and gives the increments.  Otherwise the lookup gives the d_y * m
+        values (d_y, m, p, n), read from the state's cell's table if the
+        tables are per cell, and one einsum multiplies them by the row
+        weights (d_y, m, n) and sums over j in the order of j.
+        """
+        n, m, q = len(y), self.grid.s, self.q
+        w = (self.conv.omega * y)[:, None] * (self.cell / self.grid.spacing)[:, None]
+        if self.contract:
+            # state i * n + r reads row r's table
+            def row_lookup():
+                rows = lip_interp.InterpolantNet(self.grid, np.zeros((n, 1, self.grid.q + 1)))
+                return rows, rows.lookup(q * n, np.tile(np.arange(n), q))
+
+            rows, lookup = work.keep("lookup", n, row_lookup)
+            self.net.contracted(w[:, 0], out=rows)
+            return lambda Z: lookup(Z.reshape(m, -1)).reshape(Z.shape)
+        # state i * n + r reads cell i's table if the tables are per cell
+        lookup = work.keep(
+            "lookup",
+            n,
+            lambda: self.net.lookup(q * n, None if self._shared else np.repeat(np.arange(q), n)),
+        )
+        w = np.ascontiguousarray(w.transpose(2, 1, 0))
+
+        def sweep(Z):
+            p = Z.shape[1]
+            vals = lookup(Z.reshape(m, p * n)).reshape(-1, m, p, n)
+            out = work.prefix("V", n, m * q * n, (m, p, n))
+            return np.einsum("kapn,kan->apn", vals, w, out=out)
+
+        return sweep
 
     def interpolant_size(self):
         # a shared set of interpolants stands for q identical copies
-        return (self.q if self._shared else 1) * self.interpolants.size
+        return (self.q if self._shared else 1) * self.net_size
 
     def depth(self):
-        return self.mu * (self.interpolants.depth + 1) + 2
+        return self.mu * (self.net_depth + 1) + 2
 
 
 class GeneralSlabNet(SlabNet):
@@ -823,7 +771,7 @@ class GeneralSlabNet(SlabNet):
         charge = next(bound for name, *_, bound in cls.budget.terms if name == "implant")
         return [cls(conv, iv, sched, charge(sched, conv)) for iv in intervals]
 
-    def _sweep_plan(self, y, work=None):
+    def _sweep_plan(self, y, work):
         # sweeps run in x; the increments carry the cell length.  An
         # implanted net takes its points as rows (points, m + d_y) and
         # gives rows (points, m), so the states enter and the increments

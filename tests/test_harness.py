@@ -112,7 +112,7 @@ class TestConvergence:
         def no_tables(*args):
             raise AssertionError("interpolant tables built")
 
-        monkeypatch.setattr(tc, "SlabInterpolants", no_tables)
+        monkeypatch.setattr(tc.lip_interp, "stable_stack", no_tables)
         report = harness._build_and_certify(problem, 0.002, cfg)
         assert report.status == "SKIP"
         assert report.predicted == 9721**2

@@ -723,19 +723,6 @@ class TestTableStack:
         assert again is rows
         np.testing.assert_array_equal(rows.values, 2.0 * want.reshape(1, -1))
 
-    def test_refuses_mixed_nets(self):
-        # nets of one grid join only at one sawtooth depth and table count
-        grid = li.GridSpec(2, 3)
-        values = np.ones((2, 1, 16))
-        mixed = [li.stable_stack(grid, values, 0.5, 0.5, sup)[0] for sup in (1.0, 1e6)]
-        assert len({stack.sawtooth_depth for stack in mixed}) == 2
-        fewer = li.stable_stack(grid, values[:1], 0.5, 0.5, 1.0)[0]
-        for stacks in (mixed, [mixed[0], fewer]):
-            with pytest.raises(ValueError, match="one grid and sawtooth depth"):
-                li.InterpolantNet.joined(stacks)
-        joined = li.InterpolantNet.joined([mixed[0], mixed[0]])
-        np.testing.assert_array_equal(joined.values, np.vstack([mixed[0].values] * 2))
-
 
 class TestGhostRing:
     """Every table sits in one ring of zero ghost nodes, written as the
@@ -771,24 +758,6 @@ class TestGhostRing:
         one = li.InterpolantNet(grid, coeffs[0, 0], delta_inner=net.delta_inner)
         assert one.size() == per_axis_size(one) == sizes[0, 0]
         assert depth == net.depth() == li.template_counts(s, net.sawtooth_depth)[1]
-
-    def test_joined_refuses_other_layouts(self, rng):
-        # one sawtooth depth, but another grid or dimension
-        def stack(s, q):
-            values = rng.uniform(-1.0, 1.0, (1, 1, (q + 1) ** s))
-            return li.stable_stack(li.GridSpec(s, q), values, 2.0, 0.5, 1.0)[0]
-
-        base = stack(2, 4)
-        for other in (stack(2, 5), stack(3, 4)):
-            assert other.sawtooth_depth == base.sawtooth_depth or other.s != 2
-            with pytest.raises(ValueError, match="one grid and sawtooth depth"):
-                li.InterpolantNet.joined([base, other])
-        joined = li.InterpolantNet.joined([base, stack(2, 4)])
-        assert joined.values.shape == (2, 7**2)
-        # a net that was looked up has let go of its coefficients
-        base.lookup(1)
-        with pytest.raises(ValueError, match="looked up"):
-            li.InterpolantNet.joined([base, stack(2, 4)])
 
 
 class TestStableStack:

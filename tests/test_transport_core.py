@@ -38,6 +38,19 @@ def cosine_problem_m2(u0_spec=None, f_spec=None):
     return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]], u0=u0, f=f)
 
 
+def mixed_sup_problem_m2():
+    """m = 2 cosine components of amplitudes 1 and 4, whose sups alone
+    would pick different sawtooth depths."""
+    comps = [
+        catalog.make_component(
+            {"kind": "cosine", "amp": amp, "freq": 0.2, "phase": 0.7 * j}, m=2
+        )
+        for j, amp in enumerate((1.0, 4.0))
+    ]
+    conv = tc.AffineConvection(2, 2, [0.5, 0.125], comps)
+    return tc.TransportProblem(conv, 1.0, [[0.0, 1.0], [0.0, 1.0]])
+
+
 def cosine_problem_m3():
     """m = 3: eight cell corners, and an odd last factor that the product
     tree passes through a level."""
@@ -268,8 +281,10 @@ def full_sweep_eval(net, t, x, y):
 def slab_nets(slab):
     """Reference: a slab's interpolants built one net at a time, nets[j][i][c]
     for output c of component j averaged over subinterval i, each from
-    its own column of the average sampled on the slab's grid."""
-    grid = slab.interpolants.grid
+    its own column of the average sampled on the slab's grid.  Each is
+    built at the slab's one sawtooth depth, that of its largest
+    component sup."""
+    grid, sup = slab.grid, slab.conv.A_circ
     nets = []
     for comp in slab.conv.components:
         per_i = []
@@ -278,7 +293,7 @@ def slab_nets(slab):
             per_c = []
             for c in range(slab.conv.m):
                 sf = tc.lip_interp.SampledFunction.from_function(
-                    lambda pts: avg(pts)[:, c], grid, comp.lip_x, comp.sup
+                    lambda pts: avg(pts)[:, c], grid, comp.lip_x, sup
                 )
                 per_c.append(tc.lip_interp.lip_stable_net(sf, slab.delta)[0])
             per_i.append(per_c)
@@ -646,7 +661,7 @@ class TestSlabNet:
             for _ in range(2)
         )
 
-        plan = slab._sweep_plan(y)
+        plan = slab._sweep_plan(y, tc.SweepWork())
 
         def sweep(Z):
             V = plan(Z)
@@ -697,7 +712,7 @@ class TestRunningSums:
         slab = build_slab_net(prob, (0.0, 0.5), tau=0.05)
         assert slab._shared
         u = slab._states(rng.uniform(0, 1, (n, 1)))
-        plan = slab._sweep_plan(rng.uniform(-1, 1, (n, prob.d_y)))
+        plan = slab._sweep_plan(rng.uniform(-1, 1, (n, prob.d_y)), tc.SweepWork())
         V = np.broadcast_to(plan(u.T[:, None, :]), (1, slab.q, n))
         assert V.strides[1] == 0
         assert_bits_equal(tc.running_sums(V, np.empty(V.shape)), np.cumsum(V, axis=1))
@@ -712,7 +727,8 @@ class TestRunningSums:
         slab = build_slab_net(prob, (0.0, 0.25), tau=tau, mu=2)
         n = 7
         w = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
-        V, S = slab._forward(slab._states(w), rng.uniform(-1, 1, (n, prob.d_y)), slab.q)
+        y = rng.uniform(-1, 1, (n, prob.d_y))
+        V, S = slab._forward(slab._states(w), y, slab.q, tc.SweepWork())
         assert V.shape == (prob.m, slab.q, n)
         assert_bits_equal(S, np.cumsum(V, axis=1))
 
@@ -730,18 +746,18 @@ class TestFusedSweep:
             (constant_problem_m2, 0.2),
             (cosine_problem_m3, 0.2),
             (time_dependent_problem_m2, 0.2),
+            (mixed_sup_problem_m2, 0.2),
         ],
-        ids=["s2_shared", "s1_per_cell", "s2_one_cell", "s3_shared", "s2_per_cell"],
+        ids=["s2_shared", "s1_per_cell", "s2_one_cell", "s3_shared", "s2_per_cell", "s2_mixed_sups"],
     )
     def test_naive_reference_agreement(self, rng, make_problem, tau):
         prob = make_problem()
         grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(1), tau=tau, mu=2)
         assert slab._shared == prob.convection.time_independent()
-        # one group, weighted after the lookup
-        ((stack, js, contract),) = slab.interpolants.groups
-        assert not contract and js == list(range(prob.d_y))
-        assert stack.values.shape[0] == prob.d_y * prob.m
+        # one table set of every component's outputs, weighted after the lookup
+        assert not slab.contract
+        assert slab.net.values.shape[0] == prob.d_y * prob.m
         t = np.concatenate([rng.uniform(*grid.slab(1), 3), edge_times(slab.interval, slab.q)])
         n = len(t)
         w = rng.uniform(prob.eval_box[:, 0], prob.eval_box[:, 1], (n, prob.m))
@@ -789,15 +805,40 @@ class TestFusedSweep:
             s.block_rows = lambda: 5
         np.testing.assert_array_equal(got, net.eval(t, x, y))
 
+    def test_mixed_sups_one_depth(self):
+        # components whose sups alone pick different sawtooth depths are
+        # built and counted at the deeper one, that of the largest sup
+        prob, eps = mixed_sup_problem_m2(), 0.4
+        net = tc.build_char_net(prob, eps)
+        delta = min(net.report["delta"], 1.0)
+        depths = [
+            tc.lip_interp.product_depth_param(2, delta * tc.lip_interp.c_star(2, comp.sup))
+            for comp in prob.convection.components
+        ]
+        assert depths[0] < depths[1]
+        for slab in net.slabs:
+            assert slab.net is net.slabs[0].net
+            assert slab.net.sawtooth_depth == depths[1]
+            sizes = tc.lip_interp.table_sizes(
+                slab.grid, reference.coefficients(slab.net), depths[1]
+            )
+            assert slab.net_size == sizes.sum()
+        assert (net.report["size"], net.report["depth"]) == (4145725770125, 726)
+        t, x, y = prob.sample_inputs(300, seed=0)
+        ref, _ = oracle.rk4_char(
+            net.oracle_field(), np.zeros(len(t)), t, x, y,
+            oracle.OdeConfig(steps=32, tol=eps / 100.0),
+        )
+        assert np.abs(net.eval(t, x, y) - ref).max() <= eps
+
     def test_zero_beyond_ghost_knots(self):
         # the ghost knots at -h and 1+h end the boundary hat ramps: states
         # past them get exactly np.interp's values, zero
         prob = cosine_problem(d_y=3)
         grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=0.05)
-        interp = slab.interpolants
-        # entry 0 of the group's table 0: component 0, subinterval 0, output 0
-        net = interp.groups[0][0]
+        # entry 0 of the slab's table 0: component 0, subinterval 0, output 0
+        net = slab.net
         h = net.grid.h
         lo, hi = net.grid.box[0]
         xu = np.array([-5.0, -2 * h, -h, -h * (1 - 1e-9), 1 + h * (1 - 1e-9), 1 + h, 1 + 3 * h, 7.0])
@@ -809,9 +850,9 @@ class TestFusedSweep:
         assert np.all(got[outside] == 0.0)
         np.testing.assert_allclose(got[~outside], ref[~outside], rtol=0, atol=1e-12)
         # the fused sweep: every interpolant vanishes past the ghost knots
-        Z = interp.grid.to_grid(np.resize(lo + xu[outside] * (hi - lo), slab.q))
+        Z = slab.grid.to_grid(np.resize(lo + xu[outside] * (hi - lo), slab.q))
         Z = Z.reshape(1, -1, 1)
-        V = interp.plan(np.ones((1, prob.d_y)), slab.cell)(Z)
+        V = slab._sweep_plan(np.ones((1, prob.d_y)), tc.SweepWork())(Z)
         assert V.shape == Z.shape and np.all(V == 0.0)
 
     @pytest.mark.parametrize(
@@ -830,12 +871,10 @@ class TestFusedSweep:
         prob = make_problem()
         grid = tc.MacroGrid(1.0, prob.convection.norm)
         slab = build_slab_net(prob, grid.slab(0), tau=tau)
-        interp = slab.interpolants
-        ((stack, js, contract),) = interp.groups
-        assert contract == contracted
-        q, qg = slab.q, interp.grid.q
-        # (k, L, table size): component j's table of each subinterval
-        tables = stack.values.reshape(len(js), -1, qg + 3)
+        assert slab.contract == contracted
+        q, qg = slab.q, slab.grid.q
+        # (d_y, L, table size): component j's table of each subinterval
+        tables = slab.net.values.reshape(prob.d_y, -1, qg + 3)
         # knots 0, 1 and qg, the ghost knots -1 and qg + 1, states beyond
         # them, interior states spread over rows, and last the top state
         # qg + 1 in the last row, whose table is the last one stacked
@@ -843,7 +882,8 @@ class TestFusedSweep:
         n = 12
         inner = rng.uniform(-0.2 * qg, 1.2 * qg, n * q - len(special) - 1)
         Z = np.concatenate([special, inner, [qg + 1.0]]).reshape(n, q, 1)
-        weights = rng.uniform(-1, 1, (n, prob.d_y)) * prob.convection.omega
+        y = rng.uniform(-1, 1, (n, prob.d_y))
+        weights = y * prob.convection.omega
 
         u = np.clip(Z[..., 0], -1.0, qg + 1.0)
         cell = np.floor(u)
@@ -852,8 +892,8 @@ class TestFusedSweep:
         # the top state reads its table's last entry, the ghost zero
         assert left.min() == 0 and left.max() == qg + 2 == tables.shape[2] - 1
         assert left[-1, -1] == qg + 2
-        w = (weights * (slab.cell / interp.grid.spacing[0]))[:, js]
-        if contract:
+        w = weights * (slab.cell / slab.grid.spacing[0])
+        if slab.contract:
             per_row = np.einsum("rk,kt->rt", w, tables[:, 0])
             per_row = np.pad(per_row, [(0, 0), (0, 1)])  # next of the last entry
             rows = np.arange(n)[:, None]
@@ -866,10 +906,10 @@ class TestFusedSweep:
             vals = base + (nxt - base) * frac
             # weighted and summed over the components in their order
             ref = np.zeros((n, q))
-            for j in range(len(js)):
+            for j in range(prob.d_y):
                 ref += vals[j] * w[:, j, None]
 
-        plan = interp.plan(weights, slab.cell)
+        plan = slab._sweep_plan(y, tc.SweepWork())
         states = Z.transpose(2, 1, 0)  # cell-major (m, q, n), as the sweeps run
         plan(rng.uniform(0, qg, states.shape))  # the buffers keep nothing between sweeps
         got = plan(states)[0].T
@@ -922,7 +962,7 @@ class TestFusedSweep:
         w = rng.uniform(prob.domain[:, 0], prob.domain[:, 1], (n, prob.m))
         y = rng.uniform(-1, 1, (n, prob.d_y))
         u = slab._states(w)
-        plan = slab._sweep_plan(y)
+        plan = slab._sweep_plan(y, tc.SweepWork())
         seed_states = u.T[:, None, :]  # cell-major (m, 1, n)
         seeds = plan(seed_states).copy()
         copies = plan(np.repeat(seed_states, slab.q, axis=1))
@@ -936,7 +976,7 @@ class TestFusedSweep:
                 V = plan(Z).copy()
                 S = np.cumsum(V, axis=1)
                 Z = seed_states + (S - 0.5 * V)
-            got_V, got_S = slab._forward(u, y, slab.q)
+            got_V, got_S = slab._forward(u, y, slab.q, tc.SweepWork())
             np.testing.assert_array_equal(got_V, V)
             np.testing.assert_array_equal(got_S, S)
 
@@ -958,14 +998,15 @@ class TestFusedSweep:
         plan_of = slab._sweep_plan
         states = []
 
-        def recording(y, work=None):
+        def recording(y, work):
             sweep = plan_of(y, work)
             return lambda Z: states.append(Z.shape[1]) or sweep(Z)
 
         slab._sweep_plan = recording
         n = 5
         w = rng.uniform(0, 1, (n, 1))
-        slab._forward(slab._states(w), rng.uniform(-1, 1, (n, prob.d_y)), slab.q)
+        y = rng.uniform(-1, 1, (n, prob.d_y))
+        slab._forward(slab._states(w), y, slab.q, tc.SweepWork())
         assert states == [1 if shared else slab.q] + [slab.q] * (slab.mu - 1)
 
     def test_eval_memory_bounded(self):
@@ -1078,7 +1119,7 @@ class TestCausalTruncation:
         row_of = {tuple(u): r for r, u in enumerate(slab._states(w))}
         forward, calls = slab._forward, []
 
-        def recording(u, y, p, work=None):
+        def recording(u, y, p, work):
             calls.append(([row_of[tuple(s)] for s in u], p))
             return forward(u, y, p, work)
 
@@ -1158,22 +1199,22 @@ class TestBuildOnce:
         # in time, for all m output columns together
         q, K = net.sched.q, net.grid.K
         assert len(calls) == K * q * conv.d_y * catalog.GAUSS_ORDER
-        # one build per slab and component, of its q cells' m columns
-        interp = net.slabs[0].interpolants
-        nodes = (interp.grid.q + 1) ** conv.m
-        assert builds == [(q, conv.m, nodes)] * (K * conv.d_y)
-        # the columns of that average are the tables of the m nets, each
+        # one build per slab, of its q cells' d_y * m columns
+        slab = net.slabs[0]
+        nodes = (slab.grid.q + 1) ** conv.m
+        assert builds == [(q, conv.d_y * conv.m, nodes)] * K
+        # the columns of each average are the tables of the m nets, each
         # in its ring of zero ghost nodes
-        ((stack, js, _),) = interp.groups
+        stack = slab.net
         size = math.prod(stack.table_shape)
         for j, comp in enumerate(conv.components):
             for i, sub in enumerate(net.slabs[0].subintervals):
                 avg = comp.slab_average(sub)
                 for c in range(conv.m):
                     ref = tc.lip_interp.SampledFunction.from_function(
-                        lambda pts: avg(pts)[:, c], interp.grid, comp.lip_x, comp.sup
+                        lambda pts: avg(pts)[:, c], slab.grid, comp.lip_x, comp.sup
                     )
-                    table = stack.values[js.index(j) * conv.m + c, i * size : (i + 1) * size]
+                    table = stack.values[j * conv.m + c, i * size : (i + 1) * size]
                     np.testing.assert_array_equal(table, np.pad(ref.values, 1).ravel())
 
     def test_source_sampled_once(self):
@@ -1204,9 +1245,9 @@ class TestBuildOnce:
         monkeypatch.setattr(tc.lip_interp, "table_sizes", recording_sizes)
         monkeypatch.setattr(tc.lip_interp.InterpolantNet, "size", lambda net: sized.append(net))
         net = tc.build_solution_net(config_problem("solution_affine"), 0.1)
-        # the backward slabs' two components, u0, the sources: one count
-        # per stack, and no net counted on its own
-        assert builds == counts == [(1, 1), (1, 1), (1, 1), (net.q_src, 1)]
+        # the backward slabs' one set of two components, u0, the sources:
+        # one count per table set, and no net counted on its own
+        assert builds == counts == [(1, 2), (1, 1), (net.q_src, 1)]
         assert sized == []
         assert net.report["size"] == 25355372052
 
@@ -1568,7 +1609,7 @@ class TestGridSizing:
             prob.eval_box, prob.convection.Lam, net.report["delta"]
         )
         for slab in net.slabs:
-            grid = slab.interpolants.grid
+            grid = slab.grid
             assert grid.q == want.q == q
             np.testing.assert_array_equal(grid.box, want.box)
 
@@ -1703,7 +1744,7 @@ class TestSolutionNetwork:
         prob = config_problem("solution_m2_dy2")
         eps = cfg["eps_ladder"][0]
         net = tc.build_solution_net(prob, eps)
-        back = net.back_net.slabs[0].interpolants
+        back = net.back_net.slabs[0]
         assert net.u0_net.s == net.sources.s == back.grid.s == 2
         t, x, y = prob.sample_inputs(cfg["n_samples"], cfg["seed"])
         ref = oracle.solution_oracle(prob, t, x, y, oracle.OdeConfig(steps=32, tol=eps / 100))
