@@ -42,12 +42,10 @@ from .transport_core import (
     build_char_net,
     build_solution_net,
     lipschitz_certificate,
-    picard_numeric,
 )
 from .oracle import (
     OdeConfig,
     OracleToleranceError,
-    exact_const,
     rk4_char,
     solution_oracle,
 )

@@ -240,29 +240,26 @@ def product_net(s, delta):
     return net
 
 
-def sawtooth(t, k, w, n, capped=..., guard=True):
+def sawtooth(t, k, w, n):
     """The value of :func:`square_net` (n) times 4^n, in place: the
     sawtooth formula of the closed form that :class:`CornerLookup` runs.
 
-    ``t`` holds x 2^n and becomes k^2 + (2k+1) r, with the knot cell
-    k = clip(floor(x 2^n), 0, 2^n - 1) and r = x 2^n - k; ``k`` and
-    ``w`` are work arrays of t's shape.  The cap 2^n - 1 is applied to
-    ``t[capped]`` only: elsewhere the caller has shown x < 1, where it
-    changes nothing.  ``guard`` applies the two sign guards, k >= 0 and
-    a result >= 0, which change nothing for x >= 0.
+    ``t`` (2, ...) holds x 2^n for the squares of a pair, its sums in
+    ``t[0]`` and its differences in ``t[1]``, and becomes k^2 + (2k+1) r,
+    with the knot cell k = floor(x 2^n), capped at 2^n - 1 in ``t[0]``,
+    and r = x 2^n - k; ``k`` and ``w`` are work arrays of t's shape.  A
+    difference's x is at most 1/2 < 1, where the cap changes nothing.
+    The net's two sign guards, k >= 0 and a result >= 0, change nothing
+    for x >= 0 and are left out.
     """
     np.floor(t, out=k)
-    if guard:
-        np.maximum(k, 0.0, out=k)
-    np.minimum(k[capped], 2.0**n - 1.0, out=k[capped])
+    np.minimum(k[0], 2.0**n - 1.0, out=k[0])
     t -= k
     np.multiply(k, 2.0, out=w)
     w += 1.0
     t *= w
     np.square(k, out=k)
     t += k
-    if guard:
-        np.maximum(t, 0.0, out=t)
     return t
 
 
@@ -527,8 +524,8 @@ class CornerLookup:
 
     The twin of :class:`KnotLookup`.  ``values`` (E, L * (q + 3)^s) are
     the L tables of an :class:`InterpolantNet` on ``grid``, each in its ring
-    of zero ghost nodes, E values per node, and ``depth`` is the nets'
-    sawtooth depth.  Point r of p reads the table that starts at entry
+    of zero ghost nodes, E values per node, and ``depth`` is the net's
+    one sawtooth depth, which all its E * L interpolants share.  Point r of p reads the table that starts at entry
     ``starts[r]``.  The table strides, the corners' offsets and the
     work buffers are made here, so a call is one in-place pass.  A call
     may pass k < p points: its points are the first k.
@@ -577,10 +574,11 @@ class CornerLookup:
         factors of each axis, 1 - f at the low node and f at the high
         one for the fraction f of the cell, lie in [0, 1], so the
         product tree runs without the clamp to [0, 1] of
-        :func:`product_net` and the sign guards of :func:`sawtooth`,
-        which would change no bit.  Each pair is S((a + b) / 2) -
-        S(|a - b| / 2) with S the value of :func:`square_net`, and an
-        odd last factor passes to the next level.  The corners' products
+        :func:`product_net` and the sign guards of its squares, which
+        would change no bit (:func:`sawtooth`).  Each pair is
+        S((a + b) / 2) - S(|a - b| / 2) with S the value of
+        :func:`square_net`, and an odd last factor passes to the next
+        level.  The corners' products
         are summed in corner order 0, ..., 2^s - 1 onto a zero.  The
         result is a view of a buffer that the next call rewrites.
         """
@@ -650,8 +648,7 @@ class CornerLookup:
         np.add(a[:, None], b[None], out=t[0])
         np.subtract(a[:, None], b[None], out=t[1])
         np.abs(t[1], out=t[1])
-        # |a - b| / 2 <= 1/2 < 1: only the sums need the cap
-        sawtooth(t, cells, w, n, capped=0, guard=False)
+        sawtooth(t, cells, w, n)
         prod = out[: len(a) * len(b) * k].reshape(len(a) * len(b), k)
         np.subtract(t[0], t[1], out=prod.reshape(shape[1:]))
         prod *= 4.0**-n if last else 2.0 ** (-n - 1)
@@ -667,11 +664,12 @@ class InterpolantNet:
     output layers (assembled in the tests as a cross-check), but stored
     as its coefficients and evaluated from the closed form of the <= 2^s
     hats active at each point.  ``coeffs`` (L, E) + (q + 1,) * s are the
-    coefficients of L tables on ``grid``, each node holding E values;
-    one net is the case L = E = 1, and its (q + 1)^s coefficients may
-    come in any shape.  ``sawtooth_depth`` is
-    the depth n of the hats' product network (None for s = 1), set by
-    ``delta_inner``, which s >= 2 needs.
+    coefficients of L tables on ``grid``, each node holding E values,
+    such as an affine slab's averaged components per subinterval; one
+    net is the case L = E = 1, and its (q + 1)^s coefficients may come
+    in any shape.  ``sawtooth_depth`` is the one depth n of the hats'
+    product network (None for s = 1), set by ``delta_inner``, which
+    s >= 2 needs.
 
     The tables are held entry-major, ``values`` (E, L * table size): row
     e is entry e of every node of the L tables, one table after another,
@@ -682,8 +680,9 @@ class InterpolantNet:
     cell corner of a point in the ring on a node.  ``values`` is written
     when first read, the ring in the same copy: a net that is never
     looked up is never copied.  Until then the net holds ``coeffs``
-    themselves, not a copy.  A lookup gives point r's hat sums (E,) in table ``which[r]``:
-    a :class:`KnotLookup` for s = 1, a :class:`CornerLookup` for s >= 2.
+    themselves, not a copy.  A lookup gives point r's hat sums (E,) in
+    table ``which[r]``: a :class:`KnotLookup` for s = 1, a
+    :class:`CornerLookup` for s >= 2.
     ``size()`` and ``depth()`` report the exact monolithic counts
     through :func:`template_counts`; nothing here builds a network.
     """

@@ -205,34 +205,3 @@ def _u0_at(problem, foot, y):
     """u0 at the foot points, zero outside the evaluation box."""
     vals = problem.u0_values(foot, y)
     return np.where(problem.inside_eval_box(foot), vals, 0.0)
-
-
-def exact_const(problem):
-    """Closed-form characteristic and solution for constant-in-(t,x) fields.
-
-    Returns (z_fn, u_fn) with z(t, x, y) = x + t*a(y) and, for zero
-    source, u(t, x, y) = u0(x - t*a(y), y).
-    """
-    if not problem.convection.constant_in_tx():
-        raise ValueError("field is not constant in (t, x)")
-    field = problem.field_evaluator()
-
-    def a_of_y(y, n):
-        probe = np.zeros((n, problem.m))
-        return field(np.zeros(n), probe, y)
-
-    def z_fn(t, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        return x + t[:, None] * a_of_y(y, x.shape[0])
-
-    def u_fn(t, x, y):
-        if problem.f is not None:
-            raise ValueError("closed form implemented for zero source only")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        foot = x - t[:, None] * a_of_y(y, x.shape[0])
-        vals = problem.u0_values(foot, y)
-        return np.where(problem.inside_eval_box(foot), vals, 0.0)
-
-    return z_fn, u_fn

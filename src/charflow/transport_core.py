@@ -33,7 +33,8 @@ from .budget import AFFINE, GENERAL, certify, char_ledger, schedule
 from .budget import solution_complexity, solution_schedule
 from .comp_calculus import complexity, eval_width, implant
 from .lip_interp import ResourceCeiling
-from .relu_net import difference_quotient, rho_values
+# nothing here calls rho_values; perfbench/spans.py wraps this module's name
+from .relu_net import difference_quotient, rho_values  # noqa: F401
 
 # guard added to the evaluation box for the network's own speed excess
 BOX_MARGIN = 0.1
@@ -103,9 +104,6 @@ class AffineConvection:
             return np.concatenate([out] * self.m, axis=1)
         return out
 
-    def constant_in_tx(self):
-        return self.Lam == 0.0 and all(c.time_independent for c in self.components)
-
     def time_independent(self):
         return all(c.time_independent for c in self.components)
 
@@ -149,9 +147,6 @@ class GeneralConvection:
         return np.asarray(self.evaluator(t, x, y), dtype=float).reshape(
             x.shape[0], self.m
         )
-
-    def constant_in_tx(self):
-        return False
 
     def time_independent(self):
         return self.L_t == 0.0
@@ -266,47 +261,6 @@ class MacroGrid:
 
     def slab(self, k):
         return (k * self.slab_length, (k + 1) * self.slab_length)
-
-
-# ---------------------------------------------------------------------------
-# numeric fixed-point reference (mid fidelity, not the certified pipeline)
-
-
-def picard_numeric(field, interval, x, y, k, time_grid=4096):
-    """k midpoint-quadrature sweeps of the fixed-point map on one slab.
-
-    Returns a callable t -> values (vectorized over the sample batch);
-    the initial sweep starts from the constant-in-time seed x.  Requires
-    the contraction precondition |I| * L <= 1/2 via the caller.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, m = x.shape
-    q = int(time_grid)
-    cell = (hi - lo) / q
-    xs = lo + (np.arange(q) + 0.5) * cell
-    Z = np.repeat(x[:, None, :], q, axis=1)
-    for sweep in range(max(0, k - 1)):
-        V = _field_on_grid(field, xs, Z, y)
-        Z = x[:, None, :] + cell * (np.cumsum(V, axis=1) - 0.5 * V)
-    V_last = _field_on_grid(field, xs, Z, y) if k >= 1 else None
-
-    def at(t):
-        t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        if k == 0:
-            return x.copy()
-        rho = rho_values((lo, hi), q, t)
-        return x + np.einsum("nq,nqm->nm", rho, V_last)
-
-    return at
-
-
-def _field_on_grid(field, xs, Z, y):
-    n, q, m = Z.shape
-    flat = Z.reshape(n * q, m)
-    ts = np.tile(xs, n)
-    yy = np.repeat(np.atleast_2d(y), q, axis=0) if np.ndim(y) > 1 else y
-    return field(ts, flat, yy).reshape(n, q, m)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ ALLOWED = {
             "comp_calculus.gamma_inverse",
             "comp_calculus.s_infinity",
             "transport_core.GeneralConvection.__init__",
-            "transport_core.GeneralConvection.constant_in_tx",
             "transport_core.GeneralConvection.eval",
             "transport_core.GeneralConvection.norm",
             "transport_core.GeneralConvection.time_independent",

@@ -11,7 +11,7 @@ run calls them.
 import numpy as np
 
 from charflow import comp_calculus as cc
-from charflow.lip_interp import sawtooth, tensor_hat
+from charflow.lip_interp import tensor_hat
 from charflow.relu_net import (
     IDENTITY,
     RELU,
@@ -21,7 +21,9 @@ from charflow.relu_net import (
     compose,
     difference_quotient,
     parallelize,
+    rho_values,
 )
+from charflow.transport_core import AffineConvection
 
 # ---------------------------------------------------------------------------
 # network algebra
@@ -126,13 +128,25 @@ def square_values(x, n):
 
     On the knot cell k = clip(floor(x 2^n), 0, 2^n - 1) the net is the
     chord of x^2, max((2k+1) x / 2^n - k (k+1) / 4^n, 0), computed here
-    as (k^2 + (2k+1) r) / 4^n with r = x 2^n - k (:func:`sawtooth`), a
-    sum of nonnegative terms on [0, 1]: exactly zero at 0 and for x < 0.
-    (Beyond 1 the net rises like x, but its callers only feed [0, 1].)
+    as (k^2 + (2k+1) r) / 4^n with r = x 2^n - k, a sum of nonnegative
+    terms on [0, 1]: exactly zero at 0 and for x < 0.  (Beyond 1 the net
+    rises like x, but its callers only feed [0, 1].)  These are the
+    float operations of :func:`lip_interp.sawtooth`, with the cap on
+    every element and the two sign guards that it leaves out.
     """
     t = np.empty(np.shape(x))
     np.multiply(x, 2.0**n, out=t)
-    sawtooth(t, np.empty_like(t), np.empty_like(t), n)
+    k, w = np.empty_like(t), np.empty_like(t)
+    np.floor(t, out=k)
+    np.maximum(k, 0.0, out=k)
+    np.minimum(k, 2.0**n - 1.0, out=k)
+    t -= k
+    np.multiply(k, 2.0, out=w)
+    w += 1.0
+    t *= w
+    np.square(k, out=k)
+    t += k
+    np.maximum(t, 0.0, out=t)
     t *= 4.0**-n
     return t
 
@@ -249,3 +263,86 @@ def to_relu_network(rep):
 def junctions(grid):
     """The K + 1 slab ends 0, ..., T_hat of a :class:`transport_core.MacroGrid`."""
     return np.linspace(0.0, grid.T_hat, grid.K + 1)
+
+
+# ---------------------------------------------------------------------------
+# numeric fixed-point reference and closed-form characteristics
+
+
+def picard_numeric(field, interval, x, y, k, time_grid=4096):
+    """k midpoint-quadrature sweeps of the fixed-point map on one slab.
+
+    Returns a callable t -> values (vectorized over the sample batch);
+    the initial sweep starts from the constant-in-time seed x.  Requires
+    the contraction precondition |I| * L <= 1/2 via the caller.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n, m = x.shape
+    q = int(time_grid)
+    cell = (hi - lo) / q
+    xs = lo + (np.arange(q) + 0.5) * cell
+    Z = np.repeat(x[:, None, :], q, axis=1)
+    for sweep in range(max(0, k - 1)):
+        V = field_on_grid(field, xs, Z, y)
+        Z = x[:, None, :] + cell * (np.cumsum(V, axis=1) - 0.5 * V)
+    V_last = field_on_grid(field, xs, Z, y) if k >= 1 else None
+
+    def at(t):
+        t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+        if k == 0:
+            return x.copy()
+        rho = rho_values((lo, hi), q, t)
+        return x + np.einsum("nq,nqm->nm", rho, V_last)
+
+    return at
+
+
+def field_on_grid(field, xs, Z, y):
+    """The field at the states Z (n, q, m) of n samples at times xs (q,)."""
+    n, q, m = Z.shape
+    flat = Z.reshape(n * q, m)
+    ts = np.tile(xs, n)
+    yy = np.repeat(np.atleast_2d(y), q, axis=0) if np.ndim(y) > 1 else y
+    return field(ts, flat, yy).reshape(n, q, m)
+
+
+def constant_in_tx(conv):
+    """Whether a convection field is constant in (t, x): an affine field
+    whose components are constant in x and time-independent."""
+    return (
+        isinstance(conv, AffineConvection)
+        and conv.Lam == 0.0
+        and all(c.time_independent for c in conv.components)
+    )
+
+
+def exact_const(problem):
+    """Closed-form characteristic and solution for constant-in-(t,x) fields.
+
+    Returns (z_fn, u_fn) with z(t, x, y) = x + t*a(y) and, for zero
+    source, u(t, x, y) = u0(x - t*a(y), y).
+    """
+    if not constant_in_tx(problem.convection):
+        raise ValueError("field is not constant in (t, x)")
+    field = problem.field_evaluator()
+
+    def a_of_y(y, n):
+        probe = np.zeros((n, problem.m))
+        return field(np.zeros(n), probe, y)
+
+    def z_fn(t, x, y):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
+        return x + t[:, None] * a_of_y(y, x.shape[0])
+
+    def u_fn(t, x, y):
+        if problem.f is not None:
+            raise ValueError("closed form implemented for zero source only")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
+        foot = x - t[:, None] * a_of_y(y, x.shape[0])
+        vals = problem.u0_values(foot, y)
+        return np.where(problem.inside_eval_box(foot), vals, 0.0)
+
+    return z_fn, u_fn

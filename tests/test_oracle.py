@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from charflow import catalog, oracle
 from charflow import transport_core as tc
 
@@ -300,7 +301,7 @@ class TestSolutionOracle:
         prob = const_problem(u0_spec={"kind": "hat", "center": 0.5, "width": 1.0})
         t, x, y = prob.sample_inputs(300, seed=4)
         vals = oracle.solution_oracle(prob, t, x, y, oracle.OdeConfig(steps=64))
-        _, u_fn = oracle.exact_const(prob)
+        _, u_fn = reference.exact_const(prob)
         np.testing.assert_allclose(vals, u_fn(t, x, y), atol=1e-10)
 
     def test_unit_source(self, rng):
@@ -405,7 +406,7 @@ class TestSingleTrace:
 class TestExactConst:
     def test_values(self):
         prob = const_problem(values=(1.0,))
-        z_fn, _ = oracle.exact_const(prob)
+        z_fn, _ = reference.exact_const(prob)
         z = z_fn(0.5, np.array([[1.0]]), np.array([[-0.4]]))
         assert z[0, 0] == pytest.approx(0.8, abs=1e-15)
 
@@ -413,13 +414,13 @@ class TestExactConst:
         prob = const_problem(
             values=(1.0,), u0_spec={"kind": "hat", "center": 0.0, "width": 1.0}
         )
-        _, u_fn = oracle.exact_const(prob)
+        _, u_fn = reference.exact_const(prob)
         val = u_fn(1.0, np.array([[0.25]]), np.array([[0.25]]))
         assert val[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_cross_oracle_agreement(self, rng):
         prob = const_problem(values=(1.0, -0.5))
-        z_fn, _ = oracle.exact_const(prob)
+        z_fn, _ = reference.exact_const(prob)
         t, x, y = prob.sample_inputs(100, seed=7)
         field = prob.field_evaluator()
         zr, _ = oracle.rk4_char(field, np.zeros(100), t, x, y)
@@ -430,7 +431,7 @@ class TestExactConst:
         conv = tc.AffineConvection(1, 1, [1.0], comps)
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]])
         with pytest.raises(ValueError):
-            oracle.exact_const(prob)
+            reference.exact_const(prob)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -510,12 +510,12 @@ class TestLedger:
 class TestPicardNumeric:
     def test_constant_field_one_sweep_exact(self):
         field = lambda t, x, y: np.full_like(x, 0.7)
-        at = tc.picard_numeric(field, (0.0, 0.4), np.array([[0.2]]), None, 1)
+        at = reference.picard_numeric(field, (0.0, 0.4), np.array([[0.2]]), None, 1)
         assert at(0.3)[0, 0] == pytest.approx(0.2 + 0.3 * 0.7, abs=1e-12)
 
     def test_zero_sweeps_identity(self):
         field = lambda t, x, y: np.ones_like(x)
-        at = tc.picard_numeric(field, (0.0, 0.5), np.array([[0.3]]), None, 0)
+        at = reference.picard_numeric(field, (0.0, 0.5), np.array([[0.3]]), None, 0)
         assert at(0.5)[0, 0] == 0.3
 
     def test_error_halves_per_sweep(self, rng):
@@ -532,7 +532,7 @@ class TestPicardNumeric:
             field, np.full(n, interval[0]), t, x, y, oracle.OdeConfig(steps=32, tol=1e-9)
         )
         for k in range(1, 7):
-            at = tc.picard_numeric(field, interval, x, y, k, time_grid=2048)
+            at = reference.picard_numeric(field, interval, x, y, k, time_grid=2048)
             assert np.abs(at(t) - zr).max() <= 2.0 ** (-k - 1)
 
 
@@ -572,7 +572,7 @@ class TestSlabNet:
         w = rng.uniform(0, 1, (n, 1))
         y = rng.uniform(-1, 1, (n, 1))
         t = rng.uniform(interval[0], interval[1], n)
-        phi = tc.picard_numeric(field, interval, w, y, 1, time_grid=4096)
+        phi = reference.picard_numeric(field, interval, w, y, 1, time_grid=4096)
         assert np.abs(at_times(slab, t, w, y) - phi(t)).max() <= tau
 
     def test_one_step_bound_formula(self):
@@ -1666,7 +1666,7 @@ class TestSolutionNetwork:
         prob = tc.TransportProblem(conv, 1.0, [[0.0, 1.0]], u0=u0)
         net = tc.build_solution_net(prob, 0.1)
         t, x, y = prob.sample_inputs(400, seed=11)
-        _, u_fn = oracle.exact_const(prob)
+        _, u_fn = reference.exact_const(prob)
         assert np.abs(net.eval(t, x, y) - u_fn(t, x, y)).max() <= 0.1
 
     def test_pure_source(self, rng):
