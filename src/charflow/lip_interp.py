@@ -523,12 +523,13 @@ class CornerLookup:
     """s >= 2 hat sums over stacked tensor tables, for at most p points.
 
     The twin of :class:`KnotLookup`.  ``values`` (E, L * (q + 3)^s) are
-    the L tables of an :class:`InterpolantNet` on ``grid``, each in its ring
-    of zero ghost nodes, E values per node, and ``depth`` is the net's
-    one sawtooth depth, which all its E * L interpolants share.  Point r of p reads the table that starts at entry
-    ``starts[r]``.  The table strides, the corners' offsets and the
-    work buffers are made here, so a call is one in-place pass.  A call
-    may pass k < p points: its points are the first k.
+    the L tables of an :class:`InterpolantNet` on ``grid``, each in its
+    ring of zero ghost nodes, E values per node, and ``depth`` is the
+    net's one sawtooth depth, which all its E * L interpolants share.
+    Point r of p reads the table that starts at entry ``starts[r]``.
+    The table strides, the corners' offsets and the work buffers are
+    made here, so a call is one in-place pass.  A call may pass k < p
+    points: its points are the first k.
     """
 
     def __init__(self, grid, depth, values, starts):

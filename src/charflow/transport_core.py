@@ -610,9 +610,7 @@ class AffineSlabNet(SlabNet):
         component is its own slab average, so all slabs of such a field
         share one set of tables.
         """
-        grid = lip_interp.GridSpec.for_tolerance(
-            np.asarray(eval_box, dtype=float), conv.Lam, sched.delta
-        )
+        grid = lip_interp.GridSpec.for_tolerance(eval_box, conv.Lam, sched.delta)
         nodes = grid.nodes()
         m, d_y = conv.m, conv.d_y
 
