@@ -38,7 +38,10 @@ class FieldComponent:
     ``fn(t, x)`` returns shape (n, m), or the (n, 1) column when all m
     columns are equal, as for every catalog kind.  ``sup`` bounds |fn|,
     ``lip_x`` the spatial max-norm Lipschitz constant, ``lip_t`` the
-    temporal one (0 for time-independent components).
+    temporal one (0 for time-independent components).  ``wave`` is
+    (amp, freq, phase) when ``fn`` is amp * cos(freq * x_1 + phase),
+    which lets a field sum its cosines of one frequency as one
+    cos/sin pair; None otherwise.
     """
 
     fn: callable
@@ -47,6 +50,7 @@ class FieldComponent:
     lip_x: float
     lip_t: float = 0.0
     time_independent: bool = True
+    wave: tuple = None
 
     def __call__(self, t, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -86,8 +90,9 @@ class FieldComponent:
             neg = lambda t, x: -self.fn(t, x)
         else:
             neg = lambda t, x: -self.fn(t_ref - np.asarray(t, dtype=float), x)
+        wave = None if self.wave is None else (-self.wave[0], *self.wave[1:])
         return FieldComponent(
-            neg, self.m, self.sup, self.lip_x, self.lip_t, self.time_independent
+            neg, self.m, self.sup, self.lip_x, self.lip_t, self.time_independent, wave
         )
 
 
@@ -157,10 +162,7 @@ def make_component(spec, m=1):
             return val
 
         return FieldComponent(
-            cosine,
-            m,
-            abs(amp),
-            abs(amp * freq),
+            cosine, m, abs(amp), abs(amp * freq), wave=(amp, freq, phase)
         )
     if kind == "bump":
         center = float(spec.get("center", 0.5))
@@ -176,8 +178,15 @@ def make_component(spec, m=1):
     if kind == "piecewise-linear":
         knots = np.asarray(spec["knots"], dtype=float)
         vals = np.asarray(spec["values"], dtype=float)
+        # np.interp reads knots as increasing; other knots give wrong values
+        if knots.ndim != 1 or len(knots) < 2:
+            raise ValueError("piecewise-linear needs at least two knots")
+        if vals.shape != knots.shape:
+            raise ValueError("piecewise-linear needs one value per knot")
+        if not np.all(np.diff(knots) > 0):
+            raise ValueError("piecewise-linear knots must be strictly increasing")
         slopes = np.diff(vals) / np.diff(knots)
-        lip = float(np.max(np.abs(slopes))) if len(slopes) else 0.0
+        lip = float(np.max(np.abs(slopes)))
         return FieldComponent(
             lambda t, x: np.interp(x[:, 0], knots, vals)[:, None],
             m,

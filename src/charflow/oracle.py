@@ -13,11 +13,17 @@ costs 8 field calls per coarse step instead of 12.  The pass runs over
 blocks of rows, so its working memory is bounded whatever the sample
 count.  A field must evaluate its rows independently; the endpoints
 are then bit-identical to two separate runs, for any block split.
+
+A field is called as field(t, z, y), or offers ``at(y)``, which returns
+the field at fixed parameters, (t, z) -> values.  A pass binds through
+``at`` once when the field offers it, so work that depends on y alone
+is done once per pass instead of once per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,6 +68,14 @@ def block_rows(width):
     return max(1, BLOCK_BYTES // (8 * width))
 
 
+def _bind(field, y):
+    """``field`` at fixed parameters ``y``: (t, z) -> values."""
+    at = getattr(field, "at", None)
+    if at is not None:
+        return at(y)
+    return lambda t, z: field(t, z, y)
+
+
 def _rk4_step(field, h, y, width):
     """One RK4 step of every row with its own step ``h``: (t, z) -> (t + h, z').
 
@@ -69,17 +83,19 @@ def _rk4_step(field, h, y, width):
     states' full ``width``: a product with an (n, 1) column broadcast
     over the columns costs several times one of two (n, width) arrays.
     Every operation rounds as in the textbook form, so no bit changes.
+    The field is bound to ``y`` once, here.
     """
+    f = _bind(field, y)
     half = 0.5 * h
     hh, hc, h6 = (np.repeat(v[:, None], width, axis=1) for v in (half, h, h / 6.0))
 
     def step(t, z):
         tm = t + half
         te = t + h
-        k1 = field(t, z, y)
-        k2 = field(tm, z + hh * k1, y)
-        k3 = field(tm, z + hh * k2, y)
-        k4 = field(te, z + hc * k3, y)
+        k1 = f(t, z)
+        k2 = f(tm, z + hh * k1)
+        k3 = f(tm, z + hh * k2)
+        k4 = f(te, z + hc * k3)
         return te, z + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return step
@@ -189,14 +205,20 @@ def solution_oracle(problem, t, x, y, config=OdeConfig()):
         foot, _ = rk4_char(field, t, np.zeros(n), x, y, config)
         return _u0_at(problem, foot, y)
 
-    def traced(s, state, yv):
-        z = state[:, :m]
-        out = np.empty_like(state)
-        out[:, :m] = field(s, z, yv)
-        out[:, m] = problem.f_values(s, z, yv)
-        return out
+    def traced_at(yv):
+        flow = _bind(field, yv)
+
+        def traced(s, state):
+            z = state[:, :m]
+            out = np.empty_like(state)
+            out[:, :m] = flow(s, z)
+            out[:, m] = problem.f_values(s, z, yv)
+            return out
+
+        return traced
 
     state0 = np.hstack([x, np.zeros((n, 1))])
+    traced = SimpleNamespace(at=traced_at)
     state, _ = rk4_char(traced, t, np.zeros(n), state0, y, config)
     return _u0_at(problem, state[:, :m], y) - state[:, m]
 

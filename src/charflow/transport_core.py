@@ -63,6 +63,15 @@ class AffineConvection:
         self.components = list(components)
         self.A_circ = max(c.sup for c in components)
         self.Lam = max(c.lip_x for c in components)
+        # the frequencies that two or more time-independent cosines share,
+        # which ``at`` sums as one cos/sin pair, and the other components
+        by_freq = {}
+        for j, comp in enumerate(self.components):
+            if comp.wave is not None and comp.time_independent:
+                by_freq.setdefault(comp.wave[1], []).append(j)
+        self._groups = [(freq, js) for freq, js in by_freq.items() if len(js) >= 2]
+        grouped = {j for _, js in self._groups for j in js}
+        self._lone = [j for j in range(d_y) if j not in grouped]
         self.omega1 = float(np.sum(self.omega))
         self.A = self.omega1 * self.A_circ
         self.L = self.A + self.Lam * self.omega1
@@ -77,32 +86,73 @@ class AffineConvection:
         # the composition-norm bound playing the role of the field norm
         return self.L
 
+    def at(self, y):
+        """The field at fixed parameters y (n, d_y): (t, x) -> values (n, m).
+
+        The per-row work is done here, once: the columns omega_j * y_j,
+        and for each frequency f shared by two or more time-independent
+        cosines, A_f = sum_j omega_j y_j amp_j cos(phase_j) and B_f =
+        sum_j omega_j y_j amp_j sin(phase_j).  Each call then adds
+        A_f cos(f x_1) - B_f sin(f x_1), one cos/sin pair per frequency,
+        to the sum of the other components' terms, which each call
+        through ``fn``.  The coefficients are multiply-adds over columns
+        in a fixed order, so every row's bits are independent of the
+        other rows.  Components given as one column (every catalog
+        kind) are summed as columns and spread over the m columns once.
+        """
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        cols = [(self.omega[j] * y[:, j])[:, None] for j in range(self.d_y)]
+        lone = [(cols[j], self.components[j].fn) for j in self._lone]
+        waves = []
+        for freq, js in self._groups:
+            amps = [(j, *self.components[j].wave) for j in js]
+            A = sum(cols[j] * (amp * math.cos(phase)) for j, amp, _, phase in amps)
+            B = sum(cols[j] * (amp * math.sin(phase)) for j, amp, _, phase in amps)
+            waves.append((freq, A, B))
+        m = self.m
+
+        def field(t, x):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
+            n = x.shape[0]
+            out = None
+            if lone:
+                t = np.asarray(t, dtype=float)
+                if t.shape != (n,):
+                    t = np.broadcast_to(t, (n,))
+                out = np.zeros((n, 1))
+                for col, fn in lone:
+                    term = col * fn(t, x)
+                    if term.shape == out.shape:
+                        out += term
+                    else:
+                        out = out + term
+            for freq, A, B in waves:
+                arg = freq * x[:, :1]
+                sin = np.sin(arg)
+                wave = np.cos(arg, out=arg)
+                wave *= A
+                sin *= B
+                wave -= sin
+                if out is None:
+                    out = wave
+                else:
+                    out += wave
+            if out.shape[1] < m:
+                return np.concatenate([out] * m, axis=1)
+            return out
+
+        return field
+
     def eval(self, t, x, y):
         """Field values (n, m) at times t (n,) or scalar, x (n, m), y (n, d_y).
 
-        Rows are independent.  The oracle makes a few hundred calls per
-        batch of a few hundred rows, where the calls and not the
-        arithmetic are the cost, so the inputs are normalized once and
-        each component's ``fn`` is called directly.  Components given
-        as one column (every catalog kind) are summed as columns and
-        spread over the m columns once.
+        Rows are independent.  The same as ``at(y)(t, x)``; a caller
+        that evaluates many times at one y, as the oracle does, binds
+        once with :meth:`at`.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
-        t = np.asarray(t, dtype=float)
-        if t.shape != (n,):
-            t = np.broadcast_to(t, (n,))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        out = np.zeros((n, 1))
-        for j, comp in enumerate(self.components):
-            term = (self.omega[j] * y[:, j])[:, None] * comp.fn(t, x)
-            if term.shape == out.shape:
-                out += term
-            else:
-                out = out + term
-        if out.shape[1] < self.m:
-            return np.concatenate([out] * self.m, axis=1)
-        return out
+        return self.at(y)(t, x)
+
+    __call__ = eval
 
     def time_independent(self):
         return all(c.time_independent for c in self.components)
@@ -147,6 +197,8 @@ class GeneralConvection:
         return np.asarray(self.evaluator(t, x, y), dtype=float).reshape(
             x.shape[0], self.m
         )
+
+    __call__ = eval
 
     def time_independent(self):
         return self.L_t == 0.0
@@ -194,7 +246,9 @@ class TransportProblem:
         return max(vals)
 
     def field_evaluator(self):
-        return lambda t, x, y: self.convection.eval(t, x, y)
+        """The field as the oracle takes it: called as (t, x, y), and an
+        affine field also binds fixed parameters with ``at(y)``."""
+        return self.convection
 
     def u0_values(self, x, y=None):
         if self.u0 is None:

@@ -86,6 +86,29 @@ def cosine_field(m, d_y=2):
     return tc.AffineConvection(m, d_y, [1.0 / d_y] * d_y, comps).eval
 
 
+def grouped_field(m):
+    """Affine field with two cosines of one frequency, summed as one
+    cos/sin pair, and a bump: it offers ``at``, so the oracle binds it."""
+    comps = [
+        catalog.make_component({"kind": "cosine", "amp": 1.2, "freq": 1.3, "phase": 0.4}, m),
+        catalog.make_component({"kind": "bump", "center": 0.5, "width": 0.8}, m),
+        catalog.make_component({"kind": "cosine", "amp": 0.9, "freq": 1.3, "phase": -1.0}, m),
+    ]
+    return tc.AffineConvection(m, 3, [0.4, 0.3, 0.3], comps)
+
+
+class BindCounter:
+    """A field offered only through ``at``, recording the rows of each binding."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []
+
+    def at(self, y):
+        self.rows.append(len(y))
+        return self.field.at(y)
+
+
 def moving_field(m):
     """Affine field whose components depend on t (m columns differ)."""
     comps = [
@@ -197,9 +220,9 @@ class TestStackedPair:
         small_blocks(monkeypatch, m)
         t0, t1 = per_row_intervals(rng, n, backward)
         x = rng.uniform(0.0, 1.0, (n, m))
-        y = rng.uniform(-1.0, 1.0, (n, 2))
+        y = rng.uniform(-1.0, 1.0, (n, 3))
         cfg = oracle.OdeConfig(steps=8)
-        for field in (cosine_field(m), moving_field(m)):
+        for field in (cosine_field(m), moving_field(m), grouped_field(m)):
             got = oracle.rk4_char(field, t0, t1, x, y, cfg)
             ref = reference_rk4_char(field, t0, t1, x, y, cfg)
             assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
@@ -277,6 +300,35 @@ class TestStackedPair:
         oracle.rk4_char(counted, 0.0, 1.0, x, np.zeros((n, 2)), oracle.OdeConfig(steps=32))
         assert len(calls) == 256
         assert calls.count(2 * n) == calls.count(n) == 128
+
+    def test_binds_once_per_pass(self, monkeypatch, rng):
+        # the pair pass binds its stacked rows and its fine rows, each
+        # doubling binds once per block; binding changes no bit
+        small_blocks(monkeypatch, 2)
+        n = 2 * BLOCK + 1
+        t0, t1 = per_row_intervals(rng, n, backward=False)
+        x = rng.uniform(0.0, 1.0, (n, 2))
+        y = rng.uniform(-1.0, 1.0, (n, 3))
+        field = BindCounter(grouped_field(2))
+        for cfg, doublings in ((oracle.OdeConfig(steps=8), 0), (oracle.OdeConfig(steps=4, tol=1e-9), 1)):
+            field.rows.clear()
+            got = oracle.rk4_char(field, t0, t1, x, y, cfg)
+            ref = reference_rk4_char(field.field.eval, t0, t1, x, y, cfg)
+            assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+            blocks = [BLOCK, BLOCK, 1]
+            pair = [r for b in blocks for r in (2 * b, b)]
+            assert field.rows == pair + blocks * doublings
+
+    def test_solution_oracle_binds_once_per_pass(self):
+        prob = config_problem("solution_affine")
+        n = 50
+        t, x, y = prob.sample_inputs(n, seed=12)
+        cfg = oracle.OdeConfig(steps=32, tol=1e-3)
+        expect = oracle.solution_oracle(prob, t, x, y, cfg)
+        prob.convection = BindCounter(prob.convection)
+        got = oracle.solution_oracle(prob, t, x, y, cfg)
+        assert np.array_equal(got, expect)
+        assert prob.convection.rows == [2 * n, n]
 
     def test_memory_bounded(self):
         # past one block, the peak grows by the (n, m) result arrays only

@@ -1497,6 +1497,149 @@ class TestCharNetwork:
         assert cert["lip_xy"] <= 1.0 + 1e-9
 
 
+def parent_eval(conv, t, x, y):
+    """Reference: the field summed component by component through ``fn``,
+    in the order and with the float operations of the per-call formula
+    that predates grouping."""
+    n = x.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    out = np.zeros((n, 1))
+    for j, comp in enumerate(conv.components):
+        term = (conv.omega[j] * y[:, j])[:, None] * comp.fn(t, x)
+        if term.shape == out.shape:
+            out += term
+        else:
+            out = out + term
+    if out.shape[1] < conv.m:
+        return np.concatenate([out] * conv.m, axis=1)
+    return out
+
+
+MIXED_SPECS = [
+    {"kind": "cosine", "amp": 1.2, "freq": 1.3, "phase": 0.4},
+    {"kind": "bump", "center": 0.4, "width": 0.6, "amp": 0.9},
+    {"kind": "cosine", "amp": -0.7, "freq": 0.45, "phase": 2.2},
+    {"kind": "cosine", "amp": 0.8, "freq": 1.3, "phase": -1.1},
+    {"kind": "constant", "value": -0.6},
+    {"kind": "cosine", "amp": 1.0, "freq": 2.5, "phase": 0.3},
+    {"kind": "cosine", "amp": 0.5, "freq": 0.45, "phase": 0.0},
+    {"kind": "piecewise-linear", "knots": [-1.0, 0.5, 2.0], "values": [0.2, 1.0, -0.4]},
+    {"kind": "cosine", "amp": 1.5, "freq": 1.3, "phase": 3.0},
+]
+
+
+def spec_field(specs, m, omega=None):
+    comps = [catalog.make_component(spec, m) for spec in specs]
+    d_y = len(specs)
+    omega = [1.0 / d_y] * d_y if omega is None else omega
+    return tc.AffineConvection(m, d_y, omega, comps, validate=False)
+
+
+class TestAffineField:
+    """``eval`` sums the cosines of one frequency as one cos/sin pair."""
+
+    def samples(self, conv, rng, n=4000):
+        t = rng.uniform(0.0, 1.0, n)
+        x = rng.uniform(-1.5, 2.5, (n, conv.m))
+        y = rng.uniform(-1.0, 1.0, (n, conv.d_y))
+        return t, x, y
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_grouped_equals_component_sum(self, rng, m, reverse):
+        # two frequencies with three and two cosines, a lone cosine, and
+        # bump, constant and piecewise-linear components
+        omega = np.linspace(0.05, 0.25, len(MIXED_SPECS))
+        conv = spec_field(MIXED_SPECS, m, omega)
+        if reverse:
+            conv = conv.reversed_negated(1.0)
+        t, x, y = self.samples(conv, rng)
+        expect = sum(
+            (w * y[:, j])[:, None] * comp(t, x)
+            for j, (w, comp) in enumerate(zip(conv.omega, conv.components))
+        )
+        got = conv.eval(t, x, y)
+        assert got.shape == (len(t), m)
+        scale = sum(w * comp.sup for w, comp in zip(conv.omega, conv.components))
+        assert np.max(np.abs(got - expect)) <= 4 * np.spacing(scale)
+        assert not np.array_equal(got, parent_eval(conv, t, x, y))  # grouping took over
+
+    def test_reversed_negates(self, rng):
+        conv = spec_field(MIXED_SPECS, 1)
+        t, x, y = self.samples(conv, rng)
+        back = conv.reversed_negated(1.0)
+        assert np.array_equal(back.eval(t, x, y), -conv.eval(t, x, y))
+        waves = [c.wave for c in back.components if c.wave is not None]
+        assert waves[0] == (-1.2, 1.3, 0.4)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_no_shared_frequency_bit_identical(self, rng, m):
+        # one cosine per frequency
+        specs = [s for s in MIXED_SPECS if s["kind"] != "cosine"] + [
+            {"kind": "cosine", "amp": 0.3 * (1 + j), "freq": freq, "phase": j}
+            for j, freq in enumerate((0.45, 1.3, 2.5))
+        ]
+        conv = spec_field(specs, m)
+        t, x, y = self.samples(conv, rng)
+        assert np.array_equal(conv.eval(t, x, y), parent_eval(conv, t, x, y))
+
+    @pytest.mark.parametrize("problem", [time_dependent_problem, time_dependent_problem_m2])
+    def test_time_dependent_bit_identical(self, rng, problem):
+        conv = problem().convection
+        for field in (conv, conv.reversed_negated(1.0)):
+            t, x, y = self.samples(field, rng)
+            assert np.array_equal(field.eval(t, x, y), parent_eval(field, t, x, y))
+
+    def test_time_dependent_waves_stay_lone(self, rng):
+        # a component that moves in t is summed through fn, even when it
+        # declares the frequency of another cosine
+        moving = catalog.FieldComponent(
+            lambda t, x: np.cos(1.3 * x[:, :1] + np.asarray(t)[:, None]),
+            m=1, sup=1.0, lip_x=1.3, lip_t=1.0, time_independent=False,
+            wave=(1.0, 1.3, 0.0),
+        )
+        fixed = catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.3})
+        conv = tc.AffineConvection(1, 2, [0.5, 0.5], [moving, fixed])
+        t, x, y = self.samples(conv, rng)
+        assert np.array_equal(conv.eval(t, x, y), parent_eval(conv, t, x, y))
+
+    def test_at_rows_independent(self, rng):
+        # a row's bits do not depend on the other rows of its batch
+        conv = spec_field(MIXED_SPECS, 2)
+        t, x, y = self.samples(conv, rng, n=301)
+        whole = conv.at(y)(t, x)
+        for part in (slice(0, 1), slice(7, 150), slice(150, 301)):
+            assert np.array_equal(conv.at(y[part])(t[part], x[part]), whole[part])
+
+
+class TestPiecewiseLinearSpec:
+    def spec(self, knots, values):
+        return {"kind": "piecewise-linear", "knots": knots, "values": values}
+
+    def test_decreasing_knots_refused(self):
+        # np.interp would read these as 0 at 0.25, 0.5 and 0.75
+        with pytest.raises(ValueError, match="increasing"):
+            catalog.make_component(self.spec([1.0, 0.5, 0.0], [0, 1, 0]))
+
+    def test_repeated_knot_refused(self):
+        with pytest.raises(ValueError, match="increasing"):
+            catalog.make_component(self.spec([0.0, 0.5, 0.5, 1.0], [0, 1, 0, 1]))
+
+    def test_length_mismatch_refused(self):
+        with pytest.raises(ValueError, match="one value per knot"):
+            catalog.make_component(self.spec([0.0, 0.5, 1.0], [0, 1]))
+
+    def test_single_knot_refused(self):
+        with pytest.raises(ValueError, match="at least two knots"):
+            catalog.make_component(self.spec([0.5], [1.0]))
+
+    def test_increasing_knots_accepted(self):
+        comp = catalog.make_component(self.spec([0.0, 0.5, 1.0], [0, 1, 0]))
+        x = np.array([[0.25], [0.5], [0.75]])
+        assert np.array_equal(comp(0.0, x)[:, 0], [0.5, 1.0, 0.5])
+        assert comp.lip_x == 2.0 and comp.sup == 1.0
+
+
 class TestGeneralConvection:
     @staticmethod
     def make_general(L_t=0.0, bil_lip=1.5):
