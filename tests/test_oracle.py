@@ -310,7 +310,8 @@ class TestStackedPair:
         x = rng.uniform(0.0, 1.0, (n, 2))
         y = rng.uniform(-1.0, 1.0, (n, 3))
         field = BindCounter(grouped_field(2))
-        for cfg, doublings in ((oracle.OdeConfig(steps=8), 0), (oracle.OdeConfig(steps=4, tol=1e-9), 1)):
+        runs = ((oracle.OdeConfig(steps=8), 0), (oracle.OdeConfig(steps=4, tol=1e-9), 1))
+        for cfg, doublings in runs:
             field.rows.clear()
             got = oracle.rk4_char(field, t0, t1, x, y, cfg)
             ref = reference_rk4_char(field.field.eval, t0, t1, x, y, cfg)
