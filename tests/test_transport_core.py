@@ -1497,10 +1497,10 @@ class TestCharNetwork:
         assert cert["lip_xy"] <= 1.0 + 1e-9
 
 
-def parent_eval(conv, t, x, y):
-    """Reference: the field summed component by component through ``fn``,
-    in the order and with the float operations of the per-call formula
-    that predates grouping."""
+def per_component_eval(conv, t, x, y):
+    """Reference: the field summed from zeros, component by component in
+    order, through ``fn``; ``at`` computes exactly this when no two
+    time-independent cosines share a frequency."""
     n = x.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
     out = np.zeros((n, 1))
@@ -1562,7 +1562,7 @@ class TestAffineField:
         assert got.shape == (len(t), m)
         scale = sum(w * comp.sup for w, comp in zip(conv.omega, conv.components))
         assert np.max(np.abs(got - expect)) <= 4 * np.spacing(scale)
-        assert not np.array_equal(got, parent_eval(conv, t, x, y))  # grouping took over
+        assert not np.array_equal(got, per_component_eval(conv, t, x, y))  # grouping took over
 
     def test_reversed_negates(self, rng):
         conv = spec_field(MIXED_SPECS, 1)
@@ -1581,14 +1581,14 @@ class TestAffineField:
         ]
         conv = spec_field(specs, m)
         t, x, y = self.samples(conv, rng)
-        assert np.array_equal(conv.eval(t, x, y), parent_eval(conv, t, x, y))
+        assert np.array_equal(conv.eval(t, x, y), per_component_eval(conv, t, x, y))
 
     @pytest.mark.parametrize("problem", [time_dependent_problem, time_dependent_problem_m2])
     def test_time_dependent_bit_identical(self, rng, problem):
         conv = problem().convection
         for field in (conv, conv.reversed_negated(1.0)):
             t, x, y = self.samples(field, rng)
-            assert np.array_equal(field.eval(t, x, y), parent_eval(field, t, x, y))
+            assert np.array_equal(field.eval(t, x, y), per_component_eval(field, t, x, y))
 
     def test_time_dependent_waves_stay_lone(self, rng):
         # a component that moves in t is summed through fn, even when it
@@ -1601,7 +1601,7 @@ class TestAffineField:
         fixed = catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.3})
         conv = tc.AffineConvection(1, 2, [0.5, 0.5], [moving, fixed])
         t, x, y = self.samples(conv, rng)
-        assert np.array_equal(conv.eval(t, x, y), parent_eval(conv, t, x, y))
+        assert np.array_equal(conv.eval(t, x, y), per_component_eval(conv, t, x, y))
 
     def test_at_rows_independent(self, rng):
         # a row's bits do not depend on the other rows of its batch
