@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -46,6 +47,8 @@ class ExperimentConfig:
             raise ValueError("eps ladder must be strictly decreasing")
         if self.kind not in ("char", "solution"):
             raise ValueError("kind must be 'char' or 'solution'")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
 
     @classmethod
     def from_file(cls, path):
@@ -104,7 +107,7 @@ def _build(problem, eps, cfg):
 
 def _build_and_certify(problem, eps, cfg):
     """One ladder rung: build, measure against the matching oracle, certify."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         net, char_net = _build(problem, eps, cfg)
     except tc.ResourceCeiling as exc:
@@ -130,7 +133,7 @@ def _build_and_certify(problem, eps, cfg):
     return CertReport(
         eps, err, net.report["size"], net.report["depth"], net.report["predicted"],
         cert["lip_xy"], cert["lip_t"], status, cfg.seed,
-        wall_time=time.time() - t0,
+        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -186,10 +189,10 @@ def problem_dict_for_dy(cfg, d_y):
 def fit_rate(rows):
     """log2(size) vs log2(1/eps) least squares: {slope, intercept, residual}.
 
-    ``rows`` is a CSV path or a list of (eps, size) pairs; needs >= 3
-    non-SKIP entries.
+    ``rows`` is a CSV path (``str`` or ``os.PathLike``) or a list of
+    (eps, size) pairs; needs >= 3 non-SKIP entries.
     """
-    if isinstance(rows, (str,)):
+    if isinstance(rows, (str, os.PathLike)):
         pairs = []
         with open(rows) as fh:
             for rec in csv.DictReader(fh):

@@ -462,6 +462,9 @@ def knot_slopes(values, out=None):
     return slopes
 
 
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 class KnotLookup:
     """s = 1 hat sums over stacked knot tables, for at most p points.
 
@@ -471,6 +474,13 @@ class KnotLookup:
     that starts at entry ``starts[r]``.  Everything but the points is fixed here, so a
     call is one in-place pass over work buffers made once.  A call may
     pass k < p points: its points are the first k.
+
+    A call keeps its points' cells and the knot values and slopes it
+    gathered for them.  The next call of as many points, each in its
+    kept cell (0 <= x - cell < 1, and not x = -0.0 in cell +0.0),
+    reuses them and reads no table: the same float operations on the
+    same operands, so the same bits.  The kept entries hold only while
+    the tables do: after rewriting them in place, call :meth:`forget`.
     """
 
     def __init__(self, grid, values, slopes, starts):
@@ -486,7 +496,14 @@ class KnotLookup:
         self.cell = np.empty(p)
         self.index = np.empty(p, dtype=np.intp)
         self.out = np.empty(len(values) * p)
+        # the knot values and slopes gathered for the kept cells
         self.base = np.empty(len(values) * p)
+        self.rise = np.empty(len(values) * p)
+        self.kept = 0  # the point count of the kept cells, 0 if none
+
+    def forget(self):
+        """Drop the kept cells: the next call reads the tables."""
+        self.kept = 0
 
     def __call__(self, x):
         """Hat sums (E, k) at the points ``x`` (1, k) in grid units.
@@ -496,27 +513,53 @@ class KnotLookup:
         The result is a view of a buffer that the next call rewrites.
         """
         k = x.shape[1]
-        u, cell, index = self.u[:k], self.cell[:k], self.index[:k]
+        u, cell = self.u[:k], self.cell[:k]
+        shape = (len(self.values), k)
+        slopes = self.rise[: shape[0] * k].reshape(shape)
+        base = self.base[: shape[0] * k].reshape(shape)
+        # A point with 0 <= x - cell < 1 lies in [-1, q + 2).  Up to
+        # q + 1 the clip leaves it and floors it to its kept cell, and
+        # x - cell = +0.0 only where x == cell, whose full fraction is
+        # +0.0 too.  Past q + 1 the full path reads the top ghost knot at
+        # fraction 0, the kept one at a positive fraction, and both give
+        # its zero value plus its zero slope times the fraction.
+        if not (k and k == self.kept and self._inside(x[0], u, cell)):
+            self._gather(x[0], u, cell, slopes, base)
+            self.kept = k
+        out = self.out[: shape[0] * k].reshape(shape)
+        np.multiply(slopes, self.frac[:, :k], out=out)
+        out += base
+        return out
+
+    @staticmethod
+    def _inside(x, u, cell):
+        """Whether 0 <= x - cell < 1 at every point, with no -0.0; the
+        fractions x - cell are left in ``u``."""
+        np.subtract(x, cell, out=u)
+        # As unsigned integers the bits of +0.0 <= u < 1.0 are those below
+        # 1.0's: -0.0 (x = -0.0 in a kept cell +0.0, whose full fraction
+        # is +0.0), negatives and NaNs have the sign or all exponent bits
+        # set.  So one maximum checks both ends.
+        return u.view(np.uint64).max() < _ONE_BITS
+
+    def _gather(self, x, u, cell, slopes, base):
+        """The points' cells and fractions, and their knots' slopes and
+        values, read from the tables."""
+        index = self.index[: len(u)]
         # clipping to the ghost knots gives literal zeros beyond them: the
         # top state q + 1 reads its table's last entry, whose value and
         # slope are both zero
-        np.clip(x[0], -1.0, self.top, out=u)
+        np.clip(x, -1.0, self.top, out=u)
         np.floor(u, out=cell)
         np.copyto(index, cell, casting="unsafe")
-        index += self.origin[:k]
+        index += self.origin[: len(u)]
         u -= cell
         # The clip puts every index in its point's own table, so
         # mode="clip" never changes a read: it only lets take write into
-        # out without a buffered copy.  A NaN point escapes the clip; its
+        # the buffers without a copy.  A NaN point escapes the clip; its
         # cast warns and its value comes out NaN.
-        shape = (len(self.values), k)
-        out = self.out[: shape[0] * k].reshape(shape)
-        self.slopes.take(index, axis=1, out=out, mode="clip")
-        out *= self.frac[:, :k]
-        base = self.base[: shape[0] * k].reshape(shape)
+        self.slopes.take(index, axis=1, out=slopes, mode="clip")
         self.values.take(index, axis=1, out=base, mode="clip")
-        out += base
-        return out
 
 
 class CornerLookup:

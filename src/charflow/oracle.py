@@ -145,8 +145,8 @@ def rk4_char(field, t0, t1, x, y, config=OdeConfig(), dense=False):
     ``t0``/``t1`` may be scalars or per-row vectors, and ``y`` is None
     or holds one row per row of ``x``.  Returns (Richardson-
     extrapolated endpoint, error_estimate); the estimate compares the
-    run against one with doubled steps, and when a tolerance is set,
-    steps double until the estimate meets it or
+    run against one with doubled steps, and is 0.0 for no rows.  When a
+    tolerance is set, steps double until the estimate meets it or
     :class:`OracleToleranceError` is raised.  The first pair runs in
     one stacked pass; each later doubling adds a single run.  With
     ``dense`` the return becomes (endpoint, estimate, (times, states))
@@ -168,7 +168,8 @@ def rk4_char(field, t0, t1, x, y, config=OdeConfig(), dense=False):
         coarse[b], fine[b] = run(b, _pair, config.steps)
     steps = 2 * config.steps
     while True:
-        est = max(float(np.max(np.abs(fine[b] - coarse[b]))) for b in blocks) / 15.0
+        diffs = (float(np.max(np.abs(fine[b] - coarse[b]))) for b in blocks)
+        est = max(diffs, default=0.0) / 15.0
         if config.tol is None or est <= config.tol or steps >= config.max_steps:
             break
         coarse, fine, steps = fine, coarse, 2 * steps

@@ -327,16 +327,18 @@ class MacroGrid:
 # contracted knot tables: 41 rows of 392 floats on the ladder's slabs,
 # 128576 bytes, and 12 rows of 1364 on the solution's backward slabs,
 # 130944 bytes, both below the 131072 at which malloc maps a request.
-# A block holds several arrays near that size at once, some 1 MB, which
-# :class:`SweepWork` keeps for the next block, so that malloc does not
-# trim them back to the kernel and fault them in again.  With the
-# cell-major states this measured best: against 64 KiB, 128 KiB ran the
-# ladder rung's evaluation 10% and the solution's 15% faster, and both
-# certificates 22% faster; 256 KiB was no faster on either (README
-# block table) and holds twice the memory.  A per-cell general slab
-# evaluates its q cell nets one at a time, so only its sweep state
-# (m, q, rows) is larger; that is made once per block, not in each of
-# the q evaluations.
+# A block holds several arrays near that size at once, some 1 MB: its
+# states, seeds along the cells and running sums, and its lookup's
+# buffers, among them the gathered knot values and slopes that the
+# lookup keeps for its next call.  :class:`SweepWork` keeps them for the
+# next block, so that malloc does not trim them back to the kernel and
+# fault them in again.  With the cell-major states this measured best:
+# against 64 KiB, 128 KiB ran the ladder rung's evaluation 10% and the
+# solution's 15% faster, and both certificates 22% faster; 256 KiB was
+# no faster on either (README block table) and holds twice the memory.
+# A per-cell general slab evaluates its q cell nets one at a time, so
+# only its sweep state (m, q, rows) is larger; that is made once per
+# block, not in each of the q evaluations.
 #
 # An affine block also holds at least MIN_STATES quadrature states.  An
 # m = 2 sweep is some 35 numpy calls per pass, 29 of them its corner
@@ -355,9 +357,9 @@ MIN_STATES = 2048
 class SweepWork:
     """Work memory that the row blocks of one slab evaluation share.
 
-    A block of n rows keeps its sweep states, running sums and lookup
-    buffers here, made for all q cells: in the cell-major layout the
-    arrays of the first p cells are a prefix of them.  So each block
+    A block of n rows keeps its sweep states, seeds, running sums and
+    lookup buffers here, made for all q cells: in the cell-major layout
+    the arrays of the first p cells are a prefix of them.  So each block
     reuses the memory of the block before it.  A block's arrays come to
     some 1 MB; freed at the end of every block, malloc would hand what
     lies above its 128 KiB trim threshold back to the kernel, and the
@@ -519,25 +521,28 @@ class SlabNet:
         place by each sweep.  The seeds (m, 1, n) are constant along the
         cells, so a slab whose networks do not depend on the cell
         evaluates its first sweep once per row and broadcasts it.  The
-        states, the running sums and the plan's buffers are taken from
-        ``work`` (:class:`SweepWork`), which the blocks of one
-        evaluation share; V and S are views of them.
+        seeds are written once along the cells, so each gate adds an
+        array of the states' shape.  The seeds, the states, the running
+        sums and the plan's buffers are taken from ``work``
+        (:class:`SweepWork`), which the blocks of one evaluation share;
+        V and S are views of them.
         """
         sweep = self._sweep_plan(y, work)
         n, m = u.shape
         seeds = np.ascontiguousarray(u.T)[:, None, :]
-        Z, S = (work.prefix(key, n, m * self.q * n, (m, p, n)) for key in "ZS")
+        Z, S, W = (work.prefix(key, n, m * self.q * n, (m, p, n)) for key in "ZSW")
+        W[...] = seeds
         if self._shared:
             V = np.broadcast_to(sweep(seeds), Z.shape)
         else:
-            Z[...] = seeds
+            Z[...] = W
             V = sweep(Z)
         for k in range(self.mu):
             if k:
                 V = sweep(Z)
             running_sums(V, S)
             if k < self.mu - 1:
-                ramp_gate(seeds, V, S, 0.5, out=Z)
+                ramp_gate(W, V, S, 0.5, out=Z)
         return V, S
 
     def block_rows(self):
@@ -716,6 +721,7 @@ class AffineSlabNet(SlabNet):
 
             rows, lookup = work.keep("lookup", n, row_lookup)
             self.net.contracted(w[:, 0], out=rows)
+            lookup.forget()  # its kept knots are the last block's
             return lambda Z: lookup(Z.reshape(m, -1)).reshape(Z.shape)
         # state i * n + r reads cell i's table if the tables are per cell
         lookup = work.keep(

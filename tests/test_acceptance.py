@@ -41,7 +41,7 @@ def char_ladder():
     """Criterion-5 builds: eps -> (net, measured sup error on 10^4 samples)."""
     problem = ladder_problem()
     out = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     for eps in LADDER:
         net = tc.build_char_net(problem, eps)
         t, x, y = problem.sample_inputs(10_000, seed=20240817)
@@ -51,13 +51,13 @@ def char_ladder():
         )
         err = float(np.abs(net.eval(t, x, y) - ref).max())
         out[eps] = (net, err)
-    out["wall_time"] = time.time() - t0
+    out["wall_time"] = time.perf_counter() - t0
     out["problem"] = problem
     return out
 
 
 def test_criterion_01_picard_contraction():
-    t0 = time.time()
+    t0 = time.perf_counter()
     comp = catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0})
     conv = tc.AffineConvection(1, 1, [1.0], [comp])
     grid = tc.MacroGrid(1.0, conv.norm)  # |I| L = 1/2 with L = 2
@@ -78,7 +78,7 @@ def test_criterion_01_picard_contraction():
         err = float(np.abs(at(t) - ref).max())
         worst.append((k, err, 2.0 ** (-k - 1)))
         assert err <= 2.0 ** (-k - 1), f"k={k}: {err} > {2.0 ** (-k - 1)}"
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(
         "criterion 1 (fixed-point contraction)",
         elapsed < 5.0,
@@ -87,9 +87,9 @@ def test_criterion_01_picard_contraction():
 
 
 def test_criterion_02_quadrature_bounds():
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = harness.check_quadrature_properties(seed=11, n_functions=100)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(
         "criterion 2 (quadrature and gate bounds)",
         out["violations"] == 0 and out["gate_err"] <= 1e-12 and elapsed < 5.0,
@@ -98,7 +98,7 @@ def test_criterion_02_quadrature_bounds():
 
 
 def test_criterion_03_product_and_interpolation():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     # product networks: sup and central-difference gradient accuracy
     for delta in (1e-2, 1e-3):
@@ -138,7 +138,7 @@ def test_criterion_03_product_and_interpolation():
             ratios.append(rep["size"] / (delta**-s * k))
         bands[s] = max(ratios) / min(ratios)
         assert bands[s] <= 4.0, f"s={s} band {bands[s]}"
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(
         "criterion 3 (product/interpolation networks)",
         elapsed < 60.0,
@@ -147,7 +147,7 @@ def test_criterion_03_product_and_interpolation():
 
 
 def test_criterion_04_composition_algebra():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(44)
     algebra = harness.check_algebra(seed=44, n_reps=50)
     assert algebra["ok"], algebra
@@ -169,7 +169,7 @@ def test_criterion_04_composition_algebra():
         pts = rng.uniform(-1.0, 1.5, (2000, 1))
         err = np.abs(imp.eval(pts) - rep.eval(pts)).max()
         assert err <= bound, f"trial {trial}: {err} > {bound}"
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(
         "criterion 4 (composition algebra)",
         elapsed < 30.0,
@@ -249,7 +249,7 @@ def solution_case_c():
 
 
 def test_criterion_09_solution_networks(solution_case_c):
-    t0 = time.time()
+    t0 = time.perf_counter()
     eps = 0.1
     # (a) zero source, constant field: transported initial profile
     comps = [
@@ -281,7 +281,7 @@ def test_criterion_09_solution_networks(solution_case_c):
         ).max()
     )
     assert err_c <= eps
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(
         "criterion 9 (solution networks)",
         elapsed < 300.0,

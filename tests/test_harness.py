@@ -71,6 +71,18 @@ class TestFitRate:
         fit = harness.fit_rate(str(tmp_path / "convergence.csv"))
         assert np.isfinite(fit["slope"])
 
+    def test_reads_path(self, tmp_path):
+        path = tmp_path / "ladder.csv"
+        lines = [",".join(harness.CSV_HEADER)]
+        for k in range(1, 5):
+            eps = 0.5**k
+            lines.append(f"{eps!r},0.0,{4**k},3,1.0,1.0,1.0,PASS,7")
+        lines.append("0.01,nan,0,0,1.0,0.0,0.0,SKIP,7")
+        path.write_text("\n".join(lines) + "\n")
+        fit = harness.fit_rate(path)
+        assert fit == harness.fit_rate(str(path))
+        assert fit["slope"] == pytest.approx(2.0, abs=1e-9)
+
 
 class TestConvergence:
     def test_smoke_all_pass(self):
@@ -181,6 +193,13 @@ class TestConfig:
     def test_ladder_must_decrease(self):
         with pytest.raises(ValueError):
             smoke_config(eps_ladder=[0.1, 0.2])
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_samples_validated(self, tmp_path, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            smoke_config(n_samples=n)
+        with pytest.raises(ValueError, match="n_samples"):
+            harness.ExperimentConfig.from_file(config_file(tmp_path, n_samples=n))
 
     def test_kind_validated(self):
         with pytest.raises(ValueError):

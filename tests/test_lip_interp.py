@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -664,7 +666,7 @@ class TestTableStack:
         p, k = len(x), len(x) - 60
         which = rng.integers(0, 3, p)
         lookup, first = stack.lookup(p, which), stack.lookup(p)
-        for points in (k, p, k):  # a call keeps nothing for the next one
+        for points in (k, p, k):  # each count reads the tables again
             got = lookup(u[:, :points])
             assert got.shape == (2, points)
             for e in range(2):
@@ -722,6 +724,180 @@ class TestTableStack:
         again = stack.contracted(2.0 * w, out=rows)
         assert again is rows
         np.testing.assert_array_equal(rows.values, 2.0 * want.reshape(1, -1))
+
+
+def assert_same_uint64(got, want):
+    """Bit for bit, zero signs and NaN payloads included."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def counting_gathers(monkeypatch):
+    """Count the s = 1 lookup calls that read their tables."""
+    counts = {"calls": 0, "gathers": 0}
+    call, gather = li.KnotLookup.__call__, li.KnotLookup._gather
+
+    def counted_call(lookup, x):
+        counts["calls"] += 1
+        return call(lookup, x)
+
+    def counted_gather(lookup, *args):
+        counts["gathers"] += 1
+        return gather(lookup, *args)
+
+    monkeypatch.setattr(li.KnotLookup, "__call__", counted_call)
+    monkeypatch.setattr(li.KnotLookup, "_gather", counted_gather)
+    return counts
+
+
+class TestKeptKnots:
+    """An s = 1 lookup keeps its last call's cells and gathered knots: a
+    call whose points all stay in them reads no table and gives a fresh
+    lookup's bits."""
+
+    q = 9
+    # kept cells: the bottom ghost cell, 0, 3, q, the top ghost cell
+    # (from a point far past it), 6 and 2; tables per point
+    first = np.array([-0.5, 0.5, 3.5, 9.5, 1e6, 6.25, 2.75])
+    which = np.array([0, 0, 1, 1, 0, 1, 0])
+
+    def inside(self):
+        """Points strictly inside the cells that ``first`` keeps."""
+        x = self.first.copy()
+        x[4] = self.q + 1.5
+        return x
+
+    def tables(self, rng):
+        coeffs = rng.standard_normal((2, 2, self.q + 1))
+        # a -0.0 at knot 0 of table 0 under a rising slope: the value
+        # there carries the sign of the slope times the cell fraction
+        coeffs[0, :, 0] = -0.0
+        coeffs[0, :, 1] = np.abs(coeffs[0, :, 1]) + 0.5
+        return li.InterpolantNet(li.GridSpec(1, self.q), coeffs)
+
+    @pytest.mark.parametrize(
+        "point,value,kept",
+        [
+            (2, 3.0, True),  # on the cell's lower knot
+            (2, np.nextafter(4.0, -np.inf), True),  # one ulp below the next knot
+            (2, 4.0, False),  # on the next knot
+            (2, 2.9, False),  # below the cell
+            (0, -0.75, True),  # inside the bottom ghost cell -1
+            (0, -1.0, True),  # on the bottom ghost knot
+            (0, -7.5, False),  # beyond the bottom ghost knot
+            (4, 10.5, True),  # inside the top ghost cell q + 1
+            (4, 11.0, False),  # one cell past the top ghost knot
+            (4, 1e9, False),  # far beyond it
+            (3, 9.999, True),  # inside the last cell, q
+            (3, np.inf, False),
+            (3, -np.inf, False),
+            (1, -0.0, False),  # -0.0 against the kept +0.0 cell
+            (1, 0.0, True),
+            (4, 10.0, True),  # on the top ghost knot
+        ],
+    )
+    def test_second_call_equals_fresh(self, rng, monkeypatch, point, value, kept):
+        net = self.tables(rng)
+        lookup = net.lookup(len(self.first), self.which)
+        lookup(self.first[None].copy())
+        # the other points move within their cells
+        x = self.inside()
+        x[[1, 2, 5]] += [0.25, -0.375, 0.5]
+        x[point] = value
+        x = x[None]
+        counts = counting_gathers(monkeypatch)
+        got = lookup(x).copy()
+        assert counts["gathers"] == 1 - kept
+        assert_same_uint64(got, net.lookup(len(self.first), self.which)(x))
+
+    @pytest.mark.parametrize("before", [-0.0, 0.0])
+    @pytest.mark.parametrize("after", [-0.0, 0.0])
+    def test_zero_signs(self, rng, monkeypatch, before, after):
+        # a point at -0.0 keeps the cell -0.0; only -0.0 in a kept +0.0
+        # cell gives a fraction of another sign than the full path's
+        net = self.tables(rng)
+        lookup = net.lookup(len(self.first), self.which)
+        x = self.first.copy()
+        x[1] = before
+        lookup(x[None].copy())
+        x = self.inside()
+        x[1] = after
+        counts = counting_gathers(monkeypatch)
+        got = lookup(x[None]).copy()
+        assert counts["gathers"] == (math.copysign(1, before) > math.copysign(1, after))
+        assert_same_uint64(got, net.lookup(len(x), self.which)(x[None]))
+
+    def test_nan_warns_and_gathers(self, rng, monkeypatch):
+        net = self.tables(rng)
+        lookup = net.lookup(len(self.first), self.which)
+        lookup(self.first[None].copy())
+        x = self.inside()
+        x[3] = np.nan
+        counts = counting_gathers(monkeypatch)
+        with pytest.warns(RuntimeWarning):
+            got = lookup(x[None]).copy()
+        assert counts["gathers"] == 1
+        with pytest.warns(RuntimeWarning):
+            want = net.lookup(len(self.first), self.which)(x[None])
+        assert np.all(np.isnan(got[:, 3]))
+        assert_same_uint64(got, want)
+        # the NaN's kept cell sends the next call to the tables again
+        x[3] = 9.5
+        got = lookup(x[None]).copy()
+        assert counts["gathers"] == 3
+        assert_same_uint64(got, net.lookup(len(x), self.which)(x[None]))
+
+    def test_other_point_count_gathers(self, rng, monkeypatch):
+        net = self.tables(rng)
+        lookup = net.lookup(len(self.first), self.which)
+        lookup(self.first[None].copy())
+        x = self.inside()[None]
+        for k, gathers in ((5, 1), (5, 0), (7, 1), (7, 0)):
+            counts = counting_gathers(monkeypatch)
+            got = lookup(x[:, :k] + 0.125).copy()
+            assert counts["gathers"] == gathers
+            assert_same_uint64(got, net.lookup(k, self.which[:k])(x[:, :k] + 0.125))
+        # an empty call reads nothing and keeps nothing
+        assert lookup(x[:, :0]).shape == (2, 0)
+        assert lookup(x[:, :0]).shape == (2, 0)
+
+    def test_forget_after_contracted(self, rng, monkeypatch):
+        # rewriting the tables in place leaves stale kept knots; forget
+        # drops them and the next call reads the new tables
+        grid = li.GridSpec(1, self.q)
+        stack = li.InterpolantNet(grid, rng.standard_normal((1, 3, self.q + 1)))
+        n = 4
+        rows = stack.contracted(
+            rng.standard_normal((n, 3)), li.InterpolantNet(grid, np.zeros((n, 1, self.q + 1)))
+        )
+        which = np.tile(np.arange(n), 2)
+        x = rng.uniform(-1.0, self.q + 1.0, (1, 2 * n))
+        lookup = rows.lookup(2 * n, which)
+        lookup(x)
+        stack.contracted(rng.standard_normal((n, 3)), out=rows)
+        lookup.forget()
+        counts = counting_gathers(monkeypatch)
+        got = lookup(x).copy()
+        assert counts["gathers"] == 1
+        assert_same_uint64(got, rows.lookup(2 * n, which)(x))
+
+    def test_sweeps_keep_their_knots(self, monkeypatch):
+        # affine_m1_dy4 at eps 0.1: m = 1 slabs with contracted row
+        # tables.  A block's first two lookups (its seeds, then its q
+        # cells) and those after a state leaves its cell read the
+        # tables; the pinned count repeats exactly from eval to eval.
+        from charflow import transport_core as tc
+
+        path = Path(__file__).resolve().parent.parent / "configs" / "affine_m1_dy4.json"
+        doc = json.loads(path.read_text())
+        problem = tc.problem_from_dict(doc["problem"])
+        net = tc.build_char_net(problem, 0.1)
+        t, x, y = problem.sample_inputs(200, doc["seed"])
+        counts = counting_gathers(monkeypatch)
+        for _ in range(2):
+            counts.update(calls=0, gathers=0)
+            net.eval(t, x, y)
+            assert counts == {"calls": 42, "gathers": 19}
 
 
 class TestGhostRing:

@@ -193,6 +193,16 @@ class TestRk4:
         np.testing.assert_allclose(states[-1], end, atol=1e-15)
         np.testing.assert_allclose(states[:, 0, 0], 0.5 * times[:, 0], atol=1e-15)
 
+    def test_empty_batch(self):
+        # no rows: the empty endpoint, estimate 0.0, as CharNetwork.eval
+        # gives the empty result
+        prob = config_problem("affine_m1_dy4")
+        t, x, y = prob.sample_inputs(0, 1)
+        cfg = oracle.OdeConfig(steps=32, tol=1e-3)
+        z, est = oracle.rk4_char(prob.field_evaluator(), np.zeros(0), t, x, y, cfg)
+        assert z.shape == (0, 1) and est == 0.0
+        assert tc.build_char_net(prob, 0.1).eval(t, x, y).shape == (0, 1)
+
     def test_backward_forward_inversion(self, rng):
         field = lambda t, x, y: y[:, :1] * np.cos(x)
         x = rng.uniform(0, 1, (50, 1))
@@ -362,6 +372,14 @@ class TestSolutionOracle:
         t, x, y = prob.sample_inputs(200, seed=5)
         vals = oracle.solution_oracle(prob, t, x, y, oracle.OdeConfig(steps=64))
         np.testing.assert_allclose(vals, t, atol=1e-12)
+
+    @pytest.mark.parametrize("stem", ["solution_affine", "constant_smoke"])
+    def test_empty_batch(self, stem):
+        # with a source and without one
+        prob = config_problem(stem)
+        t, x, y = prob.sample_inputs(0, 1)
+        vals = oracle.solution_oracle(prob, t, x, y, oracle.OdeConfig(steps=32, tol=1e-3))
+        assert vals.shape == (0,)
 
     def test_missed_tolerance_raises(self):
         comps = [catalog.make_component({"kind": "cosine", "amp": 1.0, "freq": 1.0})]

@@ -1088,6 +1088,27 @@ class TestCausalTruncation:
             slab.block_rows = lambda: 5
         np.testing.assert_array_equal(net.eval(times, x, y), want)
 
+    def test_contracted_blocks_read_their_own_tables(self, rng):
+        # every block contracts its rows' tables into the same buffers,
+        # and a lookup keeps its last call's knots; a block whose states
+        # sit in the cells of the block before must not reuse them.
+        # Equal seeds and one-cell sweeps make the next block's seeds
+        # call match the last block's final call cell for cell.
+        slab = tc.build_char_net(config_problem("affine_m1_dy4"), 0.1).slabs[0]
+        assert slab.contract
+        n, step = 12, 4
+        lo = slab.interval[0]
+        t = lo + 0.25 * slab.cell * np.ones(n)
+        w = np.full((n, 1), 0.3)
+        y = rng.uniform(-1, 1, (n, 4))
+        ones = np.ones(n, dtype=bool)
+        slab.block_rows = lambda: step
+        got = slab.eval_with_junction(t, w, y, ones, ~ones)[0]
+        for b in range(0, n, step):
+            rows = slice(b, b + step)
+            alone = slab.eval_with_junction(t[rows], w[rows], y[rows], ones[rows], ~ones[rows])
+            np.testing.assert_array_equal(got[rows], alone[0])
+
     @pytest.mark.parametrize(
         "make_problem, tau",
         [
